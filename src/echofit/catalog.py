@@ -1,18 +1,29 @@
 """Registry connecting model ids to packed-vector evaluation, analytic
-Jacobians, parameter transforms and fit defaults.
+Jacobians, parameter transforms, initial guesses and fit defaults.
 
 The fitter works on flat parameter vectors in an unconstrained internal
 space; this module owns the mapping between that space and the natural,
 unit-carrying parameters.  Positive-only parameters use a log transform,
 box-bounded ones a logit transform, so bounds hold by construction.
+
+Every model kernel in :mod:`echofit.models` and its gradient take their
+arguments in one order: the free parameters in ``params`` order, then
+the fixed quantities in ``fixed_names`` order, then the x column(s).  So
+a spec's ``eval_fn``/``jac_fn`` bind the kernels directly, with no
+per-model adapter.  A fixed quantity is promoted to a free parameter by
+putting it first in ``fixed_names`` of the base model and then, in the
+derived spec, moving it to the end of ``params``: the kernel's argument
+list stays the same, and only the gradient must add the new column (see
+``echo3-free-t1``).
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import models
+from . import guesses, models
 from .params import BETA_BOUNDS, EXPONENT_BOUNDS, X_BOUNDS
 
 # Margin used when clipping an initial value into an open interval before
@@ -37,6 +48,7 @@ class ModelSpec:
     eval_fn: Callable  # (theta, x, fixed) -> (n,)
     jac_fn: Callable   # (theta, x, fixed) -> (n, p)
     x_columns: int     # 1 for a single axis, 2 for (t12_us, t23_us) pairs
+    guess: Callable    # (x, y, fixed) -> guesses.GuessResult
 
     @property
     def param_names(self):
@@ -85,79 +97,39 @@ def dnatural_dinternal(spec: ModelSpec, theta):
 
 
 # ---------------------------------------------------------------------------
-# Packed-vector adapters
+# Model catalog
 # ---------------------------------------------------------------------------
 
-def _eval_mims(theta, x, fixed):
-    return models._mims(theta[0], theta[1], theta[2], x)
+def _spec(model_id, kind, params, fixed_names, x_columns, value, grad, guess):
+    """A ModelSpec whose eval_fn/jac_fn call the kernels ``value``/``grad``
+    as kernel(*theta, *fixed values in fixed_names order, *x columns)."""
+    def bind(kernel):
+        if x_columns == 1:
+            return lambda theta, x, fixed: kernel(
+                *theta, *[fixed[k] for k in fixed_names], x)
+        return lambda theta, x, fixed: kernel(
+            *theta, *[fixed[k] for k in fixed_names], *x.T)
 
-
-def _jac_mims(theta, x, fixed):
-    return models._mims_grad(theta[0], theta[1], theta[2], x)
-
-
-def _eval_field(theta, x, fixed):
-    return models._field(*theta, x, fixed["temp_k"])
-
-
-def _jac_field(theta, x, fixed):
-    return models._field_grad(*theta, x, fixed["temp_k"])
-
-
-def _eval_temp(theta, x, fixed):
-    return models._temp(theta[0], theta[1], theta[2], x)
-
-
-def _jac_temp(theta, x, fixed):
-    return models._temp_grad(theta[0], theta[1], theta[2], x)
-
-
-def _eval_sech2(theta, x, fixed):
-    return models._sech2(theta[0], theta[1], x, fixed["temp_k"])
-
-
-def _jac_sech2(theta, x, fixed):
-    return models._sech2_grad(theta[0], theta[1], x, fixed["temp_k"])
-
-
-def _eval_sd(theta, x, fixed):
-    return models._sd(theta[0], theta[1], theta[2], theta[3], fixed["t0_us"],
-                      x[:, 0], x[:, 1])
-
-
-def _jac_sd(theta, x, fixed):
-    return models._sd_grad(theta[0], theta[1], theta[2], theta[3],
-                           fixed["t0_us"], x[:, 0], x[:, 1])
-
-
-def _eval_echo3(theta, x, fixed):
-    return models._echo3(theta[0], theta[1], theta[2], theta[3], theta[4],
-                         theta[5], fixed["t1_ms"], fixed["tz_s"],
-                         fixed["t0_us"], x[:, 0], x[:, 1])
-
-
-def _jac_echo3(theta, x, fixed):
-    return models._echo3_grad(theta[0], theta[1], theta[2], theta[3], theta[4],
-                              theta[5], fixed["t1_ms"], fixed["tz_s"],
-                              fixed["t0_us"], x[:, 0], x[:, 1])
-
-
-def _eval_echo3_free_t1(theta, x, fixed):
-    return models._echo3(theta[0], theta[1], theta[2], theta[3], theta[4],
-                         theta[5], theta[6], fixed["tz_s"], fixed["t0_us"],
-                         x[:, 0], x[:, 1])
-
-
-def _jac_echo3_free_t1(theta, x, fixed):
-    return models._echo3_grad(theta[0], theta[1], theta[2], theta[3], theta[4],
-                              theta[5], theta[6], fixed["tz_s"],
-                              fixed["t0_us"], x[:, 0], x[:, 1], free_t1=True)
+    return ModelSpec(model_id=model_id, kind=kind, params=params,
+                     fixed_names=fixed_names, eval_fn=bind(value),
+                     jac_fn=bind(grad), x_columns=x_columns, guess=guess)
 
 
 _LOG = "log"
 
+_SD_PARAMS = (
+    ParamSpec("gamma0_khz", _LOG),
+    ParamSpec("gamma_sd_khz", _LOG),
+    ParamSpec("r_sd_khz", _LOG),
+    ParamSpec("gamma_tls_khz", _LOG),
+)
+_ECHO3_PARAMS = (
+    ParamSpec("i0", _LOG),
+    ParamSpec("beta", "logit", *BETA_BOUNDS),
+) + _SD_PARAMS
+
 CATALOG = {
-    "mims": ModelSpec(
+    "mims": _spec(
         model_id="mims",
         kind="decay",
         params=(
@@ -166,11 +138,12 @@ CATALOG = {
             ParamSpec("x", "logit", *X_BOUNDS),
         ),
         fixed_names=(),
-        eval_fn=_eval_mims,
-        jac_fn=_jac_mims,
         x_columns=1,
+        value=models._mims,
+        grad=models._mims_grad,
+        guess=guesses.mims,
     ),
-    "field": ModelSpec(
+    "field": _spec(
         model_id="field",
         kind="linewidth",
         params=(
@@ -181,11 +154,12 @@ CATALOG = {
             ParamSpec("g2", _LOG),
         ),
         fixed_names=("temp_k",),
-        eval_fn=_eval_field,
-        jac_fn=_jac_field,
         x_columns=1,
+        value=models._field,
+        grad=models._field_grad,
+        guess=guesses.field,
     ),
-    "temp": ModelSpec(
+    "temp": _spec(
         model_id="temp",
         kind="linewidth",
         params=(
@@ -194,11 +168,12 @@ CATALOG = {
             ParamSpec("exponent_n", "logit", *EXPONENT_BOUNDS),
         ),
         fixed_names=(),
-        eval_fn=_eval_temp,
-        jac_fn=_jac_temp,
         x_columns=1,
+        value=models._temp,
+        grad=models._temp_grad,
+        guess=guesses.temp,
     ),
-    "sech2": ModelSpec(
+    "sech2": _spec(
         model_id="sech2",
         kind="linewidth",
         params=(
@@ -206,56 +181,42 @@ CATALOG = {
             ParamSpec("g", _LOG),
         ),
         fixed_names=("temp_k",),
-        eval_fn=_eval_sech2,
-        jac_fn=_jac_sech2,
         x_columns=1,
+        value=models._sech2,
+        grad=models._sech2_grad,
+        guess=guesses.sech2,
     ),
-    "sd": ModelSpec(
+    "sd": _spec(
         model_id="sd",
         kind="linewidth",
-        params=(
-            ParamSpec("gamma0_khz", _LOG),
-            ParamSpec("gamma_sd_khz", _LOG),
-            ParamSpec("r_sd_khz", _LOG),
-            ParamSpec("gamma_tls_khz", _LOG),
-        ),
+        params=_SD_PARAMS,
         fixed_names=("t0_us",),
-        eval_fn=_eval_sd,
-        jac_fn=_jac_sd,
         x_columns=2,
+        value=models._sd,
+        grad=models._sd_grad,
+        guess=guesses.sd,
     ),
-    "echo3": ModelSpec(
+    "echo3": _spec(
         model_id="echo3",
         kind="decay",
-        params=(
-            ParamSpec("i0", _LOG),
-            ParamSpec("beta", "logit", *BETA_BOUNDS),
-            ParamSpec("gamma0_khz", _LOG),
-            ParamSpec("gamma_sd_khz", _LOG),
-            ParamSpec("r_sd_khz", _LOG),
-            ParamSpec("gamma_tls_khz", _LOG),
-        ),
+        params=_ECHO3_PARAMS,
         fixed_names=("t1_ms", "tz_s", "t0_us"),
-        eval_fn=_eval_echo3,
-        jac_fn=_jac_echo3,
         x_columns=2,
+        value=models._echo3,
+        grad=models._echo3_grad,
+        guess=guesses.echo3,
     ),
-    "echo3-free-t1": ModelSpec(
+    # echo3 with its first fixed quantity, t1_ms, promoted to the last
+    # free parameter: the kernels' argument order is unchanged.
+    "echo3-free-t1": _spec(
         model_id="echo3-free-t1",
         kind="decay",
-        params=(
-            ParamSpec("i0", _LOG),
-            ParamSpec("beta", "logit", *BETA_BOUNDS),
-            ParamSpec("gamma0_khz", _LOG),
-            ParamSpec("gamma_sd_khz", _LOG),
-            ParamSpec("r_sd_khz", _LOG),
-            ParamSpec("gamma_tls_khz", _LOG),
-            ParamSpec("t1_ms", _LOG),
-        ),
+        params=_ECHO3_PARAMS + (ParamSpec("t1_ms", _LOG),),
         fixed_names=("tz_s", "t0_us"),
-        eval_fn=_eval_echo3_free_t1,
-        jac_fn=_jac_echo3_free_t1,
         x_columns=2,
+        value=models._echo3,
+        grad=functools.partial(models._echo3_grad, free_t1=True),
+        guess=guesses.echo3_free_t1,
     ),
 }
 

@@ -98,6 +98,19 @@ def _resolve_space(spec, cfg):
     return "log-intensity" if spec.kind == "decay" else "linear"
 
 
+def window_mask(x, window):
+    """Points of the 1-D axis ``x`` inside ``window``, a (lo, hi) pair whose
+    None edges are open; every point when ``window`` is None."""
+    mask = np.ones(x.shape, dtype=bool)
+    if window is not None:
+        lo, hi = window
+        if lo is not None:
+            mask &= x >= lo
+        if hi is not None:
+            mask &= x <= hi
+    return mask
+
+
 def _prepare(spec, x, y, sigma, cfg):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -119,12 +132,7 @@ def _prepare(spec, x, y, sigma, cfg):
             raise FitError("sigma values must be > 0")
 
     if cfg.window is not None and spec.x_columns == 1:
-        lo, hi = cfg.window
-        mask = np.ones(n, dtype=bool)
-        if lo is not None:
-            mask &= x >= lo
-        if hi is not None:
-            mask &= x <= hi
+        mask = window_mask(x, cfg.window)
         x = x[mask]
         y = y[mask]
         if sigma is not None:

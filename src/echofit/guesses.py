@@ -1,10 +1,12 @@
 """Data-driven starting values for the catalogued models.
 
 These are deliberately crude; they only need to land inside the basin of
-the global minimum, with multi-start jitter covering the rest.
+the global minimum, with multi-start jitter covering the rest.  Each
+model's spec in :mod:`echofit.catalog` carries its guess, a function
+``(x, y, fixed) -> GuessResult``; :func:`initial_guess` is the entry point.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +27,7 @@ def _positive(v, fallback):
     return float(v) if np.isfinite(v) and v > 0 else float(fallback)
 
 
-def _guess_mims(t_us, y):
+def mims(t_us, y, fixed):
     y0 = _positive(y[0], max(np.max(y), 1e-12))
     yn = y / y0
     below = np.nonzero(yn < np.exp(-2.0))[0]
@@ -52,8 +54,8 @@ def _guess_mims(t_us, y):
                        degenerate, note)
 
 
-def _guess_field(b_t, y, temp_k):
-    c = MU_B_OVER_K_B / temp_k
+def field(b_t, y, fixed):
+    c = MU_B_OVER_K_B / fixed.get("temp_k", 0.007)
     span = max(np.max(y) - np.min(y), 1e-12)
     gamma0 = _positive(np.min(y), 1e-3)
     alpha1 = _positive(y[0] - gamma0, 0.1 * span)
@@ -78,15 +80,15 @@ def _guess_field(b_t, y, temp_k):
     )
 
 
-def _guess_temp(temp_k, y):
+def temp(temp_k, y, fixed):
     floor = _positive(np.min(y), 1e-3)
     n = 1.3
     amp = _positive((y[-1] - floor) / np.max(temp_k) ** n, 1.0)
     return GuessResult({"floor_khz": floor, "amp_khz": amp, "exponent_n": n})
 
 
-def _guess_sech2(b_t, y, temp_k):
-    c = MU_B_OVER_K_B / temp_k
+def sech2(b_t, y, fixed):
+    c = MU_B_OVER_K_B / fixed.get("temp_k", 0.007)
     gmax = _positive(y[np.argmin(np.abs(b_t))], max(np.max(y), 1e-12))
     half = np.nonzero(y <= 0.5 * gmax)[0]
     b_half = b_t[half[0]] if half.size and b_t[half[0]] > 0 else np.max(b_t)
@@ -110,21 +112,22 @@ def _linewidth_vs_t23_guesses(t23_us, gamma, t0_us):
     return gamma0, gamma_sd, r_sd, gamma_tls
 
 
-def _guess_sd(x, y, t0_us):
+def sd(x, y, fixed):
     gamma0, gamma_sd, r_sd, gamma_tls = _linewidth_vs_t23_guesses(
-        x[:, 1], np.asarray(y, dtype=float), t0_us)
+        x[:, 1], np.asarray(y, dtype=float),
+        fixed.get("t0_us", float(np.min(x[:, 1]))))
     return GuessResult({"gamma0_khz": gamma0, "gamma_sd_khz": gamma_sd,
                         "r_sd_khz": r_sd, "gamma_tls_khz": gamma_tls})
 
 
-def _guess_echo3(x, y, fixed, free_t1):
+def echo3(x, y, fixed):
     t12 = x[:, 0]
     t23 = x[:, 1]
     uniq = np.unique(t12)
     degenerate = uniq.size < 2
     note = "single t12 value: dephasing and population terms degenerate" \
         if degenerate else ""
-    t0_us = fixed["t0_us"]
+    t0_us = fixed.get("t0_us", float(np.min(t23)))
     if degenerate:
         gamma = np.full(t23.shape, 10.0)
         gamma0, gamma_sd, r_sd, gamma_tls = 8.0, 20.0, 1.0, 10.0
@@ -153,9 +156,13 @@ def _guess_echo3(x, y, fixed, free_t1):
         "r_sd_khz": r_sd,
         "gamma_tls_khz": gamma_tls,
     }
-    if free_t1:
-        params["t1_ms"] = 9.0
     return GuessResult(params, degenerate, note)
+
+
+def echo3_free_t1(x, y, fixed):
+    """The echo3 guess with T1 started at 9 ms."""
+    g = echo3(x, y, fixed)
+    return replace(g, params={**g.params, "t1_ms": 9.0})
 
 
 def initial_guess(model_id, x, y, fixed=None):
@@ -170,19 +177,6 @@ def initial_guess(model_id, x, y, fixed=None):
     n = x.shape[0] if x.ndim == 2 else x.size
     if n < 3:
         raise ValueError("initial_guess needs at least 3 points")
-    fixed = dict(fixed or {})
-    if model_id == "mims":
-        return _guess_mims(x, y)
-    if model_id == "field":
-        return _guess_field(x, y, fixed.get("temp_k", 0.007))
-    if model_id == "temp":
-        return _guess_temp(x, y)
-    if model_id == "sech2":
-        return _guess_sech2(x, y, fixed.get("temp_k", 0.007))
-    if model_id == "sd":
-        return _guess_sd(x, y, fixed.get("t0_us", float(np.min(x[:, 1]))))
-    if model_id in ("echo3", "echo3-free-t1"):
-        if "t0_us" not in fixed:
-            fixed["t0_us"] = float(np.min(x[:, 1]))
-        return _guess_echo3(x, y, fixed, model_id == "echo3-free-t1")
-    raise ValueError(f"unknown model id {model_id!r}")
+    # Imported here because the catalog imports this module for its guesses.
+    from .catalog import get_model
+    return get_model(model_id).guess(x, y, fixed or {})

@@ -5,8 +5,10 @@ and times in the units their argument names state.  Internally every
 rate*time product is formed in kHz*ms so the exponents are dimensionless
 without hidden conversion factors.
 
-The underscore-prefixed functions operate on plain floats/arrays and are
-shared with the fitting catalog, which works on packed parameter vectors.
+The underscore-prefixed kernels operate on plain floats/arrays and are
+bound directly by the fitting catalog.  Every kernel and its gradient take
+the free parameters first, then the fixed quantities, then the x
+column(s); see :mod:`echofit.catalog` for the full convention.
 """
 
 import numpy as np
@@ -100,13 +102,13 @@ def tm_from_gamma_eff(gamma_khz):
 # Linewidth versus magnetic field
 # ---------------------------------------------------------------------------
 
-def _field(gamma0, alpha1, alpha2, g1, g2, b_t, temp_k, consts=DEFAULT_CONSTANTS):
+def _field(gamma0, alpha1, alpha2, g1, g2, temp_k, b_t, consts=DEFAULT_CONSTANTS):
     c = consts.mu_b_over_k_b / temp_k
     b = np.asarray(b_t, dtype=float)
     return gamma0 + alpha1 * _cexp(-g1 * c * b) + alpha2 * (1.0 - _cexp(-g2 * c * b))
 
 
-def _field_grad(gamma0, alpha1, alpha2, g1, g2, b_t, temp_k, consts=DEFAULT_CONSTANTS):
+def _field_grad(gamma0, alpha1, alpha2, g1, g2, temp_k, b_t, consts=DEFAULT_CONSTANTS):
     c = consts.mu_b_over_k_b / temp_k
     b = np.atleast_1d(np.asarray(b_t, dtype=float))
     e1 = _cexp(-g1 * c * b)
@@ -133,7 +135,7 @@ def field_linewidth(p: FieldModelParams, b_t, temp_k, consts=DEFAULT_CONSTANTS):
         raise ValueError("temp_k must be > 0")
     b = _asarray(b_t, "b_t", minimum=0.0)
     return _maybe_scalar(
-        _field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2, b, temp_k, consts),
+        _field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2, temp_k, b, consts),
         b_t,
     )
 
@@ -161,7 +163,7 @@ def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t,
 
     grid = np.linspace(0.0, b_max_t, n_grid)
     vals = _field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2,
-                  grid, temp_k, consts)
+                  temp_k, grid, consts)
     k = int(np.argmin(vals))
     if k == 0 and dgamma(0.0) >= 0.0:
         return 0.0, float(vals[0]), "low"
@@ -188,7 +190,7 @@ def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t,
             hi = mid
     b_star = 0.5 * (lo + hi)
     gamma_star = _field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2,
-                        b_star, temp_k, consts)
+                        temp_k, b_star, consts)
     return float(b_star), float(gamma_star), None
 
 
@@ -369,12 +371,12 @@ def stimulated_echo_intensity(tl: ThreeLevelParams, sd: SpectralDiffusionParams,
 # Field/temperature dependence of the diffusion amplitude
 # ---------------------------------------------------------------------------
 
-def _sech2(gamma_max, g, b_t, temp_k, consts=DEFAULT_CONSTANTS):
+def _sech2(gamma_max, g, temp_k, b_t, consts=DEFAULT_CONSTANTS):
     k = g * consts.mu_b_over_k_b * np.asarray(b_t, dtype=float) / (2.0 * temp_k)
     return gamma_max / np.cosh(np.clip(k, -EXP_CLAMP, EXP_CLAMP)) ** 2
 
 
-def _sech2_grad(gamma_max, g, b_t, temp_k, consts=DEFAULT_CONSTANTS):
+def _sech2_grad(gamma_max, g, temp_k, b_t, consts=DEFAULT_CONSTANTS):
     b = np.atleast_1d(np.asarray(b_t, dtype=float))
     cb = consts.mu_b_over_k_b * b / (2.0 * temp_k)
     k = np.clip(g * cb, -EXP_CLAMP, EXP_CLAMP)
@@ -390,4 +392,4 @@ def sech2_sd_amplitude(gamma_max_khz, g, b_t, temp_k, consts=DEFAULT_CONSTANTS):
     if temp_k <= 0:
         raise ValueError("temp_k must be > 0")
     b = _asarray(b_t, "b_t")
-    return _maybe_scalar(_sech2(gamma_max_khz, g, b, temp_k, consts), b_t)
+    return _maybe_scalar(_sech2(gamma_max_khz, g, temp_k, b, consts), b_t)

@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from . import models
-from .fitting import FitConfig, FitError, fit, multi_start_fit
+from .fitting import FitConfig, FitError, multi_start_fit, window_mask
 from .guesses import initial_guess
 from .params import FieldModelParams
 from .presets import (
@@ -41,18 +41,6 @@ def _condition_value(trace, axis):
     return trace.temperature_k if axis == "temperature" else trace.field_t
 
 
-def _window_mask(x, window):
-    if window is None:
-        return np.ones(x.shape, dtype=bool)
-    lo, hi = window
-    mask = np.ones(x.shape, dtype=bool)
-    if lo is not None:
-        mask &= x >= lo
-    if hi is not None:
-        mask &= x <= hi
-    return mask
-
-
 def batch_fit_2ppe(traces, cfg=None, normalize=False):
     """Per-trace stretched-exponential fits over a condition scan.
 
@@ -78,7 +66,7 @@ def batch_fit_2ppe(traces, cfg=None, normalize=False):
         x = tr.time_us
         y = tr.intensity
         try:
-            mask = _window_mask(x, cfg.window)
+            mask = window_mask(x, cfg.window)
             if normalize:
                 if not np.any(mask) or np.max(y[mask]) <= 0:
                     raise FitError("no positive in-window intensity to normalize by")

@@ -53,21 +53,15 @@ THREE_LEVEL_7MK_009T = ThreeLevelParams(i0=1.0, t1_ms=9.0, tz_s=2.0, beta=0.2)
 # fit; floor and amplitude chosen to match the observed scale).
 TEMP_009T = TempModelParams(floor_khz=7.5, amp_khz=45.0, exponent_n=1.34)
 
-# Measured temperature exponents at the two fields.
-TEMP_EXPONENT_009T = (1.34, 0.04)
-TEMP_EXPONENT_2T = (1.53, 0.01)
-
 # Fixed t12 values (microseconds) of the waiting-time scans.
 T12_SET_US = (0.09, 0.33, 1.068)
 
-# Named CLI presets: parameter dict, measurement condition, and per-model
-# extras needed to evaluate or synthesize at that condition.
+# Named CLI presets: model id, parameter dict, and the fixed quantities
+# needed to evaluate or synthesize at that condition.
 PRESETS = {
     "field-7mK": {
         "model_id": "field",
         "params": FIELD_7MK.to_dict(),
-        "sigma": dict(FIELD_7MK_SIGMA),
-        "temperature_k": 0.007,
     },
     "3ppe-7mK-0.09T": {
         "model_id": "echo3",
@@ -79,15 +73,11 @@ PRESETS = {
             "r_sd_khz": SD_7MK_009T.r_sd_khz,
             "gamma_tls_khz": SD_7MK_009T.gamma_tls_khz,
         },
-        "sigma": dict(SD_7MK_009T_SIGMA),
         "fixed": {
             "t1_ms": THREE_LEVEL_7MK_009T.t1_ms,
             "tz_s": THREE_LEVEL_7MK_009T.tz_s,
             "t0_us": SD_7MK_009T.t0_us,
         },
-        "temperature_k": 0.007,
-        "field_t": 0.09,
-        "t12_set_us": list(T12_SET_US),
     },
 }
 

@@ -6,11 +6,12 @@ condition, followed by two numeric columns (time, intensity).  A missing
 time-unit header is a hard error; units are never guessed.
 """
 
+import csv
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-SEQUENCES = ("2ppe", "3ppe-vs-t23", "3ppe-vs-t12")
+SEQUENCES = ("2ppe", "3ppe-vs-t23")
 
 _UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 
@@ -21,8 +22,8 @@ class EchoTrace:
 
     Times are stored in milliseconds regardless of the unit a file
     declared; ``time_us`` gives the microsecond view the models use.  For
-    2ppe and 3ppe-vs-t12 the time axis is the pulse separation t12, for
-    3ppe-vs-t23 it is the waiting time (with the fixed t12 in ``t12_us``).
+    2ppe the time axis is the pulse separation t12, for 3ppe-vs-t23 it is
+    the waiting time (with the fixed t12 in ``t12_us``).
     """
 
     sequence: str
@@ -31,7 +32,6 @@ class EchoTrace:
     temperature_k: float
     field_t: float
     t12_us: float = None
-    t23_us: float = None
     provenance: str = ""
     meta: dict = dc_field(default_factory=dict)
 
@@ -53,8 +53,6 @@ class EchoTrace:
             raise ValueError("field_t must be >= 0")
         if self.sequence == "3ppe-vs-t23" and self.t12_us is None:
             raise ValueError("3ppe-vs-t23 traces need the fixed t12_us")
-        if self.sequence == "3ppe-vs-t12" and self.t23_us is None:
-            raise ValueError("3ppe-vs-t12 traces need the fixed t23_us")
 
     @property
     def time_us(self):
@@ -76,8 +74,6 @@ def write_trace(trace: EchoTrace, path, unit_time="us"):
              f"# field_T: {trace.field_t:.17g}"]
     if trace.t12_us is not None:
         lines.append(f"# t12_us: {trace.t12_us:.17g}")
-    if trace.t23_us is not None:
-        lines.append(f"# t23_us: {trace.t23_us:.17g}")
     if trace.provenance:
         lines.append(f"# provenance: {trace.provenance}")
     for t, v in zip(trace.time_ms, trace.intensity):
@@ -126,7 +122,6 @@ def load_trace(path):
         temperature_k=float(headers["temperature_K"]),
         field_t=float(headers["field_T"]),
         t12_us=float(headers["t12_us"]) if "t12_us" in headers else None,
-        t23_us=float(headers["t23_us"]) if "t23_us" in headers else None,
         provenance=headers.get("provenance", ""),
     )
 
@@ -179,13 +174,18 @@ class ScanTable:
 
 
 def write_table(table: ScanTable, path, fmt="%.17g"):
-    lines = [f"# condition-axis: {table.condition_axis}",
-             f"# quantity: {table.quantity_id}",
-             "# columns: condition,value,stderr,flag"]
-    for c, v, s, f in zip(table.condition, table.value, table.stderr, table.flag):
-        lines.append(f"{fmt % c},{fmt % v},{fmt % s},{f}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write a table as comma-separated rows under ``# key: value`` headers.
+
+    Flags are free text; the csv module's minimal quoting encloses one that
+    holds a comma or a double quote in quotes, so it reads back intact.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# condition-axis: {table.condition_axis}\n"
+                 f"# quantity: {table.quantity_id}\n"
+                 "# columns: condition,value,stderr,flag\n")
+        rows = csv.writer(fh, lineterminator="\n")
+        for c, v, s, f in zip(table.condition, table.value, table.stderr, table.flag):
+            rows.writerow((fmt % c, fmt % v, fmt % s, f))
 
 
 def load_table(path):
@@ -201,7 +201,7 @@ def load_table(path):
                 key, _, val = body.partition(":")
                 headers[key.strip()] = val.strip()
                 continue
-            parts = line.split(",")
+            parts = next(csv.reader([line]))
             if len(parts) != 4:
                 raise ValueError(f"{path}:{ln}: expected 4 columns")
             rows.append(parts)

@@ -6,10 +6,17 @@ import numpy as np
 import pytest
 
 from echofit import models
+from echofit.catalog import CATALOG
 from echofit.fitting import FitConfig, FitError, fit, multi_start_fit, uncertainties
 from echofit.guesses import initial_guess
 from echofit.params import FieldModelParams, MimsParams, TempModelParams
-from echofit.presets import FIELD_7MK, SD_7MK_009T, THREE_LEVEL_7MK_009T
+from echofit.presets import (
+    FIELD_7MK,
+    SD_7MK_009T,
+    T12_SET_US,
+    TEMP_009T,
+    THREE_LEVEL_7MK_009T,
+)
 from echofit.synth import SynthSpec, build_grid, synth_trace
 
 MIMS_TRUTH = {"i0": 1.0, "tm_us": 40.0, "x": 1.3}
@@ -317,6 +324,44 @@ def test_guess_then_fit_converges_to_truth():
     res = fit("field", b, y, g.params, fixed={"temp_k": 0.007})
     for k, v in FIELD_7MK.to_dict().items():
         assert abs(res.params[k] - v) / v < 1e-6
+
+
+def _registry_case(model_id):
+    """Noiseless data at the preset truths: (truth, x, fixed)."""
+    field_grid = np.array([0.0, 0.01, 0.02, 0.04, 0.07, 0.1, 0.14, 0.2, 0.3,
+                           0.5, 0.8, 1.2, 1.6, 2.0])
+    t23 = build_grid((50.0, 7500.0, 60, "log"))
+    pairs = np.column_stack([np.repeat(T12_SET_US, t23.size),
+                             np.tile(t23, len(T12_SET_US))])
+    sd = {k: v for k, v in SD_7MK_009T.to_dict().items() if k != "t0_us"}
+    tl = THREE_LEVEL_7MK_009T
+    echo3 = dict(sd, i0=tl.i0, beta=tl.beta)
+    return {
+        "mims": (MIMS_TRUTH, build_grid((0.25, 30.0, 50, "log")), {}),
+        "field": (FIELD_7MK.to_dict(), field_grid, {"temp_k": 0.007}),
+        "temp": (TEMP_009T.to_dict(), build_grid((0.007, 0.55, 25, "log")), {}),
+        "sech2": ({"gamma_max_khz": SD_7MK_009T.gamma_sd_khz, "g": 0.05},
+                  field_grid, {"temp_k": 0.007}),
+        "sd": (sd, pairs, {"t0_us": SD_7MK_009T.t0_us}),
+        "echo3": (echo3, pairs, {"t1_ms": tl.t1_ms, "tz_s": tl.tz_s,
+                                 "t0_us": SD_7MK_009T.t0_us}),
+        "echo3-free-t1": (dict(echo3, t1_ms=tl.t1_ms), pairs,
+                          {"tz_s": tl.tz_s, "t0_us": SD_7MK_009T.t0_us}),
+    }[model_id]
+
+
+@pytest.mark.parametrize("model_id", sorted(CATALOG))
+def test_every_model_guess_names_its_parameters_and_fits(model_id):
+    spec = CATALOG[model_id]
+    truth, x, fixed = _registry_case(model_id)
+    theta = np.array([truth[n] for n in spec.param_names])
+    y = spec.eval_fn(theta, x, fixed)
+    g = initial_guess(model_id, x, y, fixed)
+    assert tuple(g.params) == spec.param_names
+    res = fit(model_id, x, y, g.params, fixed=fixed)
+    assert res.converged, (model_id, res.flags)
+    for k, v in truth.items():
+        assert abs(res.params[k] - v) / v < 1e-6, (model_id, k)
 
 
 def test_flat_trace_guess_is_degenerate():

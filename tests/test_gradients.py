@@ -10,6 +10,7 @@ import pytest
 
 from echofit.catalog import (
     CATALOG,
+    _draw_inputs,
     finite_difference_jacobian,
     get_model,
     gradient_check,
@@ -26,6 +27,19 @@ def test_catalog_is_complete():
 def test_unknown_model_rejected():
     with pytest.raises(ValueError):
         get_model("lorentzian")
+
+
+def test_free_t1_at_fixed_value_matches_echo3_bit_for_bit():
+    rng = np.random.default_rng(11)
+    echo3, free = get_model("echo3"), get_model("echo3-free-t1")
+    for _ in range(20):
+        theta, x, fixed = _draw_inputs("echo3", rng)
+        theta_free = np.append(theta, fixed["t1_ms"])
+        fixed_free = {k: v for k, v in fixed.items() if k != "t1_ms"}
+        np.testing.assert_array_equal(free.eval_fn(theta_free, x, fixed_free),
+                                      echo3.eval_fn(theta, x, fixed))
+        np.testing.assert_array_equal(free.jac_fn(theta_free, x, fixed_free)[:, :6],
+                                      echo3.jac_fn(theta, x, fixed))
 
 
 @pytest.mark.parametrize("model_id", MODEL_IDS)

@@ -23,7 +23,7 @@ from echofit.presets import (
     T12_SET_US,
 )
 from echofit.synth import SynthSpec, synth_trace
-from echofit.trace import EchoTrace
+from echofit.trace import EchoTrace, load_table
 
 MIMS_TRUTH = {"i0": 1.0, "tm_us": 40.0, "x": 1.3}
 SD_TRUTH = dict(
@@ -110,6 +110,21 @@ def test_corrupted_trace_is_isolated():
     keep = [i for i in range(3) if i != bad_row]
     np.testing.assert_array_equal(tbl.value[keep], tables_ref["gamma_eff"].value)
     np.testing.assert_array_equal(tbl.stderr[keep], tables_ref["gamma_eff"].stderr)
+
+
+def test_failed_row_message_survives_report_round_trip(tmp_path):
+    good = _mims_trace(0.0, seed=2)
+    # three points inside the default 0.25 us window: too few for 3 parameters
+    short = EchoTrace(sequence="2ppe", time_ms=np.array([0.1, 0.3, 0.5, 0.7]) * 1e-3,
+                      intensity=np.array([1.0, 0.9, 0.8, 0.7]),
+                      temperature_k=0.007, field_t=0.09)
+    tables, fits = batch_fit_2ppe([good, short])
+    assert fits[1] is None
+    flag = tables["gamma_eff"].flag[1]
+    assert "," in flag
+    emit_report(tables, fits, tmp_path)
+    back = load_table(tmp_path / "gamma_eff_vs_field.txt")
+    assert back.flag == tables["gamma_eff"].flag
 
 
 def test_batch_rejects_mixed_condition_axes():

@@ -139,6 +139,8 @@ def test_non_monotone_times_rejected(tmp_path):
 def test_trace_validation_direct():
     with pytest.raises(ValueError, match="sequence"):
         _trace(sequence="4ppe")
+    with pytest.raises(ValueError, match="unknown sequence"):
+        _trace(sequence="3ppe-vs-t12")
     with pytest.raises(ValueError, match="temperature"):
         _trace(temperature_k=0.0)
     with pytest.raises(ValueError, match="field"):
@@ -223,3 +225,22 @@ def test_table_flagged_round_trip(tmp_path):
     back = load_table(p)
     assert back.flag[1] == "failed: no decay visible"
     assert np.isnan(back.value[1])
+
+
+def test_table_flags_with_commas_and_quotes_round_trip(tmp_path):
+    flags = ["",
+             "failed: all restarts failed: need at least 4 points inside "
+             "the window, got 3; need at least 4 points inside the window, got 3",
+             'failed: bad value "x", expected "y"',
+             '"',
+             "unbounded:g2;not-converged"]
+    tbl = ScanTable(condition_axis="field", quantity_id="gamma_eff",
+                    condition=np.arange(5.0), value=np.arange(5.0),
+                    stderr=np.full(5, 0.1), flag=flags)
+    p = tmp_path / "flags.csv"
+    write_table(tbl, p, fmt="%.6g")
+    assert load_table(p).flag == flags
+    # rows whose flag needs no quoting keep the plain comma-joined form
+    rows = p.read_text().splitlines()[3:]
+    assert rows[0] == "0,0,0.1,"
+    assert rows[4] == "4,4,0.1,unbounded:g2;not-converged"
