@@ -15,6 +15,11 @@ putting it first in ``fixed_names`` of the base model and then, in the
 derived spec, moving it to the end of ``params``: the kernel's argument
 list stays the same, and only the gradient must add the new column (see
 ``echo3-free-t1``).
+
+``eval_fn``, ``jac_fn`` and the transforms also take a stack of B
+problems: a (B, p) theta, with x as (B, n) rows (or (B, n, 2) pairs),
+gives (B, n) values and (B, n, p) Jacobians.  The kernels then see each
+parameter as a (B, 1) column.
 """
 
 import functools
@@ -45,8 +50,8 @@ class ModelSpec:
     kind: str  # "decay" fits intensities, "linewidth" fits rates
     params: tuple
     fixed_names: tuple
-    eval_fn: Callable  # (theta, x, fixed) -> (n,)
-    jac_fn: Callable   # (theta, x, fixed) -> (n, p)
+    eval_fn: Callable  # (theta, x, fixed) -> (n,), or (B, n) for a (B, p) theta
+    jac_fn: Callable   # (theta, x, fixed) -> (n, p), or (B, n, p)
     x_columns: int     # 1 for a single axis, 2 for (t12_us, t23_us) pairs
     guess: Callable    # (x, y, fixed) -> guesses.GuessResult
 
@@ -59,16 +64,20 @@ class ModelSpec:
 # Transform helpers
 # ---------------------------------------------------------------------------
 
+# Each transform maps parameter j to column j along the last axis, so a
+# (p,) vector and a (B, p) stack are handled alike.
+
 def to_internal(spec: ModelSpec, theta):
     theta = np.asarray(theta, dtype=float)
     u = np.empty_like(theta)
     for j, ps in enumerate(spec.params):
+        t = theta[..., j]
         if ps.transform == "log":
-            u[j] = np.log(max(theta[j], _EDGE * max(1.0, abs(theta[j]))))
+            u[..., j] = np.log(np.maximum(t, _EDGE * np.maximum(1.0, np.abs(t))))
         else:
             width = ps.hi - ps.lo
-            p = np.clip(theta[j], ps.lo + _EDGE * width, ps.hi - _EDGE * width)
-            u[j] = np.log((p - ps.lo) / (ps.hi - p))
+            p = np.clip(t, ps.lo + _EDGE * width, ps.hi - _EDGE * width)
+            u[..., j] = np.log((p - ps.lo) / (ps.hi - p))
     return u
 
 
@@ -77,10 +86,10 @@ def to_natural(spec: ModelSpec, u):
     theta = np.empty_like(u)
     for j, ps in enumerate(spec.params):
         if ps.transform == "log":
-            theta[j] = np.exp(u[j])
+            theta[..., j] = np.exp(u[..., j])
         else:
-            s = 1.0 / (1.0 + np.exp(-u[j]))
-            theta[j] = ps.lo + (ps.hi - ps.lo) * s
+            s = 1.0 / (1.0 + np.exp(-u[..., j]))
+            theta[..., j] = ps.lo + (ps.hi - ps.lo) * s
     return theta
 
 
@@ -89,10 +98,11 @@ def dnatural_dinternal(spec: ModelSpec, theta):
     theta = np.asarray(theta, dtype=float)
     d = np.empty_like(theta)
     for j, ps in enumerate(spec.params):
+        t = theta[..., j]
         if ps.transform == "log":
-            d[j] = theta[j]
+            d[..., j] = t
         else:
-            d[j] = (theta[j] - ps.lo) * (ps.hi - theta[j]) / (ps.hi - ps.lo)
+            d[..., j] = (t - ps.lo) * (ps.hi - t) / (ps.hi - ps.lo)
     return d
 
 
@@ -102,13 +112,14 @@ def dnatural_dinternal(spec: ModelSpec, theta):
 
 def _spec(model_id, kind, params, fixed_names, x_columns, value, grad, guess):
     """A ModelSpec whose eval_fn/jac_fn call the kernels ``value``/``grad``
-    as kernel(*theta, *fixed values in fixed_names order, *x columns)."""
+    as kernel(*theta, *fixed values in fixed_names order, *x columns).
+    A (B, p) theta is passed as p columns of shape (B, 1)."""
     def bind(kernel):
-        if x_columns == 1:
-            return lambda theta, x, fixed: kernel(
-                *theta, *[fixed[k] for k in fixed_names], x)
-        return lambda theta, x, fixed: kernel(
-            *theta, *[fixed[k] for k in fixed_names], *x.T)
+        def call(theta, x, fixed):
+            params = theta.T[:, :, None] if np.ndim(theta) == 2 else theta
+            xs = (x,) if x_columns == 1 else np.moveaxis(x, -1, 0)
+            return kernel(*params, *[fixed[k] for k in fixed_names], *xs)
+        return call
 
     return ModelSpec(model_id=model_id, kind=kind, params=params,
                      fixed_names=fixed_names, eval_fn=bind(value),

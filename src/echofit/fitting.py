@@ -5,6 +5,17 @@ positive-only parameters, logit for box-bounded ones) with analytic
 Jacobians mapped through the transform chain rule.  Uncertainties come
 from an SVD of the weighted residual Jacobian in natural parameter
 coordinates, scaled by the reduced sum of squares.
+
+Every fit runs in one Levenberg-Marquardt engine that steps B problems
+in lockstep: one model call, one Jacobian call, one stacked J^T r and
+J^T J and one stacked solve per iteration, whatever B is.  Each row
+keeps its own damping, stop reason and SSE trace, and its result is
+bit-identical to fitting that row alone.  ``fit`` is one row; the
+restarts of ``multi_start_fit`` share one batch; ``multi_start_batch``
+(used by ``pipeline.batch_fit_2ppe``) puts every start of every problem
+into one batch per in-window point count.  Rows of different point
+counts are never padded into one batch: padding changes how BLAS
+accumulates the sums, and so the last bits of the results.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -157,22 +168,219 @@ def _prepare(spec, x, y, sigma, cfg):
     return x, y, w, space
 
 
-def _residuals(spec, theta, x, y, w, space, fixed):
+def _check_fixed(spec, fixed):
+    fixed = dict(fixed or {})
+    missing = [n for n in spec.fixed_names if n not in fixed]
+    if missing:
+        raise FitError(f"model {spec.model_id!r} needs fixed values for {missing}")
+    return fixed
+
+
+def _problem(spec, x, y, sigma, cfg):
+    """Prepared data ``(x, target, w)`` of one fit, where target is y in the
+    residual space; raises FitError when it cannot be fitted."""
+    x, y, w, space = _prepare(spec, x, y, sigma, cfg)
+    p = len(spec.params)
+    if y.size < p + 1:
+        raise FitError(f"need at least {p + 1} points inside the window, got {y.size}")
+    return x, np.log(y) if space == "log-intensity" else y, w
+
+
+def _residuals(spec, theta, x, target, w, space, fixed):
+    """Weighted residuals and model values of every row, and which rows
+    have a finite (and, in log space, positive) model."""
     m = spec.eval_fn(theta, x, fixed)
+    finite = np.isfinite(m)
     if space == "log-intensity":
-        if np.any(m <= 0) or not np.all(np.isfinite(m)):
-            return None, None
-        return w * (np.log(m) - np.log(y)), m
-    if not np.all(np.isfinite(m)):
-        return None, None
-    return w * (m - y), m
+        finite &= m > 0
+    ok = finite.all(axis=-1)
+    if not ok.all():
+        # Rows that failed are dropped by the caller; keep their logs quiet.
+        m = np.where(ok[:, None], m, 1.0)
+    if space == "log-intensity":
+        return w * (np.log(m) - target), m, ok
+    return w * (m - target), m, ok
 
 
 def _jacobian(spec, theta, x, m, w, space, fixed):
     jn = spec.jac_fn(theta, x, fixed)
     if space == "log-intensity":
-        jn = jn / m[:, None]
-    return w[:, None] * jn
+        jn = jn / m[..., None]
+    return w[..., None] * jn
+
+
+def _damped_solve(a, lam, g):
+    """Steps solving (a + lam I) step = -g for every row.  When a matrix is
+    singular, every row is solved on its own and that row falls back to
+    least squares."""
+    a = a + lam[:, None, None] * np.eye(a.shape[-1])
+    try:
+        return np.linalg.solve(a, -g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        step = np.empty_like(g)
+        for k in range(len(g)):
+            try:
+                step[k] = np.linalg.solve(a[k], -g[k])
+            except np.linalg.LinAlgError:
+                step[k], *_ = np.linalg.lstsq(a[k], -g[k], rcond=None)
+        return step
+
+
+@dataclass
+class _Row:
+    """Where the engine left one row."""
+    theta: np.ndarray
+    residuals: np.ndarray
+    jac: np.ndarray        # weighted Jacobian in natural coordinates
+    sse: float
+    sse_trace: list
+    n_iterations: int
+    converged: bool
+
+
+def _lm(spec, x, target, w, space, fixed, theta0, cfg):
+    """Levenberg-Marquardt on B rows of equal point count, in lockstep.
+
+    x holds (B, n) rows (or (B, n, 2) pairs), target and w (B, n), theta0
+    the (B, p) starts.  Damping follows Moré (1978): *3 on a rejected
+    step, /3 on an accepted one.  Returns a ``_Row`` per row, or None for
+    a row whose model is not finite at its start.
+    """
+    b, p = theta0.shape
+    u = to_internal(spec, theta0)
+    theta = to_natural(spec, u)
+    r, m, ok = _residuals(spec, theta, x, target, w, space, fixed)
+    sse = np.vecdot(r, r)
+    jn = np.empty(r.shape + (p,))
+    j = np.empty_like(jn)
+    lam = np.empty(b)
+
+    def update_jacobian(rows):
+        jn_rows = _jacobian(spec, theta[rows], x[rows], m[rows], w[rows], space, fixed)
+        jn[rows] = jn_rows
+        j[rows] = jn_rows * dnatural_dinternal(spec, theta[rows])[:, None, :]
+
+    idx = np.flatnonzero(ok)
+    if idx.size:
+        update_jacobian(idx)
+        ji = j[idx]
+        diag_max = (ji * ji).sum(axis=1).max(axis=1)
+        lam[idx] = np.where(diag_max > 0, 1e-3 * diag_max, 1e-3)
+    traces = [[s] for s in sse.tolist()]
+    active = ok.copy()
+    converged = np.zeros(b, dtype=bool)
+    n_iter = np.zeros(b, dtype=int)
+
+    def converge(rows, done):
+        converged[rows[done]] = True
+        active[rows[done]] = False
+        return ~done
+
+    for it in range(1, cfg.max_iterations + 1):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        n_iter[idx] = it
+        ja = j[idx]
+        g = np.matmul(ja.transpose(0, 2, 1), r[idx][:, :, None])[:, :, 0]
+        keep = converge(idx, np.abs(g).max(axis=1) < cfg.tol_grad)
+        idx, ja, g = idx[keep], ja[keep], g[keep]
+        if not idx.size:
+            continue
+        # Both operands view one buffer, so NumPy computes J^T J exactly as
+        # j.T @ j does for a single matrix.
+        a = np.matmul(ja.transpose(0, 2, 1), ja)
+        step = _damped_solve(a, lam[idx], g)
+        # A damped step shrunk to nothing: at large damping a rejected
+        # descent step implies a numerically zero gradient.
+        keep = converge(idx, np.abs(step).max(axis=1)
+                        <= cfg.tol_step * (1.0 + np.abs(u[idx]).max(axis=1)))
+        idx, step = idx[keep], step[keep]
+        if not idx.size:
+            continue
+        u_try = u[idx] + step
+        theta_try = to_natural(spec, u_try)
+        r_try, m_try, ok_try = _residuals(spec, theta_try, x[idx], target[idx],
+                                          w[idx], space, fixed)
+        sse_try = np.vecdot(r_try, r_try)
+        better = ok_try & (sse_try < sse[idx])
+
+        worse = idx[~better]
+        lam[worse] = np.minimum(lam[worse] * _LAMBDA_UP, _LAMBDA_MAX)
+        # Damping saturated without an acceptable step: no further progress
+        # is possible.  A non-finite trial only raises the damping.
+        saturated = ok_try & ~better & (lam[idx] >= _LAMBDA_MAX)
+        active[idx[saturated]] = False
+
+        acc = idx[better]
+        if acc.size:
+            sse_new = sse_try[better]
+            drop = sse[acc] - sse_new
+            u[acc] = u_try[better]
+            theta[acc] = theta_try[better]
+            r[acc] = r_try[better]
+            m[acc] = m_try[better]
+            sse[acc] = sse_new
+            for k, s in zip(acc.tolist(), sse_new.tolist()):
+                traces[k].append(s)
+            update_jacobian(acc)
+            lam[acc] = np.maximum(lam[acc] / _LAMBDA_DOWN, 1e-15)
+            converge(acc, drop <= cfg.tol_sse_rel * np.maximum(sse_new, 1e-300))
+
+    return [_Row(theta[k], r[k].copy(), jn[k], traces[k][-1], traces[k],
+                 int(n_iter[k]), bool(converged[k])) if ok[k] else None
+            for k in range(b)]
+
+
+def _fit_rows(spec, rows, fixed, cfg):
+    """Run ``(x, target, w, theta0)`` rows through the engine, one lockstep
+    batch per point count; returns their ``_Row`` or None."""
+    space = _resolve_space(spec, cfg)
+    out = [None] * len(rows)
+    groups = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(row[1].size, []).append(i)
+    for members in groups.values():
+        x, target, w, theta0 = (np.stack([rows[i][k] for i in members])
+                                for k in range(4))
+        done = _lm(spec, x, target, w, space, fixed, theta0, cfg)
+        for i, row in zip(members, done):
+            out[i] = row
+    return out
+
+
+def _result(spec, row, n, fixed, agreeing=1):
+    p = len(spec.params)
+    dof = n - p
+    cov, stderr, unbounded = _covariance(row.jac, row.sse, dof)
+
+    flags = [f"unbounded:{spec.param_names[k]}" for k in unbounded]
+    if spec.model_id == "field" and row.theta[3] <= row.theta[4]:
+        # Canonical labeling expects the quenched term's g to exceed the
+        # rising term's g; a violation marks a suspect basin, not a swap.
+        flags.append("g-ordering")
+    if not row.converged:
+        flags.append("not-converged")
+
+    return FitResult(
+        model_id=spec.model_id,
+        param_names=spec.param_names,
+        params=dict(zip(spec.param_names, row.theta.tolist())),
+        stderr=dict(zip(spec.param_names, stderr.tolist())),
+        covariance=cov,
+        sse=row.sse,
+        dof=dof,
+        converged=row.converged,
+        n_iterations=row.n_iterations,
+        n_restarts_agreeing=agreeing,
+        residuals=row.residuals,
+        sse_trace=row.sse_trace,
+        flags=tuple(flags),
+        fixed=fixed,
+    )
+
+
+_NOT_FINITE = "model is not finite at the initial parameters"
 
 
 def fit(model_id, x, y, init, *, sigma=None, cfg=None, fixed=None):
@@ -202,101 +410,13 @@ def fit(model_id, x, y, init, *, sigma=None, cfg=None, fixed=None):
     """
     spec = get_model(model_id)
     cfg = cfg or FitConfig()
-    fixed = dict(fixed or {})
-    missing = [n for n in spec.fixed_names if n not in fixed]
-    if missing:
-        raise FitError(f"model {model_id!r} needs fixed values for {missing}")
-
-    x, y, w, space = _prepare(spec, x, y, sigma, cfg)
-    p = len(spec.params)
-    n = y.size
-    if n < p + 1:
-        raise FitError(f"need at least {p + 1} points inside the window, got {n}")
-
-    theta0 = np.array([float(init[ps.name]) for ps in spec.params])
-    u = to_internal(spec, theta0)
-    theta = to_natural(spec, u)
-    r, m = _residuals(spec, theta, x, y, w, space, fixed)
-    if r is None:
-        raise FitError("model is not finite at the initial parameters")
-    sse = float(r @ r)
-    j = _jacobian(spec, theta, x, m, w, space, fixed) * dnatural_dinternal(spec, theta)[None, :]
-
-    jtj_diag_max = float((j * j).sum(axis=0).max())
-    lam = 1e-3 * jtj_diag_max if jtj_diag_max > 0 else 1e-3
-    sse_trace = [sse]
-    converged = False
-    n_iter = 0
-
-    for n_iter in range(1, cfg.max_iterations + 1):
-        g = j.T @ r
-        if float(np.abs(g).max(initial=0.0)) < cfg.tol_grad:
-            converged = True
-            break
-        a = j.T @ j
-        try:
-            step = np.linalg.solve(a + lam * np.eye(p), -g)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(a + lam * np.eye(p), -g, rcond=None)
-        if float(np.abs(step).max()) <= cfg.tol_step * (1.0 + float(np.abs(u).max())):
-            # The damped step has shrunk to nothing; at large damping a
-            # rejected descent step implies a numerically zero gradient.
-            converged = True
-            break
-        u_try = u + step
-        theta_try = to_natural(spec, u_try)
-        r_try, m_try = _residuals(spec, theta_try, x, y, w, space, fixed)
-        if r_try is None:
-            lam = min(lam * _LAMBDA_UP, _LAMBDA_MAX)
-            continue
-        sse_try = float(r_try @ r_try)
-        if sse_try < sse:
-            drop = sse - sse_try
-            u, theta, r, m, sse = u_try, theta_try, r_try, m_try, sse_try
-            sse_trace.append(sse)
-            j = (_jacobian(spec, theta, x, m, w, space, fixed)
-                 * dnatural_dinternal(spec, theta)[None, :])
-            lam = max(lam / _LAMBDA_DOWN, 1e-15)
-            if drop <= cfg.tol_sse_rel * max(sse, 1e-300):
-                converged = True
-                break
-        else:
-            lam = min(lam * _LAMBDA_UP, _LAMBDA_MAX)
-            if lam >= _LAMBDA_MAX:
-                # Damping saturated without an acceptable step; no further
-                # progress is possible from here.
-                break
-
-    dof = n - p
-    j_nat = _jacobian(spec, theta, x, m, w, space, fixed)
-    cov, stderr, unbounded = _covariance(j_nat, sse, dof)
-
-    flags = []
-    if unbounded:
-        flags.extend(f"unbounded:{spec.param_names[k]}" for k in unbounded)
-    if model_id == "field" and theta[3] <= theta[4]:
-        # Canonical labeling expects the quenched term's g to exceed the
-        # rising term's g; a violation marks a suspect basin, not a swap.
-        flags.append("g-ordering")
-    if not converged:
-        flags.append("not-converged")
-
-    return FitResult(
-        model_id=model_id,
-        param_names=spec.param_names,
-        params=dict(zip(spec.param_names, theta.tolist())),
-        stderr=dict(zip(spec.param_names, stderr.tolist())),
-        covariance=cov,
-        sse=sse,
-        dof=dof,
-        converged=converged,
-        n_iterations=n_iter,
-        n_restarts_agreeing=1,
-        residuals=r,
-        sse_trace=sse_trace,
-        flags=tuple(flags),
-        fixed=fixed,
-    )
+    fixed = _check_fixed(spec, fixed)
+    x, target, w = _problem(spec, x, y, sigma, cfg)
+    theta0 = [float(init[ps.name]) for ps in spec.params]
+    (row,) = _fit_rows(spec, [(x, target, w, theta0)], fixed, cfg)
+    if row is None:
+        raise FitError(_NOT_FINITE)
+    return _result(spec, row, target.size, fixed)
 
 
 def _covariance(j, sse, dof):
@@ -320,40 +440,89 @@ def _covariance(j, sse, dof):
     return cov, stderr, unbounded
 
 
+def _jitter_factors(spec, cfg):
+    """Seeded log-uniform factors in [0.5, 1.5], one row per restart after
+    the first."""
+    rng = np.random.default_rng(cfg.seed)
+    return [[float(np.exp(rng.uniform(np.log(0.5), np.log(1.5))))
+             for _ in spec.params] for _ in range(1, cfg.restarts)]
+
+
+def _starts(spec, init, factors):
+    """``init`` as given, then one jittered copy per row of ``factors``
+    (box-bounded parameters are jittered inside their box)."""
+    trials = [dict(init)]
+    for row in factors:
+        trial = dict(init)
+        for ps, f in zip(spec.params, row):
+            v = trial[ps.name]
+            if ps.transform == "log":
+                trial[ps.name] = v * f
+            else:
+                width = ps.hi - ps.lo
+                trial[ps.name] = min(ps.lo + (v - ps.lo) * f,
+                                     ps.hi - 1e-6 * width)
+        trials.append(trial)
+    return trials
+
+
+def _all_failed(reasons):
+    return FitError("all restarts failed: " + "; ".join(reasons[:3]))
+
+
+def multi_start_batch(model_id, problems, *, cfg=None, fixed=None):
+    """:func:`multi_start_fit` of every ``(x, y, init, sigma)`` problem,
+    with all starts of all problems fitted in lockstep.
+
+    Returns one entry per problem: its FitResult, or the FitError (or
+    ValueError) that fitting it alone would raise.  A problem that fails
+    leaves the other entries unchanged.
+    """
+    spec = get_model(model_id)
+    cfg = cfg or FitConfig()
+    factors = _jitter_factors(spec, cfg)
+    out, rows, owner = [], [], []
+    for x, y, init, sigma in problems:
+        trials = _starts(spec, init, factors)
+        try:
+            _check_fixed(spec, fixed)
+            data = _problem(spec, x, y, sigma, cfg)
+            theta0 = [[float(t[ps.name]) for ps in spec.params] for t in trials]
+        except FitError as exc:
+            out.append(_all_failed([str(exc)] * len(trials)))
+            continue
+        except ValueError as exc:
+            out.append(exc)
+            continue
+        out.append(None)
+        rows.extend(data + (t0,) for t0 in theta0)
+        owner.extend([len(out) - 1] * len(theta0))
+
+    fitted = _fit_rows(spec, rows, dict(fixed or {}), cfg)
+    by_problem = {}
+    for i, data, row in zip(owner, rows, fitted):
+        by_problem.setdefault(i, (data[1].size, []))[1].append(row)
+    for i, (n, done) in by_problem.items():
+        results = [row for row in done if row is not None]
+        if not results:
+            out[i] = _all_failed([_NOT_FINITE] * len(done))
+            continue
+        best = min(results, key=lambda row: row.sse)
+        agree = sum(1 for row in results if row.sse <= best.sse * 1.01 + 1e-300)
+        out[i] = _result(spec, best, n, dict(fixed or {}), agree)
+    return out
+
+
 def multi_start_fit(model_id, x, y, init, *, sigma=None, cfg=None, fixed=None):
     """Best of ``cfg.restarts`` fits from jittered starts.
 
     The first start uses ``init`` as given; later starts jitter every
     parameter by a seeded log-uniform factor in [0.5, 1.5] (box-bounded
-    parameters are jittered inside their box).  Returns the lowest-SSE
-    result, with the count of restarts whose SSE agrees with it within 1%.
+    parameters are jittered inside their box).  All starts are fitted in
+    one lockstep batch.  Returns the lowest-SSE result, with the count of
+    restarts whose SSE agrees with it within 1%.
     """
-    spec = get_model(model_id)
-    cfg = cfg or FitConfig()
-    rng = np.random.default_rng(cfg.seed)
-    results = []
-    errors = []
-    for k in range(cfg.restarts):
-        trial = dict(init)
-        if k > 0:
-            for ps in spec.params:
-                f = float(np.exp(rng.uniform(np.log(0.5), np.log(1.5))))
-                v = trial[ps.name]
-                if ps.transform == "log":
-                    trial[ps.name] = v * f
-                else:
-                    width = ps.hi - ps.lo
-                    trial[ps.name] = min(ps.lo + (v - ps.lo) * f,
-                                         ps.hi - 1e-6 * width)
-        try:
-            results.append(fit(model_id, x, y, trial, sigma=sigma, cfg=cfg,
-                               fixed=fixed))
-        except FitError as exc:
-            errors.append(str(exc))
-    if not results:
-        raise FitError("all restarts failed: " + "; ".join(errors[:3]))
-    best = min(results, key=lambda res: res.sse)
-    agree = sum(1 for res in results
-                if res.sse <= best.sse * 1.01 + 1e-300)
-    best.n_restarts_agreeing = agree
-    return best
+    (res,) = multi_start_batch(model_id, [(x, y, init, sigma)], cfg=cfg, fixed=fixed)
+    if isinstance(res, Exception):
+        raise res
+    return res

@@ -8,7 +8,10 @@ without hidden conversion factors.
 The underscore-prefixed kernels operate on plain floats/arrays and are
 bound directly by the fitting catalog.  Every kernel and its gradient take
 the free parameters first, then the fixed quantities, then the x
-column(s); see :mod:`echofit.catalog` for the full convention.
+column(s); see :mod:`echofit.catalog` for the full convention.  They also
+evaluate B problems at once: parameters as (B, 1) columns and x as (B, n)
+rows give (B, n) values and (B, n, p) gradients, each row bit-equal to the
+call with that row's scalars.
 """
 
 import numpy as np
@@ -65,10 +68,10 @@ def _mims_grad(i0, tm_us, x, t12_us):
     pos = u > 0.0
     ux_logu = np.zeros_like(u)
     ux_logu[pos] = ux[pos] * np.log(u[pos])
-    g = np.empty((t.size, 3))
-    g[:, 0] = intensity / i0
-    g[:, 1] = intensity * (2.0 * x / tm_us) * ux
-    g[:, 2] = -2.0 * intensity * ux_logu
+    g = np.empty(u.shape + (3,))
+    g[..., 0] = intensity / i0
+    g[..., 1] = intensity * (2.0 * x / tm_us) * ux
+    g[..., 2] = -2.0 * intensity * ux_logu
     return g
 
 
@@ -113,12 +116,12 @@ def _field_grad(gamma0, alpha1, alpha2, g1, g2, temp_k, b_t, consts=DEFAULT_CONS
     b = np.atleast_1d(np.asarray(b_t, dtype=float))
     e1 = _cexp(-g1 * c * b)
     e2 = _cexp(-g2 * c * b)
-    g = np.empty((b.size, 5))
-    g[:, 0] = 1.0
-    g[:, 1] = e1
-    g[:, 2] = 1.0 - e2
-    g[:, 3] = -alpha1 * c * b * e1
-    g[:, 4] = alpha2 * c * b * e2
+    g = np.empty(e1.shape + (5,))
+    g[..., 0] = 1.0
+    g[..., 1] = e1
+    g[..., 2] = 1.0 - e2
+    g[..., 3] = -alpha1 * c * b * e1
+    g[..., 4] = alpha2 * c * b * e2
     return g
 
 
@@ -205,10 +208,10 @@ def _temp(floor, amp, n, temp_k):
 def _temp_grad(floor, amp, n, temp_k):
     t = np.atleast_1d(np.asarray(temp_k, dtype=float))
     tn = t ** n
-    g = np.empty((t.size, 3))
-    g[:, 0] = 1.0
-    g[:, 1] = tn
-    g[:, 2] = amp * tn * np.log(t)
+    g = np.empty(tn.shape + (3,))
+    g[..., 0] = 1.0
+    g[..., 1] = tn
+    g[..., 2] = amp * tn * np.log(t)
     return g
 
 
@@ -243,12 +246,11 @@ def _sd_grad(gamma0, gamma_sd, r_sd, gamma_tls, t0_us, t12_us, t23_us):
     t23_ms = np.atleast_1d(np.asarray(t23_us, dtype=float)) * 1e-3
     t0_ms = t0_us * 1e-3
     e = _cexp(-r_sd * t23_ms)
-    n = max(t12_ms.size, t23_ms.size)
-    g = np.empty((n, 4))
-    g[:, 0] = 1.0
-    g[:, 1] = 0.5 * (r_sd * t12_ms + 1.0 - e)
-    g[:, 2] = 0.5 * gamma_sd * (t12_ms + t23_ms * e)
-    g[:, 3] = np.log10(t23_ms / t0_ms)
+    g = np.empty(np.broadcast_shapes(t12_ms.shape, e.shape) + (4,))
+    g[..., 0] = 1.0
+    g[..., 1] = 0.5 * (r_sd * t12_ms + 1.0 - e)
+    g[..., 2] = 0.5 * gamma_sd * (t12_ms + t23_ms * e)
+    g[..., 3] = np.log10(t23_ms / t0_ms)
     return g
 
 
@@ -279,15 +281,23 @@ def sd_linewidth_t23(p: SpectralDiffusionParams, t23_us):
 # Three-level population factor and stimulated echo
 # ---------------------------------------------------------------------------
 
+def _degenerate(t1_ms, tz_ms):
+    """Where T_Z and T_1 agree closely enough to take the analytic limit;
+    one answer per row when the lifetimes are (B, 1) columns."""
+    return np.abs(tz_ms - t1_ms) < DEGENERATE_LIFETIME_RTOL * t1_ms
+
+
 def _population(t1_ms, tz_s, beta, t23_ms):
     t = np.asarray(t23_ms, dtype=float)
     tz_ms = tz_s * 1e3
     ea = _cexp(-t / t1_ms)
-    if abs(tz_ms - t1_ms) < DEGENERATE_LIFETIME_RTOL * t1_ms:
-        return ea + 0.5 * beta * (t / t1_ms) * ea
-    w = tz_ms / (tz_ms - t1_ms)
-    eb = _cexp(-t / tz_ms)
-    return ea + 0.5 * beta * w * (eb - ea)
+    degenerate = _degenerate(t1_ms, tz_ms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.divide(tz_ms, tz_ms - t1_ms)
+        pop = ea + 0.5 * beta * w * (_cexp(-t / tz_ms) - ea)
+    if np.any(degenerate):
+        pop = np.where(degenerate, ea + 0.5 * beta * (t / t1_ms) * ea, pop)
+    return pop
 
 
 def three_level_population_factor(p: ThreeLevelParams, t23_ms):
@@ -316,15 +326,17 @@ def _echo3_grad(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls,
     tz_ms = tz_s * 1e3
 
     ea = _cexp(-t23_ms / t1_ms)
-    degenerate = abs(tz_ms - t1_ms) < DEGENERATE_LIFETIME_RTOL * t1_ms
-    if degenerate:
-        pop = ea + 0.5 * beta * (t23_ms / t1_ms) * ea
-        dpop_dbeta = 0.5 * (t23_ms / t1_ms) * ea
-    else:
-        w = tz_ms / (tz_ms - t1_ms)
-        eb = _cexp(-t23_ms / tz_ms)
+    eb = _cexp(-t23_ms / tz_ms)
+    # Both branches are formed and the limit is taken row by row.
+    degenerate = _degenerate(t1_ms, tz_ms)
+    any_degenerate = np.any(degenerate)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.divide(tz_ms, tz_ms - t1_ms)
         pop = ea + 0.5 * beta * w * (eb - ea)
         dpop_dbeta = 0.5 * w * (eb - ea)
+    if any_degenerate:
+        pop = np.where(degenerate, ea + 0.5 * beta * (t23_ms / t1_ms) * ea, pop)
+        dpop_dbeta = np.where(degenerate, 0.5 * (t23_ms / t1_ms) * ea, dpop_dbeta)
 
     gamma = _sd(gamma0, gamma_sd, r_sd, gamma_tls, t0_us,
                 t12_ms * 1e3, t23_ms * 1e3)
@@ -333,22 +345,26 @@ def _echo3_grad(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls,
     env = _cexp(-FOUR_PI * t12_ms * gamma)
     intensity = i0 * pop ** 2 * env
 
-    n = max(t12_ms.size, t23_ms.size)
     cols = 7 if free_t1 else 6
-    g = np.empty((n, cols))
-    g[:, 0] = pop ** 2 * env
-    g[:, 1] = i0 * 2.0 * pop * dpop_dbeta * env
+    g = np.empty(intensity.shape + (cols,))
+    g[..., 0] = pop ** 2 * env
+    g[..., 1] = i0 * 2.0 * pop * dpop_dbeta * env
     for j in range(4):
-        g[:, 2 + j] = -FOUR_PI * t12_ms * intensity * gsd[:, j]
+        g[..., 2 + j] = -FOUR_PI * t12_ms * intensity * gsd[..., j]
     if free_t1:
-        dea = ea * t23_ms / t1_ms ** 2
-        if degenerate:
-            dpop_dt1 = dea + 0.5 * beta * (dea * t23_ms / t1_ms
-                                           - ea * t23_ms / t1_ms ** 2)
-        else:
-            dw = tz_ms / (tz_ms - t1_ms) ** 2
+        # Squares are products: pow(t, 2) on a scalar is not always the
+        # correctly rounded t*t that a (B, 1) column gets.
+        t1_sq = t1_ms * t1_ms
+        dea = ea * t23_ms / t1_sq
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dw = tz_ms / ((tz_ms - t1_ms) * (tz_ms - t1_ms))
             dpop_dt1 = dea + 0.5 * beta * (dw * (eb - ea) - w * dea)
-        g[:, 6] = i0 * 2.0 * pop * dpop_dt1 * env
+        if any_degenerate:
+            dpop_dt1 = np.where(
+                degenerate,
+                dea + 0.5 * beta * (dea * t23_ms / t1_ms - ea * t23_ms / t1_sq),
+                dpop_dt1)
+        g[..., 6] = i0 * 2.0 * pop * dpop_dt1 * env
     return g
 
 
@@ -381,9 +397,9 @@ def _sech2_grad(gamma_max, g, temp_k, b_t, consts=DEFAULT_CONSTANTS):
     cb = consts.mu_b_over_k_b * b / (2.0 * temp_k)
     k = np.clip(g * cb, -EXP_CLAMP, EXP_CLAMP)
     sech2 = 1.0 / np.cosh(k) ** 2
-    grad = np.empty((b.size, 2))
-    grad[:, 0] = sech2
-    grad[:, 1] = -2.0 * gamma_max * sech2 * np.tanh(k) * cb
+    grad = np.empty(k.shape + (2,))
+    grad[..., 0] = sech2
+    grad[..., 1] = -2.0 * gamma_max * sech2 * np.tanh(k) * cb
     return grad
 
 

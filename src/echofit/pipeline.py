@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from . import models
-from .fitting import FitConfig, FitError, multi_start_fit, window_mask
+from .fitting import FitConfig, FitError, multi_start_batch, multi_start_fit, window_mask
 from .guesses import initial_guess
 from .params import FieldModelParams
 from .presets import (
@@ -44,6 +44,10 @@ def _condition_value(trace, axis):
 def batch_fit_2ppe(traces, cfg=None, normalize=False):
     """Per-trace stretched-exponential fits over a condition scan.
 
+    Every trace is guessed first; then all traces' restarts are fitted in
+    lockstep (:func:`fitting.multi_start_batch`), each trace's result equal
+    to ``multi_start_fit`` on that trace alone.
+
     Returns ``(tables, fits)`` where tables maps quantity id (gamma_eff,
     i0, x) to a ScanTable and fits is the per-trace FitResult list (None
     for failed rows).  gamma_eff comes from the fitted phase-memory time
@@ -58,11 +62,9 @@ def batch_fit_2ppe(traces, cfg=None, normalize=False):
     cfg = cfg or FitConfig(window=DEFAULT_2PPE_WINDOW, restarts=4)
     axis = _condition_axis(traces)
 
-    cond, fits, flags = [], [], []
-    vals = {q: [] for q in ("gamma_eff", "i0", "x")}
-    errs = {q: [] for q in ("gamma_eff", "i0", "x")}
+    # Guess every trace; a trace that cannot be guessed keeps its error.
+    guessed, problems = [], []
     for tr in traces:
-        cond.append(_condition_value(tr, axis))
         x = tr.time_us
         y = tr.intensity
         try:
@@ -72,7 +74,24 @@ def batch_fit_2ppe(traces, cfg=None, normalize=False):
                     raise FitError("no positive in-window intensity to normalize by")
                 y = y / np.max(y[mask])
             guess = initial_guess("mims", x[mask], y[mask])
-            res = multi_start_fit("mims", x, y, guess.params, cfg=cfg)
+        except (FitError, ValueError) as exc:
+            guessed.append(exc)
+            continue
+        guessed.append(guess)
+        problems.append((x, y, guess.params, None))
+    outcomes = iter(multi_start_batch("mims", problems, cfg=cfg))
+
+    cond, fits, flags = [], [], []
+    vals = {q: [] for q in ("gamma_eff", "i0", "x")}
+    errs = {q: [] for q in ("gamma_eff", "i0", "x")}
+    for tr, guess in zip(traces, guessed):
+        cond.append(_condition_value(tr, axis))
+        try:
+            if isinstance(guess, Exception):
+                raise guess
+            res = next(outcomes)
+            if isinstance(res, Exception):
+                raise res
             tm, s_tm = res.params["tm_us"], res.stderr["tm_us"]
             gamma = models.gamma_eff_from_tm(tm)
             s_gamma = 1e3 * s_tm / (np.pi * tm ** 2)

@@ -7,6 +7,7 @@ time-unit header is a hard error; units are never guessed.
 """
 
 import csv
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -177,7 +178,8 @@ def write_table(table: ScanTable, path, fmt="%.17g"):
     """Write a table as comma-separated rows under ``# key: value`` headers.
 
     Flags are free text; the csv module's minimal quoting encloses one that
-    holds a comma or a double quote in quotes, so it reads back intact.
+    holds a comma, a double quote or a newline in quotes, so it reads back
+    intact.
     """
     with open(path, "w", newline="") as fh:
         fh.write(f"# condition-axis: {table.condition_axis}\n"
@@ -189,21 +191,32 @@ def write_table(table: ScanTable, path, fmt="%.17g"):
 
 
 def load_table(path):
+    """Read a table written by :func:`write_table`.
+
+    The ``# key: value`` header lines come first.  Every row after them is
+    read by one csv reader, so a quoted flag may hold commas, quotes and
+    newlines.
+    """
     headers = {}
     rows = []
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                key, _, val = body.partition(":")
+    with open(path, newline="") as fh:
+        n_head = 0
+        first = ""
+        for line in fh:
+            text = line.strip()
+            if text and not text.startswith("#"):
+                first = line
+                break
+            n_head += 1
+            if text:
+                key, _, val = text[1:].strip().partition(":")
                 headers[key.strip()] = val.strip()
-                continue
-            parts = next(csv.reader([line]))
+        reader = csv.reader(itertools.chain([first], fh))
+        for parts in reader:
+            if len(parts) < 2 and not "".join(parts).strip():
+                continue  # blank line
             if len(parts) != 4:
-                raise ValueError(f"{path}:{ln}: expected 4 columns")
+                raise ValueError(f"{path}:{n_head + reader.line_num}: expected 4 columns")
             rows.append(parts)
     for req in ("condition-axis", "quantity"):
         if req not in headers:

@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 
 from echofit import models
-from echofit.catalog import CATALOG
-from echofit.fitting import FitConfig, FitError, fit, multi_start_fit, uncertainties
+from echofit.catalog import CATALOG, dnatural_dinternal, to_internal, to_natural
+from echofit.fitting import (
+    FitConfig,
+    FitError,
+    _jitter_factors,
+    _prepare,
+    _starts,
+    fit,
+    multi_start_fit,
+    uncertainties,
+)
 from echofit.guesses import initial_guess
+from echofit.pipeline import _demo_3ppe_traces, batch_fit_3ppe
 from echofit.params import FieldModelParams, MimsParams, TempModelParams
 from echofit.presets import (
     FIELD_7MK,
@@ -291,6 +301,127 @@ def test_multi_start_all_failures_raise():
     with pytest.raises(FitError):
         multi_start_fit("mims", t, y, MIMS_TRUTH,
                         cfg=FitConfig(restarts=3, seed=0))
+
+
+def _plain_lm(model_id, x, y, init, cfg, fixed):
+    """One LM fit written with plain 2-D NumPy (j.T @ j, r @ r, one solve),
+    for well-behaved data: the arithmetic the lockstep engine must keep.
+    Returns (params, sse_trace, n_iterations)."""
+    spec = CATALOG[model_id]
+    x, y, w, space = _prepare(spec, x, y, None, cfg)
+
+    def residuals(theta):
+        m = spec.eval_fn(theta, x, fixed)
+        if space == "log-intensity":
+            return w * (np.log(m) - np.log(y)), m
+        return w * (m - y), m
+
+    def jacobian(theta, m):
+        jn = spec.jac_fn(theta, x, fixed)
+        if space == "log-intensity":
+            jn = jn / m[:, None]
+        return w[:, None] * jn * dnatural_dinternal(spec, theta)[None, :]
+
+    u = to_internal(spec, np.array([float(init[n]) for n in spec.param_names]))
+    theta = to_natural(spec, u)
+    r, m = residuals(theta)
+    sse = float(r @ r)
+    j = jacobian(theta, m)
+    lam = 1e-3 * float((j * j).sum(axis=0).max())
+    trace = [sse]
+    for it in range(1, cfg.max_iterations + 1):
+        g = j.T @ r
+        if np.abs(g).max() < cfg.tol_grad:
+            break
+        step = np.linalg.solve(j.T @ j + lam * np.eye(u.size), -g)
+        if np.abs(step).max() <= cfg.tol_step * (1.0 + np.abs(u).max()):
+            break
+        theta_try = to_natural(spec, u + step)
+        r_try, m_try = residuals(theta_try)
+        sse_try = float(r_try @ r_try)
+        if sse_try < sse:
+            drop = sse - sse_try
+            u, theta, r, m, sse = u + step, theta_try, r_try, m_try, sse_try
+            trace.append(sse)
+            j = jacobian(theta, m)
+            lam = max(lam / 3.0, 1e-15)
+            if drop <= cfg.tol_sse_rel * sse:
+                break
+        else:
+            lam = min(lam * 3.0, 1e12)
+            if lam >= 1e12:
+                break
+    return dict(zip(spec.param_names, theta.tolist())), trace, it
+
+
+def _assert_best_of_single_starts(res, model_id, x, y, init, cfg, fixed):
+    """``res`` must equal, bit for bit, the lowest-SSE plain fit among the
+    starts that multi-start derives from ``init``; each plain fit must in
+    turn match the 2-D NumPy loop."""
+    spec = CATALOG[model_id]
+    singles = []
+    for start in _starts(spec, init, _jitter_factors(spec, cfg)):
+        try:
+            single = fit(model_id, x, y, start, cfg=cfg, fixed=fixed)
+        except FitError:
+            continue
+        params, trace, iterations = _plain_lm(model_id, x, y, start, cfg, fixed)
+        assert (single.params, single.sse_trace, single.n_iterations) == \
+            (params, trace, iterations)
+        singles.append(single)
+    best = min(singles, key=lambda r: r.sse)
+    assert res.params == best.params
+    assert res.sse == best.sse
+    assert res.n_iterations == best.n_iterations
+    assert res.sse_trace == best.sse_trace
+    assert res.flags == best.flags
+
+
+@pytest.mark.parametrize("model_id", sorted(CATALOG))
+def test_lockstep_restarts_equal_their_single_fits(model_id):
+    # the restarts run as one batch; each must behave as if run alone
+    spec = CATALOG[model_id]
+    truth, x, fixed = _registry_case(model_id)
+    y0 = spec.eval_fn(np.array([truth[n] for n in spec.param_names]), x, fixed)
+    y = y0 * (1.0 + 0.02 * np.random.default_rng(31).standard_normal(y0.shape))
+    init = initial_guess(model_id, x, y, fixed).params
+    cfg = FitConfig(restarts=4, seed=5)
+    res = multi_start_fit(model_id, x, y, init, cfg=cfg, fixed=fixed)
+    _assert_best_of_single_starts(res, model_id, x, y, init, cfg, fixed)
+
+
+def _demo_3ppe_problem(seed=1):
+    """The demo's joint 3x250-point stimulated-echo data set."""
+    traces, _ = _demo_3ppe_traces(seed)
+    x = np.concatenate([np.column_stack([np.full(tr.n_points, tr.t12_us), tr.time_us])
+                        for tr in traces])
+    y = np.concatenate([tr.intensity for tr in traces])
+    return traces, x, y
+
+
+def test_lockstep_restarts_on_the_demo_echo3_set():
+    # 750 points: large enough that a copied transpose in J^T J takes a
+    # different BLAS path and changes the iteration count
+    _, x, y = _demo_3ppe_problem()
+    fixed = {"t1_ms": THREE_LEVEL_7MK_009T.t1_ms,
+             "tz_s": THREE_LEVEL_7MK_009T.tz_s, "t0_us": float(x[:, 1].min())}
+    init = initial_guess("echo3", x, y, fixed).params
+    cfg = FitConfig(restarts=4, seed=14)
+    res = multi_start_fit("echo3", x, y, init, cfg=cfg, fixed=fixed)
+    _assert_best_of_single_starts(res, "echo3", x, y, init, cfg, fixed)
+
+
+@pytest.mark.parametrize("tz_s", [THREE_LEVEL_7MK_009T.tz_s, 0.009])
+def test_free_t1_batch_fit_chooses_the_degenerate_branch_per_row(tz_s):
+    # T1 is a (B, 1) column across the restarts; with tz = 9 ms the first
+    # start (T1 guess 9 ms) takes the T_Z = T_1 limit and the others do not
+    traces, x, y = _demo_3ppe_problem()
+    cfg = FitConfig(restarts=4, seed=14)
+    tables, fits = batch_fit_3ppe(traces, cfg=cfg, fixed={"free_t1": True, "tz_s": tz_s})
+    assert fits[0] is not None, tables["beta"].flag[0]
+    fixed = {"tz_s": tz_s, "t0_us": float(x[:, 1].min())}
+    init = initial_guess("echo3-free-t1", x, y, fixed).params
+    _assert_best_of_single_starts(fits[0], "echo3-free-t1", x, y, init, cfg, fixed)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,31 @@ def test_free_t1_at_fixed_value_matches_echo3_bit_for_bit():
 
 
 @pytest.mark.parametrize("model_id", MODEL_IDS)
+def test_batched_kernels_match_per_row_calls(model_id):
+    # a (B, p) theta with (B, n) x rows and (B, 1) fixed columns must give
+    # each row exactly what the (p,) call with that row's values gives
+    spec = get_model(model_id)
+    rng = np.random.default_rng(21)
+    draws = [_draw_inputs(model_id, rng) for _ in range(6)]
+    if model_id.startswith("echo3"):
+        # one row on the removable T_Z = T_1 singularity, the rest off it
+        theta, x, fixed = draws[0]
+        t1_ms = fixed["tz_s"] * 1e3
+        if model_id == "echo3":
+            fixed = dict(fixed, t1_ms=t1_ms)
+        else:
+            theta = np.append(theta[:-1], t1_ms)
+        draws[0] = (theta, x, fixed)
+    theta = np.stack([d[0] for d in draws])
+    x = np.stack([d[1] for d in draws])
+    fixed = {k: np.array([[d[2][k]] for d in draws]) for k in draws[0][2]}
+    for fn in (spec.eval_fn, spec.jac_fn):
+        batch = fn(theta, x, fixed)
+        for k, (theta_k, x_k, fixed_k) in enumerate(draws):
+            np.testing.assert_array_equal(batch[k], fn(theta_k, x_k, fixed_k))
+
+
+@pytest.mark.parametrize("model_id", MODEL_IDS)
 def test_jacobian_matches_fd(model_id):
     worst = gradient_check(model_id, n_draws=100, seed=0)
     assert worst < 1e-5, f"{model_id}: worst column-scaled error {worst:.3e}"

@@ -11,6 +11,7 @@ from echofit.fitting import FitConfig, multi_start_fit
 from echofit.guesses import initial_guess
 from echofit.pipeline import (
     DEFAULT_2PPE_WINDOW,
+    _demo_2ppe_traces,
     batch_fit_2ppe,
     batch_fit_3ppe,
     emit_report,
@@ -110,6 +111,38 @@ def test_corrupted_trace_is_isolated():
     keep = [i for i in range(3) if i != bad_row]
     np.testing.assert_array_equal(tbl.value[keep], tables_ref["gamma_eff"].value)
     np.testing.assert_array_equal(tbl.stderr[keep], tables_ref["gamma_eff"].stderr)
+
+
+def test_lockstep_batch_rows_equal_their_lone_fits():
+    # 14 demo traces of 50 in-window points, one of 30 (its own lockstep
+    # group) and one that fails: every good row must be bit-identical to
+    # fitting its trace alone, and the failure must read as before
+    short = synth_trace(SynthSpec(
+        "mims", MIMS_TRUTH, (0.25, 90.0, 30, "log"), ("multiplicative", 0.02),
+        seed=5, temperature_k=0.007, field_t=2.5))
+    good = _demo_2ppe_traces(3) + [short]
+    broken = EchoTrace(sequence="2ppe", time_ms=short.time_ms.copy(),
+                       intensity=-short.intensity, temperature_k=0.007,
+                       field_t=3.0)
+    cfg = FitConfig(window=DEFAULT_2PPE_WINDOW, restarts=4, seed=3)
+    tables, fits = batch_fit_2ppe(good + [broken], cfg=cfg)
+
+    for tr, res in zip(good, fits):
+        x, y = tr.time_us, tr.intensity
+        guess = initial_guess("mims", x[x >= 0.25], y[x >= 0.25])
+        alone = multi_start_fit("mims", x, y, guess.params, cfg=cfg)
+        assert res.params == alone.params
+        assert res.stderr == alone.stderr
+        assert res.sse == alone.sse
+        assert res.sse_trace == alone.sse_trace
+        assert res.n_iterations == alone.n_iterations
+        assert res.n_restarts_agreeing == alone.n_restarts_agreeing
+        assert res.flags == alone.flags
+        np.testing.assert_array_equal(res.covariance, alone.covariance)
+    assert fits[-1] is None
+    why = ("log-intensity residuals need strictly positive data; "
+           "use residual_space='linear'")
+    assert tables["x"].flag[-1] == f"failed: all restarts failed: {why}; {why}; {why}"
 
 
 def test_failed_row_message_survives_report_round_trip(tmp_path):

@@ -244,3 +244,18 @@ def test_table_flags_with_commas_and_quotes_round_trip(tmp_path):
     rows = p.read_text().splitlines()[3:]
     assert rows[0] == "0,0,0.1,"
     assert rows[4] == "4,4,0.1,unbounded:g2;not-converged"
+
+
+def test_table_flags_with_newlines_round_trip(tmp_path):
+    flags = ["failed: first line\nsecond, line", "", 'a "quoted"\r\nbreak',
+             "\n# not a header\n", "unbounded:g2"]
+    tbl = ScanTable(condition_axis="temperature", quantity_id="x",
+                    condition=np.arange(5.0), value=np.arange(5.0),
+                    stderr=np.full(5, 0.1), flag=flags)
+    p = tmp_path / "newlines.csv"
+    write_table(tbl, p)
+    back = load_table(p)
+    assert back.flag == flags
+    np.testing.assert_array_equal(back.value, tbl.value)
+    write_table(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == p.read_bytes()
