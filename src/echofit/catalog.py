@@ -6,23 +6,32 @@ space; this module owns the mapping between that space and the natural,
 unit-carrying parameters.  Positive-only parameters use a log transform,
 box-bounded ones a logit transform, so bounds hold by construction.
 
-Every model kernel in :mod:`echofit.models` and its gradient take their
-arguments in one order: the free parameters in ``params`` order, then
-the fixed quantities in ``fixed_names`` order, then the x column(s).  So
-a spec's ``eval_fn``/``jac_fn`` bind the kernels directly, with no
-per-model adapter.  A fixed quantity is promoted to a free parameter by
-putting it first in ``fixed_names`` of the base model and then, in the
-derived spec, moving it to the end of ``params``: the kernel's argument
-list stays the same, and only the gradient must add the new column (see
-``echo3-free-t1``).
+Every model has three functions in :mod:`echofit.models`: a terms
+function, which takes the fixed quantities in ``fixed_names`` order and
+then the x column(s), and a value kernel and gradient, which take the
+free parameters in ``params`` order and then the terms.  A spec binds
+them directly, with no per-model adapter: ``prepare(x, fixed)`` returns
+the terms, and ``eval_fn(theta, terms)``/``jac_fn(theta, terms)``
+evaluate from them.  The terms are the subexpressions that depend on x
+and the fixed quantities alone, so a fit prepares them once and every LM
+iteration reuses them.  Each term is an exact leading subexpression of
+the formula it stands in (``2.0 * t12`` of ``2.0 * t12 / tm``, but not
+``c * b`` of ``-g1 * c * b``, which is evaluated as ``(-g1 * c) * b``), so
+the values and Jacobians keep every bit of the direct formulas.  A term
+is either an array with one row per problem, shaped like x's rows, or a
+value of the fixed quantities alone, shared by every row.
+
+A fixed quantity that a derived spec frees (``echo3-free-t1``) can no
+longer be folded into the terms, so the derived spec has its own terms
+function and kernels; they form the affected terms on every call and
+share the rest with the base model.
 
 ``eval_fn``, ``jac_fn`` and the transforms also take a stack of B
-problems: a (B, p) theta, with x as (B, n) rows (or (B, n, 2) pairs),
-gives (B, n) values and (B, n, p) Jacobians.  The kernels then see each
-parameter as a (B, 1) column.
+problems: a (B, p) theta, with terms prepared from x as (B, n) rows (or
+(B, n, 2) pairs), gives (B, n) values and (B, n, p) Jacobians.  The
+kernels then see each parameter as a (B, 1) column.
 """
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,8 +59,9 @@ class ModelSpec:
     kind: str  # "decay" fits intensities, "linewidth" fits rates
     params: tuple
     fixed_names: tuple
-    eval_fn: Callable  # (theta, x, fixed) -> (n,), or (B, n) for a (B, p) theta
-    jac_fn: Callable   # (theta, x, fixed) -> (n, p), or (B, n, p)
+    prepare: Callable  # (x, fixed) -> tuple of terms
+    eval_fn: Callable  # (theta, terms) -> (n,), or (B, n) for a (B, p) theta
+    jac_fn: Callable   # (theta, terms) -> (n, p), or (B, n, p)
     x_columns: int     # 1 for a single axis, 2 for (t12_us, t23_us) pairs
     guess: Callable    # (x, y, fixed) -> guesses.GuessResult
 
@@ -110,19 +120,23 @@ def dnatural_dinternal(spec: ModelSpec, theta):
 # Model catalog
 # ---------------------------------------------------------------------------
 
-def _spec(model_id, kind, params, fixed_names, x_columns, value, grad, guess):
-    """A ModelSpec whose eval_fn/jac_fn call the kernels ``value``/``grad``
-    as kernel(*theta, *fixed values in fixed_names order, *x columns).
-    A (B, p) theta is passed as p columns of shape (B, 1)."""
+def _spec(model_id, kind, params, fixed_names, x_columns, terms, value, grad, guess):
+    """A ModelSpec whose ``prepare`` calls ``terms(*fixed values in
+    fixed_names order, *x columns)`` and whose eval_fn/jac_fn call the
+    kernels ``value``/``grad`` as kernel(*theta, *terms).  A (B, p) theta
+    is passed as p columns of shape (B, 1)."""
+    def prepare(x, fixed):
+        xs = (x,) if x_columns == 1 else np.moveaxis(x, -1, 0)
+        return terms(*[fixed[k] for k in fixed_names], *xs)
+
     def bind(kernel):
-        def call(theta, x, fixed):
+        def call(theta, prepared):
             params = theta.T[:, :, None] if np.ndim(theta) == 2 else theta
-            xs = (x,) if x_columns == 1 else np.moveaxis(x, -1, 0)
-            return kernel(*params, *[fixed[k] for k in fixed_names], *xs)
+            return kernel(*params, *prepared)
         return call
 
     return ModelSpec(model_id=model_id, kind=kind, params=params,
-                     fixed_names=fixed_names, eval_fn=bind(value),
+                     fixed_names=fixed_names, prepare=prepare, eval_fn=bind(value),
                      jac_fn=bind(grad), x_columns=x_columns, guess=guess)
 
 
@@ -150,6 +164,7 @@ CATALOG = {
         ),
         fixed_names=(),
         x_columns=1,
+        terms=models._mims_terms,
         value=models._mims,
         grad=models._mims_grad,
         guess=guesses.mims,
@@ -166,6 +181,7 @@ CATALOG = {
         ),
         fixed_names=("temp_k",),
         x_columns=1,
+        terms=models._field_terms,
         value=models._field,
         grad=models._field_grad,
         guess=guesses.field,
@@ -180,6 +196,7 @@ CATALOG = {
         ),
         fixed_names=(),
         x_columns=1,
+        terms=models._temp_terms,
         value=models._temp,
         grad=models._temp_grad,
         guess=guesses.temp,
@@ -193,6 +210,7 @@ CATALOG = {
         ),
         fixed_names=("temp_k",),
         x_columns=1,
+        terms=models._sech2_terms,
         value=models._sech2,
         grad=models._sech2_grad,
         guess=guesses.sech2,
@@ -203,6 +221,7 @@ CATALOG = {
         params=_SD_PARAMS,
         fixed_names=("t0_us",),
         x_columns=2,
+        terms=models._sd_terms,
         value=models._sd,
         grad=models._sd_grad,
         guess=guesses.sd,
@@ -213,20 +232,22 @@ CATALOG = {
         params=_ECHO3_PARAMS,
         fixed_names=("t1_ms", "tz_s", "t0_us"),
         x_columns=2,
+        terms=models._echo3_terms,
         value=models._echo3,
         grad=models._echo3_grad,
         guess=guesses.echo3,
     ),
     # echo3 with its first fixed quantity, t1_ms, promoted to the last
-    # free parameter: the kernels' argument order is unchanged.
+    # free parameter.
     "echo3-free-t1": _spec(
         model_id="echo3-free-t1",
         kind="decay",
         params=_ECHO3_PARAMS + (ParamSpec("t1_ms", _LOG),),
         fixed_names=("tz_s", "t0_us"),
         x_columns=2,
-        value=models._echo3,
-        grad=functools.partial(models._echo3_grad, free_t1=True),
+        terms=models._echo3_free_t1_terms,
+        value=models._echo3_free_t1,
+        grad=models._echo3_free_t1_grad,
         guess=guesses.echo3_free_t1,
     ),
 }
@@ -287,14 +308,14 @@ def _draw_inputs(model_id, rng):
 def finite_difference_jacobian(spec: ModelSpec, theta, x, fixed):
     """Central differences with step 1e-6*max(|p|, 1) per parameter."""
     theta = np.asarray(theta, dtype=float)
+    terms = spec.prepare(x, fixed)
     cols = []
     for j in range(theta.size):
         h = 1e-6 * max(abs(theta[j]), 1.0)
         tp, tm = theta.copy(), theta.copy()
         tp[j] += h
         tm[j] -= h
-        cols.append((spec.eval_fn(tp, x, fixed) - spec.eval_fn(tm, x, fixed))
-                    / (2.0 * h))
+        cols.append((spec.eval_fn(tp, terms) - spec.eval_fn(tm, terms)) / (2.0 * h))
     return np.column_stack(cols)
 
 
@@ -312,7 +333,7 @@ def gradient_check(model_id, n_draws=100, seed=0):
     worst = 0.0
     for _ in range(n_draws):
         theta, x, fixed = _draw_inputs(model_id, rng)
-        ja = spec.jac_fn(theta, x, fixed)
+        ja = spec.jac_fn(theta, spec.prepare(x, fixed))
         jf = finite_difference_jacobian(spec, theta, x, fixed)
         scale = np.maximum(np.abs(ja).max(axis=0), np.abs(jf).max(axis=0))
         scale = np.maximum(scale, 1e-12)

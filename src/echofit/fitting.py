@@ -16,6 +16,13 @@ restarts of ``multi_start_fit`` share one batch; ``multi_start_batch``
 into one batch per in-window point count.  Rows of different point
 counts are never padded into one batch: padding changes how BLAS
 accumulates the sums, and so the last bits of the results.
+
+The engine computes each iteration only what changed.  The model's
+data-only terms are prepared once per batch (``ModelSpec.prepare``), and
+the engine's arrays hold the live rows only: accepted rows take their
+trial values in place, the Jacobian is evaluated for accepted rows only,
+and rows are gathered only when some stop, at which point they are
+written out and dropped.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -186,10 +193,11 @@ def _problem(spec, x, y, sigma, cfg):
     return x, np.log(y) if space == "log-intensity" else y, w
 
 
-def _residuals(spec, theta, x, target, w, space, fixed):
+def _residuals(spec, theta, terms, target, w, space):
     """Weighted residuals and model values of every row, and which rows
-    have a finite (and, in log space, positive) model."""
-    m = spec.eval_fn(theta, x, fixed)
+    have a finite (and, in log space, positive) model.  ``w`` None stands
+    for unit weights, here and in ``_jacobians``."""
+    m = spec.eval_fn(theta, terms)
     finite = np.isfinite(m)
     if space == "log-intensity":
         finite &= m > 0
@@ -197,16 +205,26 @@ def _residuals(spec, theta, x, target, w, space, fixed):
     if not ok.all():
         # Rows that failed are dropped by the caller; keep their logs quiet.
         m = np.where(ok[:, None], m, 1.0)
-    if space == "log-intensity":
-        return w * (np.log(m) - target), m, ok
-    return w * (m - target), m, ok
+    r = np.log(m) - target if space == "log-intensity" else m - target
+    return (r if w is None else w * r), m, ok
 
 
-def _jacobian(spec, theta, x, m, w, space, fixed):
-    jn = spec.jac_fn(theta, x, fixed)
+def _jacobians(spec, theta, terms, m, w, space):
+    """Weighted Jacobians of every row, in natural and in internal
+    coordinates."""
+    jn = spec.jac_fn(theta, terms)
     if space == "log-intensity":
         jn = jn / m[..., None]
-    return w[..., None] * jn
+    if w is not None:
+        jn = w[..., None] * jn
+    return jn, jn * dnatural_dinternal(spec, theta)[:, None, :]
+
+
+def _take(terms, rows):
+    """The prepared terms of the rows where the mask ``rows`` holds.  A
+    term with one entry per row is gathered; the others, values of the
+    fixed quantities alone, are shared by every row."""
+    return tuple(t[rows] if np.shape(t)[:1] == rows.shape else t for t in terms)
 
 
 def _damped_solve(a, lam, g):
@@ -238,103 +256,139 @@ class _Row:
     converged: bool
 
 
-def _lm(spec, x, target, w, space, fixed, theta0, cfg):
+@dataclass
+class _Live:
+    """The rows the engine still steps.  Row k of every array belongs to
+    the batch row ``rows[k]``."""
+    rows: np.ndarray
+    terms: tuple
+    target: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    theta: np.ndarray
+    r: np.ndarray
+    m: np.ndarray
+    sse: np.ndarray
+    jn: np.ndarray = None   # weighted Jacobian in natural coordinates
+    j: np.ndarray = None    # weighted Jacobian in internal coordinates
+    lam: np.ndarray = None
+
+    def take(self, keep):
+        """The rows where the mask ``keep`` holds, gathered once."""
+        arrays = (self.rows, self.target, self.w, self.u, self.theta, self.r,
+                  self.m, self.sse, self.jn, self.j, self.lam)
+        rows, target, w, u, theta, r, m, sse, jn, j, lam = (
+            None if a is None else a[keep] for a in arrays)
+        return _Live(rows, _take(self.terms, keep), target, w, u, theta, r, m,
+                     sse, jn, j, lam)
+
+
+def _lm(spec, terms, target, w, space, theta0, cfg):
     """Levenberg-Marquardt on B rows of equal point count, in lockstep.
 
-    x holds (B, n) rows (or (B, n, 2) pairs), target and w (B, n), theta0
-    the (B, p) starts.  Damping follows Moré (1978): *3 on a rejected
-    step, /3 on an accepted one.  Returns a ``_Row`` per row, or None for
-    a row whose model is not finite at its start.
+    ``terms`` are the model's terms prepared from the (B, n) x rows (or
+    (B, n, 2) pairs), target and w (B, n), or w None for unit weights,
+    theta0 the (B, p) starts.  Damping follows Moré (1978): *3 on a
+    rejected step, /3 on an accepted one.  Only the live rows are held:
+    accepted rows take their trial values in place, only they get a new
+    Jacobian, and a row that stops is written out and gathered away.
+    Returns a ``_Row`` per row, or None for a row whose model or SSE is
+    not finite at its start.
     """
-    b, p = theta0.shape
     u = to_internal(spec, theta0)
     theta = to_natural(spec, u)
-    r, m, ok = _residuals(spec, theta, x, target, w, space, fixed)
+    r, m, ok = _residuals(spec, theta, terms, target, w, space)
     sse = np.vecdot(r, r)
-    jn = np.empty(r.shape + (p,))
-    j = np.empty_like(jn)
-    lam = np.empty(b)
-
-    def update_jacobian(rows):
-        jn_rows = _jacobian(spec, theta[rows], x[rows], m[rows], w[rows], space, fixed)
-        jn[rows] = jn_rows
-        j[rows] = jn_rows * dnatural_dinternal(spec, theta[rows])[:, None, :]
-
-    idx = np.flatnonzero(ok)
-    if idx.size:
-        update_jacobian(idx)
-        ji = j[idx]
-        diag_max = (ji * ji).sum(axis=1).max(axis=1)
-        lam[idx] = np.where(diag_max > 0, 1e-3 * diag_max, 1e-3)
+    ok &= np.isfinite(sse)
     traces = [[s] for s in sse.tolist()]
-    active = ok.copy()
-    converged = np.zeros(b, dtype=bool)
-    n_iter = np.zeros(b, dtype=int)
+    out = [None] * len(traces)
+    if not ok.any():
+        return out
+    live = _Live(np.arange(len(traces)), terms, target, w, u, theta, r, m, sse)
+    if not ok.all():
+        live = live.take(ok)
+    live.jn, live.j = _jacobians(spec, live.theta, live.terms, live.m, live.w, space)
+    diag_max = (live.j * live.j).sum(axis=1).max(axis=1)
+    live.lam = np.where(diag_max > 0, 1e-3 * diag_max, 1e-3)
 
-    def converge(rows, done):
-        converged[rows[done]] = True
-        active[rows[done]] = False
-        return ~done
+    def stop(done, converged, it):
+        """Write out the rows where ``done`` holds; the rest stay live."""
+        for k in np.flatnonzero(done).tolist():
+            i = live.rows[k]
+            out[i] = _Row(live.theta[k], live.r[k].copy(), live.jn[k], traces[i][-1],
+                          traces[i], it, bool(converged[k]))
+        return live.take(~done)
 
     for it in range(1, cfg.max_iterations + 1):
-        idx = np.flatnonzero(active)
-        if not idx.size:
-            break
-        n_iter[idx] = it
-        ja = j[idx]
-        g = np.matmul(ja.transpose(0, 2, 1), r[idx][:, :, None])[:, :, 0]
-        keep = converge(idx, np.abs(g).max(axis=1) < cfg.tol_grad)
-        idx, ja, g = idx[keep], ja[keep], g[keep]
-        if not idx.size:
-            continue
+        g = np.matmul(live.j.transpose(0, 2, 1), live.r[:, :, None])[:, :, 0]
+        done = np.abs(g).max(axis=1) < cfg.tol_grad
+        if done.any():
+            live, g = stop(done, done, it), g[~done]
+            if not live.rows.size:
+                return out
         # Both operands view one buffer, so NumPy computes J^T J exactly as
         # j.T @ j does for a single matrix.
-        a = np.matmul(ja.transpose(0, 2, 1), ja)
-        step = _damped_solve(a, lam[idx], g)
+        a = np.matmul(live.j.transpose(0, 2, 1), live.j)
+        step = _damped_solve(a, live.lam, g)
         # A damped step shrunk to nothing: at large damping a rejected
         # descent step implies a numerically zero gradient.
-        keep = converge(idx, np.abs(step).max(axis=1)
-                        <= cfg.tol_step * (1.0 + np.abs(u[idx]).max(axis=1)))
-        idx, step = idx[keep], step[keep]
-        if not idx.size:
-            continue
-        u_try = u[idx] + step
+        done = (np.abs(step).max(axis=1)
+                <= cfg.tol_step * (1.0 + np.abs(live.u).max(axis=1)))
+        if done.any():
+            live, step = stop(done, done, it), step[~done]
+            if not live.rows.size:
+                return out
+        u_try = live.u + step
         theta_try = to_natural(spec, u_try)
-        r_try, m_try, ok_try = _residuals(spec, theta_try, x[idx], target[idx],
-                                          w[idx], space, fixed)
+        r_try, m_try, ok_try = _residuals(spec, theta_try, live.terms, live.target,
+                                          live.w, space)
         sse_try = np.vecdot(r_try, r_try)
-        better = ok_try & (sse_try < sse[idx])
+        better = ok_try & (sse_try < live.sse)
 
-        worse = idx[~better]
+        worse = ~better
+        lam = live.lam
         lam[worse] = np.minimum(lam[worse] * _LAMBDA_UP, _LAMBDA_MAX)
         # Damping saturated without an acceptable step: no further progress
         # is possible.  A non-finite trial only raises the damping.
-        saturated = ok_try & ~better & (lam[idx] >= _LAMBDA_MAX)
-        active[idx[saturated]] = False
+        saturated = ok_try & worse & (lam >= _LAMBDA_MAX)
 
-        acc = idx[better]
-        if acc.size:
+        converged = np.zeros_like(better)
+        if better.any():
             sse_new = sse_try[better]
-            drop = sse[acc] - sse_new
-            u[acc] = u_try[better]
-            theta[acc] = theta_try[better]
-            r[acc] = r_try[better]
-            m[acc] = m_try[better]
-            sse[acc] = sse_new
-            for k, s in zip(acc.tolist(), sse_new.tolist()):
-                traces[k].append(s)
-            update_jacobian(acc)
-            lam[acc] = np.maximum(lam[acc] / _LAMBDA_DOWN, 1e-15)
-            converge(acc, drop <= cfg.tol_sse_rel * np.maximum(sse_new, 1e-300))
+            drop = live.sse[better] - sse_new
+            if better.all():
+                live.u, live.theta, live.r, live.m = u_try, theta_try, r_try, m_try
+                live.sse = sse_try
+                live.jn, live.j = _jacobians(spec, theta_try, live.terms, m_try,
+                                             live.w, space)
+            else:
+                live.u[better] = u_try[better]
+                live.theta[better] = theta_try[better]
+                live.r[better] = r_try[better]
+                live.m[better] = m_try[better]
+                live.sse[better] = sse_new
+                live.jn[better], live.j[better] = _jacobians(
+                    spec, live.theta[better], _take(live.terms, better),
+                    live.m[better], None if live.w is None else live.w[better], space)
+            for i, s in zip(live.rows[better].tolist(), sse_new.tolist()):
+                traces[i].append(s)
+            lam[better] = np.maximum(lam[better] / _LAMBDA_DOWN, 1e-15)
+            converged[better] = drop <= cfg.tol_sse_rel * np.maximum(sse_new, 1e-300)
 
-    return [_Row(theta[k], r[k].copy(), jn[k], traces[k][-1], traces[k],
-                 int(n_iter[k]), bool(converged[k])) if ok[k] else None
-            for k in range(b)]
+        done = saturated | converged
+        if done.any():
+            live = stop(done, converged, it)
+            if not live.rows.size:
+                return out
+    stop(np.ones(live.rows.size, dtype=bool), np.zeros(live.rows.size, dtype=bool),
+         cfg.max_iterations)
+    return out
 
 
 def _fit_rows(spec, rows, fixed, cfg):
     """Run ``(x, target, w, theta0)`` rows through the engine, one lockstep
-    batch per point count; returns their ``_Row`` or None."""
+    batch per point count, each prepared once; returns their ``_Row`` or
+    None."""
     space = _resolve_space(spec, cfg)
     out = [None] * len(rows)
     groups = {}
@@ -343,7 +397,11 @@ def _fit_rows(spec, rows, fixed, cfg):
     for members in groups.values():
         x, target, w, theta0 = (np.stack([rows[i][k] for i in members])
                                 for k in range(4))
-        done = _lm(spec, x, target, w, space, fixed, theta0, cfg)
+        # Unit weights, as in every log-space fit without sigma, are left
+        # out of the loop: 1.0 * a == a, bit for bit.
+        if np.all(w == 1.0):
+            w = None
+        done = _lm(spec, spec.prepare(x, fixed), target, w, space, theta0, cfg)
         for i, row in zip(members, done):
             out[i] = row
     return out
@@ -423,6 +481,10 @@ def _covariance(j, sse, dof):
     """(J^T J)^-1 scaled by sse/dof via SVD, with near-singular directions
     reported as unbounded instead of numerically exploding."""
     n, p = j.shape
+    if not np.all(np.isfinite(j)):
+        # An overflowed Jacobian bounds no parameter; the SVD would not
+        # converge on it.
+        return np.full((p, p), np.nan), np.full(p, np.inf), list(range(p))
     u_, s, vt = np.linalg.svd(j, full_matrices=False)
     good = s > _SVD_RCOND * s[0] if s[0] > 0 else np.zeros(p, dtype=bool)
     inv_s2 = np.zeros(p)
@@ -444,8 +506,8 @@ def _jitter_factors(spec, cfg):
     """Seeded log-uniform factors in [0.5, 1.5], one row per restart after
     the first."""
     rng = np.random.default_rng(cfg.seed)
-    return [[float(np.exp(rng.uniform(np.log(0.5), np.log(1.5))))
-             for _ in spec.params] for _ in range(1, cfg.restarts)]
+    draws = rng.uniform(np.log(0.5), np.log(1.5), size=(cfg.restarts - 1, len(spec.params)))
+    return np.exp(draws).tolist()
 
 
 def _starts(spec, init, factors):

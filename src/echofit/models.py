@@ -5,13 +5,17 @@ and times in the units their argument names state.  Internally every
 rate*time product is formed in kHz*ms so the exponents are dimensionless
 without hidden conversion factors.
 
-The underscore-prefixed kernels operate on plain floats/arrays and are
-bound directly by the fitting catalog.  Every kernel and its gradient take
-the free parameters first, then the fixed quantities, then the x
-column(s); see :mod:`echofit.catalog` for the full convention.  They also
-evaluate B problems at once: parameters as (B, 1) columns and x as (B, n)
-rows give (B, n) values and (B, n, p) gradients, each row bit-equal to the
-call with that row's scalars.
+The underscore-prefixed functions operate on plain floats/arrays and are
+bound directly by the fitting catalog.  Each model has a ``_<model>_terms``
+function that takes the fixed quantities, then the x column(s), and
+returns the kernels' data-only subexpressions; its value kernel and
+gradient take the free parameters followed by those terms.  A term is
+always a leading subexpression of the formula it stands in, so a fit
+computes it once and every evaluation keeps its last bits (see
+:mod:`echofit.catalog`).  The kernels also evaluate B problems at once:
+parameters as (B, 1) columns and terms of (B, n) rows give (B, n) values
+and (B, n, p) gradients, each row bit-equal to the call with that row's
+scalars.
 """
 
 import numpy as np
@@ -33,8 +37,10 @@ DEGENERATE_LIFETIME_RTOL = 1e-9
 
 
 def _cexp(a):
-    """exp with the argument clamped to +-EXP_CLAMP."""
-    return np.exp(np.clip(a, -EXP_CLAMP, EXP_CLAMP))
+    """exp with the argument clamped to +-EXP_CLAMP (the two-ufunc form
+    of np.clip, equal to it bit for bit and NaN for NaN, but with less
+    call overhead on small arrays)."""
+    return np.exp(np.minimum(np.maximum(a, -EXP_CLAMP), EXP_CLAMP))
 
 
 def _asarray(t, name, minimum=None):
@@ -54,14 +60,17 @@ def _maybe_scalar(out, like):
 # Two-pulse echo decay
 # ---------------------------------------------------------------------------
 
-def _mims(i0, tm_us, x, t12_us):
-    u = 2.0 * np.asarray(t12_us, dtype=float) / tm_us
+def _mims_terms(t12_us):
+    return (2.0 * np.asarray(t12_us, dtype=float),)
+
+
+def _mims(i0, tm_us, x, two_t12):
+    u = two_t12 / tm_us
     return i0 * _cexp(-2.0 * u ** x)
 
 
-def _mims_grad(i0, tm_us, x, t12_us):
-    t = np.atleast_1d(np.asarray(t12_us, dtype=float))
-    u = 2.0 * t / tm_us
+def _mims_grad(i0, tm_us, x, two_t12):
+    u = np.atleast_1d(two_t12 / tm_us)
     ux = u ** x
     intensity = i0 * _cexp(-2.0 * ux)
     # d/dx of u^x is u^x*ln(u); the t12 = 0 sample contributes zero in the limit.
@@ -82,7 +91,7 @@ def mims_intensity(p: MimsParams, t12_us):
     is strictly decreasing in ``t12``.
     """
     t = _asarray(t12_us, "t12_us", minimum=0.0)
-    return _maybe_scalar(_mims(p.i0, p.tm_us, p.x, t), t12_us)
+    return _maybe_scalar(_mims(p.i0, p.tm_us, p.x, *_mims_terms(t)), t12_us)
 
 
 def gamma_eff_from_tm(tm_us):
@@ -105,18 +114,18 @@ def tm_from_gamma_eff(gamma_khz):
 # Linewidth versus magnetic field
 # ---------------------------------------------------------------------------
 
-def _field(gamma0, alpha1, alpha2, g1, g2, temp_k, b_t, consts=DEFAULT_CONSTANTS):
-    c = consts.mu_b_over_k_b / temp_k
-    b = np.asarray(b_t, dtype=float)
+def _field_terms(temp_k, b_t, consts=DEFAULT_CONSTANTS):
+    return consts.mu_b_over_k_b / temp_k, np.asarray(b_t, dtype=float)
+
+
+def _field(gamma0, alpha1, alpha2, g1, g2, c, b):
     return gamma0 + alpha1 * _cexp(-g1 * c * b) + alpha2 * (1.0 - _cexp(-g2 * c * b))
 
 
-def _field_grad(gamma0, alpha1, alpha2, g1, g2, temp_k, b_t, consts=DEFAULT_CONSTANTS):
-    c = consts.mu_b_over_k_b / temp_k
-    b = np.atleast_1d(np.asarray(b_t, dtype=float))
+def _field_grad(gamma0, alpha1, alpha2, g1, g2, c, b):
     e1 = _cexp(-g1 * c * b)
     e2 = _cexp(-g2 * c * b)
-    g = np.empty(e1.shape + (5,))
+    g = np.empty(np.shape(e1) + (5,))
     g[..., 0] = 1.0
     g[..., 1] = e1
     g[..., 2] = 1.0 - e2
@@ -138,7 +147,8 @@ def field_linewidth(p: FieldModelParams, b_t, temp_k, consts=DEFAULT_CONSTANTS):
         raise ValueError("temp_k must be > 0")
     b = _asarray(b_t, "b_t", minimum=0.0)
     return _maybe_scalar(
-        _field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2, temp_k, b, consts),
+        _field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2,
+               *_field_terms(temp_k, b, consts)),
         b_t,
     )
 
@@ -166,7 +176,7 @@ def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t,
 
     grid = np.linspace(0.0, b_max_t, n_grid)
     vals = _field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2,
-                  temp_k, grid, consts)
+                  *_field_terms(temp_k, grid, consts))
     k = int(np.argmin(vals))
     if k == 0 and dgamma(0.0) >= 0.0:
         return 0.0, float(vals[0]), "low"
@@ -193,7 +203,7 @@ def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t,
             hi = mid
     b_star = 0.5 * (lo + hi)
     gamma_star = _field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2,
-                        temp_k, b_star, consts)
+                        *_field_terms(temp_k, b_star, consts))
     return float(b_star), float(gamma_star), None
 
 
@@ -201,17 +211,21 @@ def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t,
 # Linewidth versus temperature
 # ---------------------------------------------------------------------------
 
-def _temp(floor, amp, n, temp_k):
-    return floor + amp * np.asarray(temp_k, dtype=float) ** n
+def _temp_terms(temp_k):
+    t = np.asarray(temp_k, dtype=float)
+    return t, np.log(t)
 
 
-def _temp_grad(floor, amp, n, temp_k):
-    t = np.atleast_1d(np.asarray(temp_k, dtype=float))
-    tn = t ** n
+def _temp(floor, amp, n, t, log_t):
+    return floor + amp * t ** n
+
+
+def _temp_grad(floor, amp, n, t, log_t):
+    tn = np.atleast_1d(t ** n)
     g = np.empty(tn.shape + (3,))
     g[..., 0] = 1.0
     g[..., 1] = tn
-    g[..., 2] = amp * tn * np.log(t)
+    g[..., 2] = amp * tn * log_t
     return g
 
 
@@ -225,32 +239,44 @@ def temp_linewidth(p: TempModelParams, temp_k):
     t = np.asarray(temp_k, dtype=float)
     if np.any(t <= 0):
         raise ValueError("temp_k must be > 0")
-    return _maybe_scalar(_temp(p.floor_khz, p.amp_khz, p.exponent_n, t), temp_k)
+    return _maybe_scalar(_temp(p.floor_khz, p.amp_khz, p.exponent_n, *_temp_terms(t)),
+                         temp_k)
 
 
 # ---------------------------------------------------------------------------
 # Spectral-diffusion linewidth versus the two delays
 # ---------------------------------------------------------------------------
 
-def _sd(gamma0, gamma_sd, r_sd, gamma_tls, t0_us, t12_us, t23_us):
+def _sd_terms(t0_us, t12_us, t23_us):
     t12_ms = np.asarray(t12_us, dtype=float) * 1e-3
     t23_ms = np.asarray(t23_us, dtype=float) * 1e-3
-    t0_ms = t0_us * 1e-3
+    return t12_ms, t23_ms, np.log10(t23_ms / (t0_us * 1e-3))
+
+
+def _sd(gamma0, gamma_sd, r_sd, gamma_tls, t12_ms, t23_ms, log_t23):
     return (gamma0
             + 0.5 * gamma_sd * (r_sd * t12_ms + 1.0 - _cexp(-r_sd * t23_ms))
-            + gamma_tls * np.log10(t23_ms / t0_ms))
+            + gamma_tls * log_t23)
 
 
-def _sd_grad(gamma0, gamma_sd, r_sd, gamma_tls, t0_us, t12_us, t23_us):
-    t12_ms = np.atleast_1d(np.asarray(t12_us, dtype=float)) * 1e-3
-    t23_ms = np.atleast_1d(np.asarray(t23_us, dtype=float)) * 1e-3
-    t0_ms = t0_us * 1e-3
+def _sd_parts(gamma0, gamma_sd, r_sd, gamma_tls, t12_ms, t23_ms, log_t23):
+    """Gamma_eff and its derivatives by gamma_sd and r_sd, from one
+    exponential; the derivatives by gamma0 and gamma_tls are 1 and
+    log_t23."""
     e = _cexp(-r_sd * t23_ms)
-    g = np.empty(np.broadcast_shapes(t12_ms.shape, e.shape) + (4,))
+    q = r_sd * t12_ms + 1.0 - e
+    return (gamma0 + 0.5 * gamma_sd * q + gamma_tls * log_t23,
+            0.5 * q, 0.5 * gamma_sd * (t12_ms + t23_ms * e))
+
+
+def _sd_grad(gamma0, gamma_sd, r_sd, gamma_tls, t12_ms, t23_ms, log_t23):
+    _, d_gamma_sd, d_r_sd = _sd_parts(gamma0, gamma_sd, r_sd, gamma_tls,
+                                      t12_ms, t23_ms, log_t23)
+    g = np.empty(np.shape(d_gamma_sd) + (4,))
     g[..., 0] = 1.0
-    g[..., 1] = 0.5 * (r_sd * t12_ms + 1.0 - e)
-    g[..., 2] = 0.5 * gamma_sd * (t12_ms + t23_ms * e)
-    g[..., 3] = np.log10(t23_ms / t0_ms)
+    g[..., 1] = d_gamma_sd
+    g[..., 2] = d_r_sd
+    g[..., 3] = log_t23
     return g
 
 
@@ -267,7 +293,7 @@ def sd_linewidth(p: SpectralDiffusionParams, t12_us, t23_us):
         raise ValueError("t23_us must be >= t0_us")
     t12 = _asarray(t12_us, "t12_us", minimum=0.0)
     out = _sd(p.gamma0_khz, p.gamma_sd_khz, p.r_sd_khz, p.gamma_tls_khz,
-              p.t0_us, t12, t23)
+              *_sd_terms(p.t0_us, t12, t23))
     ref = t23_us if np.ndim(t23_us) >= np.ndim(t12_us) else t12_us
     return _maybe_scalar(out, ref)
 
@@ -287,17 +313,26 @@ def _degenerate(t1_ms, tz_ms):
     return np.abs(tz_ms - t1_ms) < DEGENERATE_LIFETIME_RTOL * t1_ms
 
 
-def _population(t1_ms, tz_s, beta, t23_ms):
-    t = np.asarray(t23_ms, dtype=float)
-    tz_ms = tz_s * 1e3
-    ea = _cexp(-t / t1_ms)
+def _population_terms(t1_ms, tz_ms, t23_ms, eb):
+    """``(ea, a, b)`` such that the population factor is
+    ``ea + 0.5*beta*a*b``; ``eb`` is exp(-t23/T_Z).
+
+    Off the T_Z = T_1 singularity a = T_Z/(T_Z - T_1) and b = eb - ea; on
+    it the analytic limit has a = t23/T_1 and b = ea.  The limit is chosen
+    row by row when the lifetimes are (B, 1) columns.
+    """
+    ea = _cexp(-t23_ms / t1_ms)
     degenerate = _degenerate(t1_ms, tz_ms)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.divide(tz_ms, tz_ms - t1_ms)
-        pop = ea + 0.5 * beta * w * (_cexp(-t / tz_ms) - ea)
-    if np.any(degenerate):
-        pop = np.where(degenerate, ea + 0.5 * beta * (t / t1_ms) * ea, pop)
-    return pop
+    if not np.any(degenerate):
+        return ea, w, eb - ea
+    return (ea, np.where(degenerate, t23_ms / t1_ms, w),
+            np.where(degenerate, ea, eb - ea))
+
+
+def _population(beta, ea, a, b):
+    return ea + 0.5 * beta * a * b
 
 
 def three_level_population_factor(p: ThreeLevelParams, t23_ms):
@@ -308,63 +343,103 @@ def three_level_population_factor(p: ThreeLevelParams, t23_ms):
     when the lifetimes agree to within 1e-9 relative.
     """
     t = _asarray(t23_ms, "t23_ms", minimum=0.0)
-    return _maybe_scalar(_population(p.t1_ms, p.tz_s, p.beta, t), t23_ms)
+    tz_ms = p.tz_s * 1e3
+    terms = _population_terms(p.t1_ms, tz_ms, t, _cexp(-t / tz_ms))
+    return _maybe_scalar(_population(p.beta, *terms), t23_ms)
 
 
-def _echo3(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls,
-           t1_ms, tz_s, t0_us, t12_us, t23_us):
-    pop = _population(t1_ms, tz_s, beta, np.asarray(t23_us, dtype=float) * 1e-3)
-    gamma = _sd(gamma0, gamma_sd, r_sd, gamma_tls, t0_us, t12_us, t23_us)
-    t12_ms = np.asarray(t12_us, dtype=float) * 1e-3
-    return i0 * pop ** 2 * _cexp(-FOUR_PI * t12_ms * gamma)
+def _echo3_delay_terms(t0_us, t12_us, t23_us):
+    """The stimulated echo's terms of the two delays alone:
+    ``(-4*pi*t12_ms, t12_ms, t23_ms, log10(t23/t0))`` for the value, then
+    the Gamma_eff terms of the delays round-tripped through microseconds
+    (``t12_ms * 1e3``, ``t23_ms * 1e3``), on which the gradient takes
+    Gamma_eff."""
+    t12_ms, t23_ms, log_t23 = _sd_terms(t0_us, t12_us, t23_us)
+    return (-FOUR_PI * t12_ms, t12_ms, t23_ms, log_t23,
+            *_sd_terms(t0_us, t12_ms * 1e3, t23_ms * 1e3))
 
 
-def _echo3_grad(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls,
-                t1_ms, tz_s, t0_us, t12_us, t23_us, free_t1=False):
-    t12_ms = np.atleast_1d(np.asarray(t12_us, dtype=float)) * 1e-3
-    t23_ms = np.atleast_1d(np.asarray(t23_us, dtype=float)) * 1e-3
+def _echo3_columns(i0, pop, dpop_dbeta, gamma0, gamma_sd, r_sd, gamma_tls,
+                   m4pi_t12, t12_rt, t23_rt, log_rt, cols):
+    """Jacobian with its first six columns filled, and the dephasing
+    envelope the last column needs."""
+    gamma, d_gamma_sd, d_r_sd = _sd_parts(gamma0, gamma_sd, r_sd, gamma_tls,
+                                          t12_rt, t23_rt, log_rt)
+    env = _cexp(m4pi_t12 * gamma)
+    pop2 = pop ** 2
+    intensity = i0 * pop2 * env
+    g = np.empty(intensity.shape + (cols,))
+    g[..., 0] = pop2 * env
+    g[..., 1] = i0 * 2.0 * pop * dpop_dbeta * env
+    # Chain rule through Gamma_eff, whose gamma0 derivative is 1.
+    scale = m4pi_t12 * intensity
+    g[..., 2] = scale
+    g[..., 3] = scale * d_gamma_sd
+    g[..., 4] = scale * d_r_sd
+    g[..., 5] = scale * log_rt
+    return g, env
+
+
+def _echo3_terms(t1_ms, tz_s, t0_us, t12_us, t23_us):
+    delays = _echo3_delay_terms(t0_us, t12_us, t23_us)
     tz_ms = tz_s * 1e3
+    t23_ms = delays[2]
+    ea, a, b = _population_terms(t1_ms, tz_ms, t23_ms, _cexp(-t23_ms / tz_ms))
+    return (ea, a, b, 0.5 * a * b) + delays
 
-    ea = _cexp(-t23_ms / t1_ms)
-    eb = _cexp(-t23_ms / tz_ms)
-    # Both branches are formed and the limit is taken row by row.
+
+def _echo3(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, ea, a, b, dpop_dbeta,
+           m4pi_t12, t12_ms, t23_ms, log_t23, t12_rt, t23_rt, log_rt):
+    pop = _population(beta, ea, a, b)
+    gamma = _sd(gamma0, gamma_sd, r_sd, gamma_tls, t12_ms, t23_ms, log_t23)
+    return i0 * pop ** 2 * _cexp(m4pi_t12 * gamma)
+
+
+def _echo3_grad(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, ea, a, b, dpop_dbeta,
+                m4pi_t12, t12_ms, t23_ms, log_t23, t12_rt, t23_rt, log_rt):
+    g, _ = _echo3_columns(i0, _population(beta, ea, a, b), dpop_dbeta,
+                          gamma0, gamma_sd, r_sd, gamma_tls,
+                          m4pi_t12, t12_rt, t23_rt, log_rt, 6)
+    return g
+
+
+# echo3 with T_1 free: T_1 is the last parameter, so the population terms
+# are formed on every call.
+
+def _echo3_free_t1_terms(tz_s, t0_us, t12_us, t23_us):
+    delays = _echo3_delay_terms(t0_us, t12_us, t23_us)
+    tz_ms = tz_s * 1e3
+    return (tz_ms, _cexp(-delays[2] / tz_ms)) + delays
+
+
+def _echo3_free_t1(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, t1_ms, tz_ms, eb,
+                   m4pi_t12, t12_ms, t23_ms, log_t23, t12_rt, t23_rt, log_rt):
+    ea, a, b = _population_terms(t1_ms, tz_ms, t23_ms, eb)
+    return _echo3(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, ea, a, b, None,
+                  m4pi_t12, t12_ms, t23_ms, log_t23, t12_rt, t23_rt, log_rt)
+
+
+def _echo3_free_t1_grad(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, t1_ms, tz_ms, eb,
+                        m4pi_t12, t12_ms, t23_ms, log_t23, t12_rt, t23_rt, log_rt):
+    ea, a, b = _population_terms(t1_ms, tz_ms, t23_ms, eb)
+    pop = _population(beta, ea, a, b)
+    g, env = _echo3_columns(i0, pop, 0.5 * a * b, gamma0, gamma_sd, r_sd, gamma_tls,
+                            m4pi_t12, t12_rt, t23_rt, log_rt, 7)
+    # Squares are products: pow(t, 2) on a scalar is not always the
+    # correctly rounded t*t that a (B, 1) column gets.
+    t1_sq = t1_ms * t1_ms
+    dea = ea * t23_ms / t1_sq
     degenerate = _degenerate(t1_ms, tz_ms)
-    any_degenerate = np.any(degenerate)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.divide(tz_ms, tz_ms - t1_ms)
-        pop = ea + 0.5 * beta * w * (eb - ea)
-        dpop_dbeta = 0.5 * w * (eb - ea)
-    if any_degenerate:
-        pop = np.where(degenerate, ea + 0.5 * beta * (t23_ms / t1_ms) * ea, pop)
-        dpop_dbeta = np.where(degenerate, 0.5 * (t23_ms / t1_ms) * ea, dpop_dbeta)
-
-    gamma = _sd(gamma0, gamma_sd, r_sd, gamma_tls, t0_us,
-                t12_ms * 1e3, t23_ms * 1e3)
-    gsd = _sd_grad(gamma0, gamma_sd, r_sd, gamma_tls, t0_us,
-                   t12_ms * 1e3, t23_ms * 1e3)
-    env = _cexp(-FOUR_PI * t12_ms * gamma)
-    intensity = i0 * pop ** 2 * env
-
-    cols = 7 if free_t1 else 6
-    g = np.empty(intensity.shape + (cols,))
-    g[..., 0] = pop ** 2 * env
-    g[..., 1] = i0 * 2.0 * pop * dpop_dbeta * env
-    for j in range(4):
-        g[..., 2 + j] = -FOUR_PI * t12_ms * intensity * gsd[..., j]
-    if free_t1:
-        # Squares are products: pow(t, 2) on a scalar is not always the
-        # correctly rounded t*t that a (B, 1) column gets.
-        t1_sq = t1_ms * t1_ms
-        dea = ea * t23_ms / t1_sq
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dw = tz_ms / ((tz_ms - t1_ms) * (tz_ms - t1_ms))
-            dpop_dt1 = dea + 0.5 * beta * (dw * (eb - ea) - w * dea)
-        if any_degenerate:
-            dpop_dt1 = np.where(
-                degenerate,
-                dea + 0.5 * beta * (dea * t23_ms / t1_ms - ea * t23_ms / t1_sq),
-                dpop_dt1)
-        g[..., 6] = i0 * 2.0 * pop * dpop_dt1 * env
+        dw = tz_ms / ((tz_ms - t1_ms) * (tz_ms - t1_ms))
+        dpop_dt1 = dea + 0.5 * beta * (dw * (eb - ea) - w * dea)
+    if np.any(degenerate):
+        dpop_dt1 = np.where(
+            degenerate,
+            dea + 0.5 * beta * (dea * t23_ms / t1_ms - ea * t23_ms / t1_sq),
+            dpop_dt1)
+    g[..., 6] = i0 * 2.0 * pop * dpop_dt1 * env
     return g
 
 
@@ -378,7 +453,7 @@ def stimulated_echo_intensity(tl: ThreeLevelParams, sd: SpectralDiffusionParams,
         raise ValueError("t23_us must be >= t0_us")
     t12 = _asarray(t12_us, "t12_us", minimum=0.0)
     out = _echo3(tl.i0, tl.beta, sd.gamma0_khz, sd.gamma_sd_khz, sd.r_sd_khz,
-                 sd.gamma_tls_khz, tl.t1_ms, tl.tz_s, sd.t0_us, t12, t23)
+                 sd.gamma_tls_khz, *_echo3_terms(tl.t1_ms, tl.tz_s, sd.t0_us, t12, t23))
     ref = t23_us if np.ndim(t23_us) >= np.ndim(t12_us) else t12_us
     return _maybe_scalar(out, ref)
 
@@ -387,17 +462,22 @@ def stimulated_echo_intensity(tl: ThreeLevelParams, sd: SpectralDiffusionParams,
 # Field/temperature dependence of the diffusion amplitude
 # ---------------------------------------------------------------------------
 
-def _sech2(gamma_max, g, temp_k, b_t, consts=DEFAULT_CONSTANTS):
-    k = g * consts.mu_b_over_k_b * np.asarray(b_t, dtype=float) / (2.0 * temp_k)
+def _sech2_terms(temp_k, b_t, consts=DEFAULT_CONSTANTS):
+    mu = consts.mu_b_over_k_b
+    b = np.asarray(b_t, dtype=float)
+    two_t = 2.0 * temp_k
+    return mu, b, two_t, mu * b / two_t
+
+
+def _sech2(gamma_max, g, mu, b, two_t, cb):
+    k = g * mu * b / two_t
     return gamma_max / np.cosh(np.clip(k, -EXP_CLAMP, EXP_CLAMP)) ** 2
 
 
-def _sech2_grad(gamma_max, g, temp_k, b_t, consts=DEFAULT_CONSTANTS):
-    b = np.atleast_1d(np.asarray(b_t, dtype=float))
-    cb = consts.mu_b_over_k_b * b / (2.0 * temp_k)
+def _sech2_grad(gamma_max, g, mu, b, two_t, cb):
     k = np.clip(g * cb, -EXP_CLAMP, EXP_CLAMP)
     sech2 = 1.0 / np.cosh(k) ** 2
-    grad = np.empty(k.shape + (2,))
+    grad = np.empty(np.shape(k) + (2,))
     grad[..., 0] = sech2
     grad[..., 1] = -2.0 * gamma_max * sech2 * np.tanh(k) * cb
     return grad
@@ -408,4 +488,4 @@ def sech2_sd_amplitude(gamma_max_khz, g, b_t, temp_k, consts=DEFAULT_CONSTANTS):
     if temp_k <= 0:
         raise ValueError("temp_k must be > 0")
     b = _asarray(b_t, "b_t")
-    return _maybe_scalar(_sech2(gamma_max_khz, g, temp_k, b, consts), b_t)
+    return _maybe_scalar(_sech2(gamma_max_khz, g, *_sech2_terms(temp_k, b, consts)), b_t)

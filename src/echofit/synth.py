@@ -118,7 +118,7 @@ def synth_trace(spec: SynthSpec) -> EchoTrace:
         sequence = "2ppe"
         t12_fixed = None
 
-    y = np.asarray(model.eval_fn(theta, x, spec.fixed), dtype=float)
+    y = np.asarray(model.eval_fn(theta, model.prepare(x, spec.fixed)), dtype=float)
     if spec.modulation is not None:
         y = y * spec.modulation.factor(pts)
     rng = np.random.default_rng(spec.seed)
@@ -153,7 +153,7 @@ def synth_scan(model_id, true_params, condition_grid, noise=("none", 0.0),
     fixed = dict(fixed or {})
     pts = build_grid(condition_grid)
     theta = np.array([true_params[ps.name] for ps in model.params])
-    y = np.asarray(model.eval_fn(theta, pts, fixed), dtype=float)
+    y = np.asarray(model.eval_fn(theta, model.prepare(pts, fixed)), dtype=float)
     rng = np.random.default_rng(seed)
     noisy = _apply_noise(y, noise, rng)
     kind, sigma = noise

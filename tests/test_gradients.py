@@ -36,10 +36,11 @@ def test_free_t1_at_fixed_value_matches_echo3_bit_for_bit():
         theta, x, fixed = _draw_inputs("echo3", rng)
         theta_free = np.append(theta, fixed["t1_ms"])
         fixed_free = {k: v for k, v in fixed.items() if k != "t1_ms"}
-        np.testing.assert_array_equal(free.eval_fn(theta_free, x, fixed_free),
-                                      echo3.eval_fn(theta, x, fixed))
-        np.testing.assert_array_equal(free.jac_fn(theta_free, x, fixed_free)[:, :6],
-                                      echo3.jac_fn(theta, x, fixed))
+        terms_free, terms = free.prepare(x, fixed_free), echo3.prepare(x, fixed)
+        np.testing.assert_array_equal(free.eval_fn(theta_free, terms_free),
+                                      echo3.eval_fn(theta, terms))
+        np.testing.assert_array_equal(free.jac_fn(theta_free, terms_free)[:, :6],
+                                      echo3.jac_fn(theta, terms))
 
 
 @pytest.mark.parametrize("model_id", MODEL_IDS)
@@ -61,10 +62,11 @@ def test_batched_kernels_match_per_row_calls(model_id):
     theta = np.stack([d[0] for d in draws])
     x = np.stack([d[1] for d in draws])
     fixed = {k: np.array([[d[2][k]] for d in draws]) for k in draws[0][2]}
+    terms = spec.prepare(x, fixed)
     for fn in (spec.eval_fn, spec.jac_fn):
-        batch = fn(theta, x, fixed)
+        batch = fn(theta, terms)
         for k, (theta_k, x_k, fixed_k) in enumerate(draws):
-            np.testing.assert_array_equal(batch[k], fn(theta_k, x_k, fixed_k))
+            np.testing.assert_array_equal(batch[k], fn(theta_k, spec.prepare(x_k, fixed_k)))
 
 
 @pytest.mark.parametrize("model_id", MODEL_IDS)
@@ -91,7 +93,7 @@ def test_fd_jacobian_shape_and_step():
     theta = np.array([1.0, 40.0, 1.3])
     jf = finite_difference_jacobian(spec, theta, x, {})
     assert jf.shape == (11, 3)
-    ja = spec.jac_fn(theta, x, {})
+    ja = spec.jac_fn(theta, spec.prepare(x, {}))
     assert ja.shape == jf.shape
     scale = np.maximum(np.abs(ja).max(axis=0), 1e-12)
     assert np.max(np.abs(ja - jf) / scale[None, :]) < 1e-7
@@ -103,7 +105,7 @@ def test_jacobian_detects_deliberate_corruption():
     x = np.linspace(0.25, 30.0, 11)
     theta = np.array([1.0, 40.0, 1.3])
     jf = finite_difference_jacobian(spec, theta, x, {})
-    ja = spec.jac_fn(theta, x, {}).copy()
+    ja = spec.jac_fn(theta, spec.prepare(x, {})).copy()
     ja[:, 1] *= 1.001
     scale = np.maximum(np.abs(ja).max(axis=0), 1e-12)
     assert np.max(np.abs(ja - jf) / scale[None, :]) > 1e-4
@@ -118,5 +120,5 @@ def test_jacobian_columns_never_all_zero(model_id):
     from echofit.catalog import _draw_inputs
 
     theta, x, fixed = _draw_inputs(model_id, rng)
-    ja = spec.jac_fn(theta, x, fixed)
+    ja = spec.jac_fn(theta, spec.prepare(x, fixed))
     assert np.all(np.abs(ja).max(axis=0) > 0.0)
