@@ -11,15 +11,17 @@ function, which takes the fixed quantities in ``fixed_names`` order and
 then the x column(s), and a value kernel and gradient, which take the
 free parameters in ``params`` order and then the terms.  A spec binds
 them directly, with no per-model adapter: ``prepare(x, fixed)`` returns
-the terms, and ``eval_fn(theta, terms)``/``jac_fn(theta, terms)``
-evaluate from them.  The terms are the subexpressions that depend on x
-and the fixed quantities alone, so a fit prepares them once and every LM
-iteration reuses them.  Each term is an exact leading subexpression of
-the formula it stands in (``2.0 * t12`` of ``2.0 * t12 / tm``, but not
-``c * b`` of ``-g1 * c * b``, which is evaluated as ``(-g1 * c) * b``), so
-the values and Jacobians keep every bit of the direct formulas.  A term
-is either an array with one row per problem, shaped like x's rows, or a
-value of the fixed quantities alone, shared by every row.
+the terms, ``eval_fn(theta, terms)`` the values and ``jac_fn(theta,
+terms)`` the pair ``(values, Jacobian)``, whose values are byte-equal to
+``eval_fn``'s, so an LM step needs one kernel call.  The terms are the
+subexpressions that depend on x and the fixed quantities alone, so a fit
+prepares them once and every LM iteration reuses them.  Each term is an
+exact leading subexpression of the formula it stands in (``2.0 * t12``
+of ``2.0 * t12 / tm``, but not ``c * b`` of ``-g1 * c * b``, which is
+evaluated as ``(-g1 * c) * b``), so the values and Jacobians keep every
+bit of the direct formulas.  A term is either an array with one row per
+problem, shaped like x's rows, or a value of the fixed quantities alone,
+shared by every row.
 
 A fixed quantity that a derived spec frees (``echo3-free-t1``) can no
 longer be folded into the terms, so the derived spec has its own terms
@@ -33,6 +35,7 @@ kernels then see each parameter as a (B, 1) column.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -61,13 +64,20 @@ class ModelSpec:
     fixed_names: tuple
     prepare: Callable  # (x, fixed) -> tuple of terms
     eval_fn: Callable  # (theta, terms) -> (n,), or (B, n) for a (B, p) theta
-    jac_fn: Callable   # (theta, terms) -> (n, p), or (B, n, p)
+    jac_fn: Callable   # (theta, terms) -> (values, Jacobian): eval_fn's
+                       # values, bytes and all, and (n, p), or (B, n, p)
     x_columns: int     # 1 for a single axis, 2 for (t12_us, t23_us) pairs
     guess: Callable    # (x, y, fixed) -> guesses.GuessResult
 
     @property
     def param_names(self):
         return tuple(p.name for p in self.params)
+
+    @cached_property
+    def log_only(self):
+        """Whether every parameter has the log transform, so that a
+        transform is one whole-array operation."""
+        return all(p.transform == "log" for p in self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +103,8 @@ def to_internal(spec: ModelSpec, theta):
 
 def to_natural(spec: ModelSpec, u):
     u = np.asarray(u, dtype=float)
+    if spec.log_only:
+        return np.exp(u)
     theta = np.empty_like(u)
     for j, ps in enumerate(spec.params):
         if ps.transform == "log":
@@ -105,6 +117,8 @@ def to_natural(spec: ModelSpec, u):
 
 def dnatural_dinternal(spec: ModelSpec, theta):
     """Diagonal of d(natural)/d(internal) at the natural point ``theta``."""
+    if spec.log_only:
+        return np.array(theta, dtype=float)
     theta = np.asarray(theta, dtype=float)
     d = np.empty_like(theta)
     for j, ps in enumerate(spec.params):
@@ -333,7 +347,7 @@ def gradient_check(model_id, n_draws=100, seed=0):
     worst = 0.0
     for _ in range(n_draws):
         theta, x, fixed = _draw_inputs(model_id, rng)
-        ja = spec.jac_fn(theta, spec.prepare(x, fixed))
+        _, ja = spec.jac_fn(theta, spec.prepare(x, fixed))
         jf = finite_difference_jacobian(spec, theta, x, fixed)
         scale = np.maximum(np.abs(ja).max(axis=0), np.abs(jf).max(axis=0))
         scale = np.maximum(scale, 1e-12)

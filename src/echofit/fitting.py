@@ -7,22 +7,23 @@ from an SVD of the weighted residual Jacobian in natural parameter
 coordinates, scaled by the reduced sum of squares.
 
 Every fit runs in one Levenberg-Marquardt engine that steps B problems
-in lockstep: one model call, one Jacobian call, one stacked J^T r and
-J^T J and one stacked solve per iteration, whatever B is.  Each row
-keeps its own damping, stop reason and SSE trace, and its result is
-bit-identical to fitting that row alone.  ``fit`` is one row; the
-restarts of ``multi_start_fit`` share one batch; ``multi_start_batch``
-(used by ``pipeline.batch_fit_2ppe``) puts every start of every problem
-into one batch per in-window point count.  Rows of different point
-counts are never padded into one batch: padding changes how BLAS
-accumulates the sums, and so the last bits of the results.
+in lockstep: one kernel call for the values and Jacobians of the trial
+points, one stacked J^T r and J^T J and one stacked solve per iteration,
+whatever B is.  Each row keeps its own damping, stop reason and SSE
+trace, and its result is bit-identical to fitting that row alone.
+``fit`` is one row; the restarts of ``multi_start_fit`` share one batch;
+``multi_start_batch`` (used by ``pipeline.batch_fit_2ppe``) puts every
+start of every problem into one batch per in-window point count.  Rows
+of different point counts are never padded into one batch: padding
+changes how BLAS accumulates the sums, and so the last bits of the
+results.
 
 The engine computes each iteration only what changed.  The model's
 data-only terms are prepared once per batch (``ModelSpec.prepare``), and
 the engine's arrays hold the live rows only: accepted rows take their
-trial values in place, the Jacobian is evaluated for accepted rows only,
-and rows are gathered only when some stop, at which point they are
-written out and dropped.
+trial values and Jacobians in place, the rest of the step (stop tests,
+damping) runs on whole arrays, and rows are gathered only when some
+stop, at which point they are written out and dropped.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -193,31 +194,24 @@ def _problem(spec, x, y, sigma, cfg):
     return x, np.log(y) if space == "log-intensity" else y, w
 
 
-def _residuals(spec, theta, terms, target, w, space):
-    """Weighted residuals and model values of every row, and which rows
-    have a finite (and, in log space, positive) model.  ``w`` None stands
-    for unit weights, here and in ``_jacobians``."""
-    m = spec.eval_fn(theta, terms)
+def _evaluate(spec, theta, terms, target, w, space):
+    """Weighted residuals and Jacobians (in natural and in internal
+    coordinates) of every row from one ``jac_fn`` call, and which rows have
+    a finite (and, in log space, positive) model.  ``w`` None stands for
+    unit weights.  Rows that are not finite get non-finite residuals,
+    which the engine never accepts."""
+    m, jn = spec.jac_fn(theta, terms)
     finite = np.isfinite(m)
     if space == "log-intensity":
         finite &= m > 0
-    ok = finite.all(axis=-1)
-    if not ok.all():
-        # Rows that failed are dropped by the caller; keep their logs quiet.
-        m = np.where(ok[:, None], m, 1.0)
-    r = np.log(m) - target if space == "log-intensity" else m - target
-    return (r if w is None else w * r), m, ok
-
-
-def _jacobians(spec, theta, terms, m, w, space):
-    """Weighted Jacobians of every row, in natural and in internal
-    coordinates."""
-    jn = spec.jac_fn(theta, terms)
-    if space == "log-intensity":
+        r = np.log(m) - target
         jn = jn / m[..., None]
+    else:
+        r = m - target
     if w is not None:
+        r = w * r
         jn = w[..., None] * jn
-    return jn, jn * dnatural_dinternal(spec, theta)[:, None, :]
+    return r, finite.all(axis=-1), jn, jn * dnatural_dinternal(spec, theta)[:, None, :]
 
 
 def _take(terms, rows):
@@ -228,10 +222,11 @@ def _take(terms, rows):
 
 
 def _damped_solve(a, lam, g):
-    """Steps solving (a + lam I) step = -g for every row.  When a matrix is
-    singular, every row is solved on its own and that row falls back to
-    least squares."""
-    a = a + lam[:, None, None] * np.eye(a.shape[-1])
+    """Steps solving (a + lam I) step = -g for every row, adding lam to the
+    diagonal of ``a`` in place.  When a matrix is singular, every row is
+    solved on its own and that row falls back to least squares."""
+    p = a.shape[-1]
+    a.reshape(len(a), p * p)[:, ::p + 1] += lam[:, None]
     try:
         return np.linalg.solve(a, -g[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
@@ -267,47 +262,48 @@ class _Live:
     u: np.ndarray
     theta: np.ndarray
     r: np.ndarray
-    m: np.ndarray
     sse: np.ndarray
-    jn: np.ndarray = None   # weighted Jacobian in natural coordinates
-    j: np.ndarray = None    # weighted Jacobian in internal coordinates
+    jn: np.ndarray          # weighted Jacobian in natural coordinates
+    j: np.ndarray           # weighted Jacobian in internal coordinates
     lam: np.ndarray = None
 
     def take(self, keep):
         """The rows where the mask ``keep`` holds, gathered once."""
         arrays = (self.rows, self.target, self.w, self.u, self.theta, self.r,
-                  self.m, self.sse, self.jn, self.j, self.lam)
-        rows, target, w, u, theta, r, m, sse, jn, j, lam = (
+                  self.sse, self.jn, self.j, self.lam)
+        rows, target, w, u, theta, r, sse, jn, j, lam = (
             None if a is None else a[keep] for a in arrays)
-        return _Live(rows, _take(self.terms, keep), target, w, u, theta, r, m,
-                     sse, jn, j, lam)
+        return _Live(rows, _take(self.terms, keep), target, w, u, theta, r, sse,
+                     jn, j, lam)
 
 
+# Non-finite trial rows are rejected and non-finite starts fail, so their
+# overflows, NaNs and logs of zero are expected and kept quiet.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _lm(spec, terms, target, w, space, theta0, cfg):
     """Levenberg-Marquardt on B rows of equal point count, in lockstep.
 
     ``terms`` are the model's terms prepared from the (B, n) x rows (or
     (B, n, 2) pairs), target and w (B, n), or w None for unit weights,
     theta0 the (B, p) starts.  Damping follows Moré (1978): *3 on a
-    rejected step, /3 on an accepted one.  Only the live rows are held:
-    accepted rows take their trial values in place, only they get a new
-    Jacobian, and a row that stops is written out and gathered away.
-    Returns a ``_Row`` per row, or None for a row whose model or SSE is
-    not finite at its start.
+    rejected step, /3 on an accepted one.  Each iteration makes one
+    ``jac_fn`` call on the trial rows, and the accepted rows keep its
+    Jacobian.  Only the live rows are held: a row that stops is written
+    out and gathered away.  Returns a ``_Row`` per row, or None for a row
+    whose model or SSE is not finite at its start.
     """
     u = to_internal(spec, theta0)
     theta = to_natural(spec, u)
-    r, m, ok = _residuals(spec, theta, terms, target, w, space)
+    r, ok, jn, j = _evaluate(spec, theta, terms, target, w, space)
     sse = np.vecdot(r, r)
     ok &= np.isfinite(sse)
     traces = [[s] for s in sse.tolist()]
     out = [None] * len(traces)
     if not ok.any():
         return out
-    live = _Live(np.arange(len(traces)), terms, target, w, u, theta, r, m, sse)
+    live = _Live(np.arange(len(traces)), terms, target, w, u, theta, r, sse, jn, j)
     if not ok.all():
         live = live.take(ok)
-    live.jn, live.j = _jacobians(spec, live.theta, live.terms, live.m, live.w, space)
     diag_max = (live.j * live.j).sum(axis=1).max(axis=1)
     live.lam = np.where(diag_max > 0, 1e-3 * diag_max, 1e-3)
 
@@ -320,60 +316,44 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
         return live.take(~done)
 
     for it in range(1, cfg.max_iterations + 1):
-        g = np.matmul(live.j.transpose(0, 2, 1), live.r[:, :, None])[:, :, 0]
-        done = np.abs(g).max(axis=1) < cfg.tol_grad
-        if done.any():
-            live, g = stop(done, done, it), g[~done]
-            if not live.rows.size:
-                return out
         # Both operands view one buffer, so NumPy computes J^T J exactly as
         # j.T @ j does for a single matrix.
-        a = np.matmul(live.j.transpose(0, 2, 1), live.j)
-        step = _damped_solve(a, live.lam, g)
-        # A damped step shrunk to nothing: at large damping a rejected
-        # descent step implies a numerically zero gradient.
-        done = (np.abs(step).max(axis=1)
-                <= cfg.tol_step * (1.0 + np.abs(live.u).max(axis=1)))
+        jt = live.j.transpose(0, 2, 1)
+        g = np.matmul(jt, live.r[:, :, None])[:, :, 0]
+        step = _damped_solve(np.matmul(jt, live.j), live.lam, g)
+        # A vanishing gradient, or a damped step shrunk to nothing: at large
+        # damping a rejected descent step implies a numerically zero
+        # gradient.
+        done = ((np.abs(g).max(axis=1) < cfg.tol_grad)
+                | (np.abs(step).max(axis=1)
+                   <= cfg.tol_step * (1.0 + np.abs(live.u).max(axis=1))))
         if done.any():
             live, step = stop(done, done, it), step[~done]
             if not live.rows.size:
                 return out
         u_try = live.u + step
         theta_try = to_natural(spec, u_try)
-        r_try, m_try, ok_try = _residuals(spec, theta_try, live.terms, live.target,
-                                          live.w, space)
+        r_try, ok_try, jn_try, j_try = _evaluate(spec, theta_try, live.terms,
+                                                 live.target, live.w, space)
         sse_try = np.vecdot(r_try, r_try)
         better = ok_try & (sse_try < live.sse)
-
-        worse = ~better
-        lam = live.lam
-        lam[worse] = np.minimum(lam[worse] * _LAMBDA_UP, _LAMBDA_MAX)
+        converged = better & (live.sse - sse_try
+                              <= cfg.tol_sse_rel * np.maximum(sse_try, 1e-300))
+        live.lam = np.where(better, np.maximum(live.lam / _LAMBDA_DOWN, 1e-15),
+                            np.minimum(live.lam * _LAMBDA_UP, _LAMBDA_MAX))
         # Damping saturated without an acceptable step: no further progress
         # is possible.  A non-finite trial only raises the damping.
-        saturated = ok_try & worse & (lam >= _LAMBDA_MAX)
+        saturated = ok_try & ~better & (live.lam >= _LAMBDA_MAX)
 
-        converged = np.zeros_like(better)
-        if better.any():
-            sse_new = sse_try[better]
-            drop = live.sse[better] - sse_new
-            if better.all():
-                live.u, live.theta, live.r, live.m = u_try, theta_try, r_try, m_try
-                live.sse = sse_try
-                live.jn, live.j = _jacobians(spec, theta_try, live.terms, m_try,
-                                             live.w, space)
-            else:
-                live.u[better] = u_try[better]
-                live.theta[better] = theta_try[better]
-                live.r[better] = r_try[better]
-                live.m[better] = m_try[better]
-                live.sse[better] = sse_new
-                live.jn[better], live.j[better] = _jacobians(
-                    spec, live.theta[better], _take(live.terms, better),
-                    live.m[better], None if live.w is None else live.w[better], space)
-            for i, s in zip(live.rows[better].tolist(), sse_new.tolist()):
-                traces[i].append(s)
-            lam[better] = np.maximum(lam[better] / _LAMBDA_DOWN, 1e-15)
-            converged[better] = drop <= cfg.tol_sse_rel * np.maximum(sse_new, 1e-300)
+        if better.all():
+            live.u, live.theta, live.r, live.sse = u_try, theta_try, r_try, sse_try
+            live.jn, live.j = jn_try, j_try
+        elif better.any():
+            for mine, trial in ((live.u, u_try), (live.theta, theta_try), (live.r, r_try),
+                                (live.sse, sse_try), (live.jn, jn_try), (live.j, j_try)):
+                mine[better] = trial[better]
+        for i, s in zip(live.rows[better].tolist(), sse_try[better].tolist()):
+            traces[i].append(s)
 
         done = saturated | converged
         if done.any():

@@ -16,6 +16,15 @@ computes it once and every evaluation keeps its last bits (see
 parameters as (B, 1) columns and terms of (B, n) rows give (B, n) values
 and (B, n, p) gradients, each row bit-equal to the call with that row's
 scalars.
+
+A gradient returns ``(values, gradient)``, with the values byte-equal to
+the value kernel's, so the fitter makes one call per step.  Most
+gradients form the values from the subexpressions they already hold.
+Where the gradient's arithmetic differs from the value's, the values
+keep the value kernel's own expression: sech2's argument is
+``g * mu * b / two_t``, not the gradient's ``g * cb``, and echo3 takes
+its values on the delays as given, not on the round-tripped ones its
+Jacobian uses.
 """
 
 import numpy as np
@@ -75,13 +84,16 @@ def _mims_grad(i0, tm_us, x, two_t12):
     intensity = i0 * _cexp(-2.0 * ux)
     # d/dx of u^x is u^x*ln(u); the t12 = 0 sample contributes zero in the limit.
     pos = u > 0.0
-    ux_logu = np.zeros_like(u)
-    ux_logu[pos] = ux[pos] * np.log(u[pos])
+    if pos.all():
+        ux_logu = ux * np.log(u)
+    else:
+        ux_logu = np.zeros_like(u)
+        ux_logu[pos] = ux[pos] * np.log(u[pos])
     g = np.empty(u.shape + (3,))
     g[..., 0] = intensity / i0
     g[..., 1] = intensity * (2.0 * x / tm_us) * ux
     g[..., 2] = -2.0 * intensity * ux_logu
-    return g
+    return intensity, g
 
 
 def mims_intensity(p: MimsParams, t12_us):
@@ -125,13 +137,14 @@ def _field(gamma0, alpha1, alpha2, g1, g2, c, b):
 def _field_grad(gamma0, alpha1, alpha2, g1, g2, c, b):
     e1 = _cexp(-g1 * c * b)
     e2 = _cexp(-g2 * c * b)
+    rise = 1.0 - e2
     g = np.empty(np.shape(e1) + (5,))
     g[..., 0] = 1.0
     g[..., 1] = e1
-    g[..., 2] = 1.0 - e2
+    g[..., 2] = rise
     g[..., 3] = -alpha1 * c * b * e1
     g[..., 4] = alpha2 * c * b * e2
-    return g
+    return gamma0 + alpha1 * e1 + alpha2 * rise, g
 
 
 def field_linewidth(p: FieldModelParams, b_t, temp_k, consts=DEFAULT_CONSTANTS):
@@ -226,7 +239,7 @@ def _temp_grad(floor, amp, n, t, log_t):
     g[..., 0] = 1.0
     g[..., 1] = tn
     g[..., 2] = amp * tn * log_t
-    return g
+    return floor + amp * tn, g
 
 
 def temp_linewidth(p: TempModelParams, temp_k):
@@ -270,14 +283,14 @@ def _sd_parts(gamma0, gamma_sd, r_sd, gamma_tls, t12_ms, t23_ms, log_t23):
 
 
 def _sd_grad(gamma0, gamma_sd, r_sd, gamma_tls, t12_ms, t23_ms, log_t23):
-    _, d_gamma_sd, d_r_sd = _sd_parts(gamma0, gamma_sd, r_sd, gamma_tls,
-                                      t12_ms, t23_ms, log_t23)
+    gamma, d_gamma_sd, d_r_sd = _sd_parts(gamma0, gamma_sd, r_sd, gamma_tls,
+                                          t12_ms, t23_ms, log_t23)
     g = np.empty(np.shape(d_gamma_sd) + (4,))
     g[..., 0] = 1.0
     g[..., 1] = d_gamma_sd
     g[..., 2] = d_r_sd
     g[..., 3] = log_t23
-    return g
+    return gamma, g
 
 
 def sd_linewidth(p: SpectralDiffusionParams, t12_us, t23_us):
@@ -360,14 +373,17 @@ def _echo3_delay_terms(t0_us, t12_us, t23_us):
 
 
 def _echo3_columns(i0, pop, dpop_dbeta, gamma0, gamma_sd, r_sd, gamma_tls,
-                   m4pi_t12, t12_rt, t23_rt, log_rt, cols):
-    """Jacobian with its first six columns filled, and the dephasing
-    envelope the last column needs."""
+                   m4pi_t12, t12_ms, t23_ms, log_t23, t12_rt, t23_rt, log_rt, cols):
+    """Values, the Jacobian with its first six columns filled, and the
+    dephasing envelope the last column needs.  The Jacobian takes
+    Gamma_eff on the round-tripped delays and the values on the delays as
+    given, as the value kernel does."""
     gamma, d_gamma_sd, d_r_sd = _sd_parts(gamma0, gamma_sd, r_sd, gamma_tls,
                                           t12_rt, t23_rt, log_rt)
     env = _cexp(m4pi_t12 * gamma)
     pop2 = pop ** 2
-    intensity = i0 * pop2 * env
+    i0_pop2 = i0 * pop2
+    intensity = i0_pop2 * env
     g = np.empty(intensity.shape + (cols,))
     g[..., 0] = pop2 * env
     g[..., 1] = i0 * 2.0 * pop * dpop_dbeta * env
@@ -377,7 +393,9 @@ def _echo3_columns(i0, pop, dpop_dbeta, gamma0, gamma_sd, r_sd, gamma_tls,
     g[..., 3] = scale * d_gamma_sd
     g[..., 4] = scale * d_r_sd
     g[..., 5] = scale * log_rt
-    return g, env
+    value = i0_pop2 * _cexp(m4pi_t12 * _sd(gamma0, gamma_sd, r_sd, gamma_tls,
+                                           t12_ms, t23_ms, log_t23))
+    return value, g, env
 
 
 def _echo3_terms(t1_ms, tz_s, t0_us, t12_us, t23_us):
@@ -397,10 +415,10 @@ def _echo3(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, ea, a, b, dpop_dbeta,
 
 def _echo3_grad(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, ea, a, b, dpop_dbeta,
                 m4pi_t12, t12_ms, t23_ms, log_t23, t12_rt, t23_rt, log_rt):
-    g, _ = _echo3_columns(i0, _population(beta, ea, a, b), dpop_dbeta,
-                          gamma0, gamma_sd, r_sd, gamma_tls,
-                          m4pi_t12, t12_rt, t23_rt, log_rt, 6)
-    return g
+    value, g, _ = _echo3_columns(i0, _population(beta, ea, a, b), dpop_dbeta,
+                                 gamma0, gamma_sd, r_sd, gamma_tls, m4pi_t12,
+                                 t12_ms, t23_ms, log_t23, t12_rt, t23_rt, log_rt, 6)
+    return value, g
 
 
 # echo3 with T_1 free: T_1 is the last parameter, so the population terms
@@ -423,8 +441,9 @@ def _echo3_free_t1_grad(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, t1_ms, tz_m
                         m4pi_t12, t12_ms, t23_ms, log_t23, t12_rt, t23_rt, log_rt):
     ea, a, b = _population_terms(t1_ms, tz_ms, t23_ms, eb)
     pop = _population(beta, ea, a, b)
-    g, env = _echo3_columns(i0, pop, 0.5 * a * b, gamma0, gamma_sd, r_sd, gamma_tls,
-                            m4pi_t12, t12_rt, t23_rt, log_rt, 7)
+    value, g, env = _echo3_columns(i0, pop, 0.5 * a * b, gamma0, gamma_sd, r_sd,
+                                   gamma_tls, m4pi_t12, t12_ms, t23_ms, log_t23,
+                                   t12_rt, t23_rt, log_rt, 7)
     # Squares are products: pow(t, 2) on a scalar is not always the
     # correctly rounded t*t that a (B, 1) column gets.
     t1_sq = t1_ms * t1_ms
@@ -440,7 +459,7 @@ def _echo3_free_t1_grad(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, t1_ms, tz_m
             dea + 0.5 * beta * (dea * t23_ms / t1_ms - ea * t23_ms / t1_sq),
             dpop_dt1)
     g[..., 6] = i0 * 2.0 * pop * dpop_dt1 * env
-    return g
+    return value, g
 
 
 def stimulated_echo_intensity(tl: ThreeLevelParams, sd: SpectralDiffusionParams,
@@ -480,7 +499,9 @@ def _sech2_grad(gamma_max, g, mu, b, two_t, cb):
     grad = np.empty(np.shape(k) + (2,))
     grad[..., 0] = sech2
     grad[..., 1] = -2.0 * gamma_max * sech2 * np.tanh(k) * cb
-    return grad
+    # g * cb is not g * mu * b / two_t to the last bit, so the value keeps
+    # the value kernel's own argument.
+    return _sech2(gamma_max, g, mu, b, two_t, cb), grad
 
 
 def sech2_sd_amplitude(gamma_max_khz, g, b_t, temp_k, consts=DEFAULT_CONSTANTS):

@@ -22,7 +22,7 @@ from echofit.fitting import (
     uncertainties,
 )
 from echofit.guesses import initial_guess
-from echofit.pipeline import _demo_3ppe_traces, batch_fit_3ppe
+from echofit.pipeline import DEMO_FIELD_GRID_T, _demo_3ppe_traces, batch_fit_3ppe
 from echofit.params import FieldModelParams, MimsParams, TempModelParams
 from echofit.presets import (
     FIELD_7MK,
@@ -310,7 +310,8 @@ def test_multi_start_all_failures_raise():
 def _plain_lm(model_id, x, y, init, cfg, fixed):
     """One LM fit written with plain 2-D NumPy (j.T @ j, r @ r, one solve),
     for well-behaved data: the arithmetic the lockstep engine must keep.
-    Returns (params, sse_trace, n_iterations)."""
+    Returns (params, sse_trace, n_iterations, stop reason), the reason one
+    of "grad", "step", "sse", "saturated" or "max-iterations"."""
     spec = CATALOG[model_id]
     x, y, w, space = _prepare(spec, x, y, None, cfg)
     terms = spec.prepare(x, fixed)
@@ -322,7 +323,7 @@ def _plain_lm(model_id, x, y, init, cfg, fixed):
         return w * (m - y), m
 
     def jacobian(theta, m):
-        jn = spec.jac_fn(theta, terms)
+        jn = spec.jac_fn(theta, terms)[1]
         if space == "log-intensity":
             jn = jn / m[:, None]
         return w[:, None] * jn * dnatural_dinternal(spec, theta)[None, :]
@@ -334,12 +335,15 @@ def _plain_lm(model_id, x, y, init, cfg, fixed):
     j = jacobian(theta, m)
     lam = 1e-3 * float((j * j).sum(axis=0).max())
     trace = [sse]
+    reason = "max-iterations"
     for it in range(1, cfg.max_iterations + 1):
         g = j.T @ r
         if np.abs(g).max() < cfg.tol_grad:
+            reason = "grad"
             break
         step = np.linalg.solve(j.T @ j + lam * np.eye(u.size), -g)
         if np.abs(step).max() <= cfg.tol_step * (1.0 + np.abs(u).max()):
+            reason = "step"
             break
         theta_try = to_natural(spec, u + step)
         r_try, m_try = residuals(theta_try)
@@ -351,12 +355,18 @@ def _plain_lm(model_id, x, y, init, cfg, fixed):
             j = jacobian(theta, m)
             lam = max(lam / 3.0, 1e-15)
             if drop <= cfg.tol_sse_rel * sse:
+                reason = "sse"
                 break
         else:
             lam = min(lam * 3.0, 1e12)
             if lam >= 1e12:
+                reason = "saturated"
                 break
-    return dict(zip(spec.param_names, theta.tolist())), trace, it
+    return dict(zip(spec.param_names, theta.tolist())), trace, it, reason
+
+
+# Stop reasons of _plain_lm that a fit reports as converged.
+_CONVERGED = ("grad", "step", "sse")
 
 
 def _assert_best_of_single_starts(res, model_id, x, y, init, cfg, fixed):
@@ -370,9 +380,9 @@ def _assert_best_of_single_starts(res, model_id, x, y, init, cfg, fixed):
             single = fit(model_id, x, y, start, cfg=cfg, fixed=fixed)
         except FitError:
             continue
-        params, trace, iterations = _plain_lm(model_id, x, y, start, cfg, fixed)
-        assert (single.params, single.sse_trace, single.n_iterations) == \
-            (params, trace, iterations)
+        params, trace, iterations, reason = _plain_lm(model_id, x, y, start, cfg, fixed)
+        assert (single.params, single.sse_trace, single.n_iterations, single.converged) == \
+            (params, trace, iterations, reason in _CONVERGED)
         singles.append(single)
     best = min(singles, key=lambda r: r.sse)
     assert res.params == best.params
@@ -380,6 +390,65 @@ def _assert_best_of_single_starts(res, model_id, x, y, init, cfg, fixed):
     assert res.n_iterations == best.n_iterations
     assert res.sse_trace == best.sse_trace
     assert res.flags == best.flags
+
+
+def _noisy_mims_optimum():
+    """Noisy mims data and the parameters a default fit ends at."""
+    t, y = _mims_data(noise=("multiplicative", 0.02), seed=14)
+    return t, y, fit("mims", t, y, MIMS_TRUTH).params
+
+
+def _scaled(params, factor):
+    return {k: v * factor for k, v in params.items()}
+
+
+FAR_MIMS_START = {"i0": 2.0, "tm_us": 10.0, "x": 0.8}
+
+
+def _stop_cases():
+    """(name, x, y, init, cfg, stop reason, iteration) of single mims fits
+    that end in each stop branch of the engine."""
+    t0, y0 = _mims_data()
+    t, y, opt = _noisy_mims_optimum()
+    return [
+        ("start at the noiseless truth", t0, y0, MIMS_TRUTH, FitConfig(), "grad", 1),
+        ("step shrinks below tol_step", t, y, _scaled(opt, 1 + 1e-4),
+         FitConfig(tol_step=1e-6), "step", 3),
+        ("sse drop below tol_sse_rel", t, y, FAR_MIMS_START, FitConfig(), "sse", 6),
+        ("max_iterations=3", t, y, FAR_MIMS_START, FitConfig(max_iterations=3),
+         "max-iterations", 3),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_each_stop_branch_equals_the_plain_loop(case):
+    name, x, y, init, cfg, reason, iterations = _stop_cases()[case]
+    params, trace, it, plain_reason = _plain_lm("mims", x, y, init, cfg, {})
+    assert (plain_reason, it) == (reason, iterations), name
+    res = fit("mims", x, y, init, cfg=cfg)
+    assert (res.params, res.sse_trace, res.n_iterations, res.converged) == \
+        (params, trace, it, reason in _CONVERGED), name
+    assert ("not-converged" in res.flags) == (reason not in _CONVERGED)
+
+
+def test_rows_stopping_by_different_branches_in_one_iteration():
+    # the grad-tol and step-tol tests share one write-out, and the sse-tol
+    # test has its own, all in iteration 1; a far start keeps stepping
+    t0, y0 = _mims_data()
+    t, y, opt = _noisy_mims_optimum()
+    cfg = FitConfig(tol_step=1e-6, tol_sse_rel=1e-4)
+    problems = [(t0, y0, MIMS_TRUTH, None),
+                (t, y, _scaled(opt, 1 + 1e-8), None),
+                (t, y, _scaled(opt, 1 + 1e-5), None),
+                (t, y, FAR_MIMS_START, None)]
+    stops = [_plain_lm("mims", x, yy, init, cfg, {})[2:] for x, yy, init, _ in problems]
+    assert stops[:3] == [(1, "grad"), (1, "step"), (1, "sse")]
+    assert stops[3][0] > 1
+    for res, (x, yy, init, _) in zip(multi_start_batch("mims", problems, cfg=cfg), problems):
+        lone = fit("mims", x, yy, init, cfg=cfg)
+        assert (res.params, res.sse, res.n_iterations, res.sse_trace, res.converged,
+                res.flags) == (lone.params, lone.sse, lone.n_iterations, lone.sse_trace,
+                               lone.converged, lone.flags)
 
 
 @pytest.mark.parametrize("model_id", sorted(CATALOG))
@@ -541,6 +610,19 @@ def test_start_with_overflowing_sse_is_not_fitted():
             fit("mims", t, y, init, cfg=cfg)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_start_fails_without_warnings():
+    # the engine rejects or fails non-finite rows itself, so the overflows
+    # on the way there are not reported as warnings
+    t, y = _mims_data()
+    init = {"i0": 1.2e308, "tm_us": 40, "x": 1.3}
+    cfg = FitConfig(restarts=6, residual_space="linear")
+    with pytest.raises(FitError) as exc:
+        multi_start_fit("mims", t, y, init, cfg=cfg)
+    assert str(exc.value) == "all restarts failed: " + "; ".join(
+        ["model is not finite at the initial parameters"] * 3)
+
+
 def test_covariance_of_an_overflowed_jacobian_bounds_nothing():
     j = np.ones((10, 3))
     j[4, 1] = np.inf
@@ -602,6 +684,37 @@ def test_batch_entries_equal_their_lone_fits(specs, restarts, window, seed):
             (lone.params, lone.sse, lone.n_iterations, lone.sse_trace, lone.flags)
 
 
+def _invariant_problem(model_id, seed):
+    """(x, y, init, fixed) of a noisy mims decay or 14-point field scan,
+    with jittered truth and a start jittered from it."""
+    rng = np.random.default_rng(seed)
+    if model_id == "mims":
+        truth, fixed = _jitter(MIMS_TRUTH, rng), {}
+        x = build_grid((0.25, 30.0, int(rng.integers(12, 51)), "log"))
+    else:
+        truth, fixed = _jitter(FIELD_7MK.to_dict(), rng), {"temp_k": 0.007}
+        x = np.array(DEMO_FIELD_GRID_T)
+    spec = CATALOG[model_id]
+    y = spec.eval_fn(np.array([truth[n] for n in spec.param_names]), spec.prepare(x, fixed))
+    y = y * (1.0 + 0.03 * rng.standard_normal(y.shape))
+    return x, y, _jitter(truth, rng, frac=0.5), fixed
+
+
+@given(st.sampled_from(["mims", "field"]), st.integers(0, 2**16), st.integers(1, 5),
+       st.integers(0, 100))
+@settings(max_examples=40, deadline=None)
+def test_multi_start_is_never_worse_than_its_first_start(model_id, data_seed, restarts,
+                                                         seed):
+    x, y, init, fixed = _invariant_problem(model_id, data_seed)
+    cfg = FitConfig(restarts=restarts, seed=seed)
+    try:
+        first = fit(model_id, x, y, init, cfg=cfg, fixed=fixed)
+    except FitError:
+        return  # the other starts may still fit; nothing to compare
+    best = multi_start_fit(model_id, x, y, init, cfg=cfg, fixed=fixed)
+    assert best.sse <= first.sse
+
+
 @pytest.mark.parametrize("model_id", sorted(CATALOG))
 def test_fit_agrees_with_scipy_levenberg_marquardt(model_id):
     # the same internal-space residuals, minimised by MINPACK's LM
@@ -624,7 +737,7 @@ def test_fit_agrees_with_scipy_levenberg_marquardt(model_id):
 
     def jacobian(u):
         theta = to_natural(spec, u)
-        jn = spec.jac_fn(theta, terms)
+        jn = spec.jac_fn(theta, terms)[1]
         if log_space:
             jn = jn / spec.eval_fn(theta, terms)[:, None]
         return w[:, None] * jn * dnatural_dinternal(spec, theta)[None, :]

@@ -39,8 +39,8 @@ def test_free_t1_at_fixed_value_matches_echo3_bit_for_bit():
         terms_free, terms = free.prepare(x, fixed_free), echo3.prepare(x, fixed)
         np.testing.assert_array_equal(free.eval_fn(theta_free, terms_free),
                                       echo3.eval_fn(theta, terms))
-        np.testing.assert_array_equal(free.jac_fn(theta_free, terms_free)[:, :6],
-                                      echo3.jac_fn(theta, terms))
+        np.testing.assert_array_equal(free.jac_fn(theta_free, terms_free)[1][:, :6],
+                                      echo3.jac_fn(theta, terms)[1])
 
 
 @pytest.mark.parametrize("model_id", MODEL_IDS)
@@ -62,11 +62,15 @@ def test_batched_kernels_match_per_row_calls(model_id):
     theta = np.stack([d[0] for d in draws])
     x = np.stack([d[1] for d in draws])
     fixed = {k: np.array([[d[2][k]] for d in draws]) for k in draws[0][2]}
-    terms = spec.prepare(x, fixed)
-    for fn in (spec.eval_fn, spec.jac_fn):
-        batch = fn(theta, terms)
-        for k, (theta_k, x_k, fixed_k) in enumerate(draws):
-            np.testing.assert_array_equal(batch[k], fn(theta_k, spec.prepare(x_k, fixed_k)))
+
+    def calls(theta, terms):
+        # the values, then jac_fn's values and Jacobian
+        return (spec.eval_fn(theta, terms),) + spec.jac_fn(theta, terms)
+
+    batch = calls(theta, spec.prepare(x, fixed))
+    for k, (theta_k, x_k, fixed_k) in enumerate(draws):
+        for whole, lone in zip(batch, calls(theta_k, spec.prepare(x_k, fixed_k))):
+            np.testing.assert_array_equal(whole[k], lone)
 
 
 @pytest.mark.parametrize("model_id", MODEL_IDS)
@@ -93,7 +97,7 @@ def test_fd_jacobian_shape_and_step():
     theta = np.array([1.0, 40.0, 1.3])
     jf = finite_difference_jacobian(spec, theta, x, {})
     assert jf.shape == (11, 3)
-    ja = spec.jac_fn(theta, spec.prepare(x, {}))
+    _, ja = spec.jac_fn(theta, spec.prepare(x, {}))
     assert ja.shape == jf.shape
     scale = np.maximum(np.abs(ja).max(axis=0), 1e-12)
     assert np.max(np.abs(ja - jf) / scale[None, :]) < 1e-7
@@ -105,7 +109,7 @@ def test_jacobian_detects_deliberate_corruption():
     x = np.linspace(0.25, 30.0, 11)
     theta = np.array([1.0, 40.0, 1.3])
     jf = finite_difference_jacobian(spec, theta, x, {})
-    ja = spec.jac_fn(theta, spec.prepare(x, {})).copy()
+    ja = spec.jac_fn(theta, spec.prepare(x, {}))[1].copy()
     ja[:, 1] *= 1.001
     scale = np.maximum(np.abs(ja).max(axis=0), 1e-12)
     assert np.max(np.abs(ja - jf) / scale[None, :]) > 1e-4
@@ -120,5 +124,5 @@ def test_jacobian_columns_never_all_zero(model_id):
     from echofit.catalog import _draw_inputs
 
     theta, x, fixed = _draw_inputs(model_id, rng)
-    ja = spec.jac_fn(theta, spec.prepare(x, fixed))
+    _, ja = spec.jac_fn(theta, spec.prepare(x, fixed))
     assert np.all(np.abs(ja).max(axis=0) > 0.0)

@@ -1,11 +1,12 @@
 """Prepared model terms against the direct formulas, bit for bit.
 
 The catalog evaluates every model from terms prepared once from x and the
-fixed quantities.  The reference kernels below are the direct formulas
-that take the fixed quantities and the x columns on every call, kept here
-as the arithmetic the prepared path must reproduce exactly: a term that
-is not an exact leading subexpression of its formula changes last bits,
-and the LM iteration counts with them.
+fixed quantities, and each gradient returns the values with the
+Jacobian.  The reference kernels below are the direct formulas that take
+the fixed quantities and the x columns on every call, kept here as the
+arithmetic the prepared path must reproduce exactly: a term that is not
+an exact leading subexpression of its formula changes last bits, and the
+LM iteration counts with them.
 """
 
 import functools
@@ -164,8 +165,21 @@ def test_reference_covers_the_catalog():
     assert sorted(REFERENCE) == sorted(CATALOG)
 
 
+def _assert_prepared_equal_direct(spec, value, grad, fixed_names, theta, x, fixed):
+    """eval_fn and jac_fn's Jacobian against the direct formulas, and
+    jac_fn's values against eval_fn's, in shape and bytes."""
+    terms = spec.prepare(x, fixed)
+    values = spec.eval_fn(theta, terms)
+    jac_values, jac = spec.jac_fn(theta, terms)
+    assert values.tobytes() == _direct(value, fixed_names, theta, x, fixed).tobytes()
+    assert (jac_values.shape, jac_values.tobytes()) == (values.shape, values.tobytes())
+    assert jac.tobytes() == _direct(grad, fixed_names, theta, x, fixed).tobytes()
+
+
 @pytest.mark.parametrize("model_id", sorted(CATALOG))
 def test_prepared_kernels_equal_the_direct_formulas(model_id):
+    # jac_fn returns (values, Jacobian); the engine fits on those values,
+    # so they must be eval_fn's to the last bit
     spec = CATALOG[model_id]
     value, grad, fixed_names = REFERENCE[model_id]
     rng = np.random.default_rng(41)
@@ -180,16 +194,8 @@ def test_prepared_kernels_equal_the_direct_formulas(model_id):
             theta = np.append(theta[:-1], t1_ms)
         draws[0] = (theta, x, fixed)
     for theta, x, fixed in draws:
-        terms = spec.prepare(x, fixed)
-        assert spec.eval_fn(theta, terms).tobytes() == \
-            _direct(value, fixed_names, theta, x, fixed).tobytes()
-        assert spec.jac_fn(theta, terms).tobytes() == \
-            _direct(grad, fixed_names, theta, x, fixed).tobytes()
+        _assert_prepared_equal_direct(spec, value, grad, fixed_names, theta, x, fixed)
     theta = np.stack([d[0] for d in draws])
     x = np.stack([d[1] for d in draws])
     fixed = {k: np.array([[d[2][k]] for d in draws]) for k in draws[0][2]}
-    terms = spec.prepare(x, fixed)
-    assert spec.eval_fn(theta, terms).tobytes() == \
-        _direct(value, fixed_names, theta, x, fixed).tobytes()
-    assert spec.jac_fn(theta, terms).tobytes() == \
-        _direct(grad, fixed_names, theta, x, fixed).tobytes()
+    _assert_prepared_equal_direct(spec, value, grad, fixed_names, theta, x, fixed)
