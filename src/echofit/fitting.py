@@ -12,11 +12,12 @@ points, one stacked J^T r and J^T J and one stacked solve per iteration,
 whatever B is.  Each row keeps its own damping, stop reason and SSE
 trace, and its result is bit-identical to fitting that row alone.
 ``fit`` is one row; the restarts of ``multi_start_fit`` share one batch;
-``multi_start_batch`` (used by ``pipeline.batch_fit_2ppe``) puts every
-start of every problem into one batch per in-window point count.  Rows
-of different point counts are never padded into one batch: padding
-changes how BLAS accumulates the sums, and so the last bits of the
-results.
+``multi_start_batch`` (used by both ``pipeline`` batch runners) puts
+every start of every problem into one batch per in-window point count,
+each problem's fixed values (T1, T_Z, t0, temperature) stacked as (B, 1)
+columns, so problems at different conditions share a batch.  Rows of
+different point counts are never padded into one batch: padding changes
+how BLAS accumulates the sums, and so the last bits of the results.
 
 The engine computes each iteration only what changed.  The model's
 data-only terms are prepared once per batch (``ModelSpec.prepare``), and
@@ -51,15 +52,14 @@ class FitConfig:
     """Settings shared by all fits.
 
     residual_space "auto" resolves to log-intensity for decay models and
-    linear for linewidth models.  weights "auto" resolves to uniform in
-    log space and relative (sigma proportional to observed) in linear
-    space when no per-point sigma is supplied.  The window, when set,
-    masks the independent time axis of 1-D traces; masked points have no
-    influence on the result at all.
+    linear for linewidth models.  Without a per-point sigma, residuals are
+    unweighted in log space and relative (sigma proportional to observed)
+    in linear space.  The window, when set, masks the independent time
+    axis of 1-D traces; masked points have no influence on the result at
+    all.
     """
 
     residual_space: str = "auto"    # "linear" | "log-intensity" | "auto"
-    weights: str = "auto"           # "uniform" | "relative" | "auto"
     max_iterations: int = 200
     tol_sse_rel: float = 1e-12
     tol_grad: float = 1e-10
@@ -77,8 +77,6 @@ class FitConfig:
             raise ValueError("restarts must be >= 1")
         if self.residual_space not in ("auto", "linear", "log-intensity"):
             raise ValueError(f"unknown residual_space {self.residual_space!r}")
-        if self.weights not in ("auto", "uniform", "relative"):
-            raise ValueError(f"unknown weights {self.weights!r}")
         if self.window is not None:
             lo, hi = self.window
             if hi is not None and lo is not None and hi <= lo:
@@ -143,11 +141,15 @@ def _prepare(spec, x, y, sigma, cfg):
         n = x.size
     if y.shape != (n,):
         raise FitError("x and y lengths disagree")
+    if not np.all(np.isfinite(x)):
+        raise FitError("x values must be finite")
+    if not np.all(np.isfinite(y)):
+        raise FitError("y values must be finite")
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (n,):
             raise FitError("sigma length disagrees with data")
-        if np.any(sigma <= 0):
+        if not np.all(sigma > 0):
             raise FitError("sigma values must be > 0")
 
     if cfg.window is not None and spec.x_columns == 1:
@@ -164,15 +166,10 @@ def _prepare(spec, x, y, sigma, cfg):
 
     if sigma is not None:
         w = 1.0 / sigma if space == "linear" else y / sigma
+    elif space == "linear":
+        w = 1.0 / np.maximum(np.abs(y), 1e-30)
     else:
-        mode = cfg.weights
-        if mode == "auto":
-            mode = "uniform" if space == "log-intensity" else "relative"
-        if mode == "uniform":
-            w = np.ones(y.shape)
-        else:
-            scale = np.maximum(np.abs(y), 1e-30)
-            w = 1.0 / scale if space == "linear" else np.ones(y.shape)
+        w = np.ones(y.shape)
     return x, y, w, space
 
 
@@ -365,9 +362,10 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
     return out
 
 
-def _fit_rows(spec, rows, fixed, cfg):
-    """Run ``(x, target, w, theta0)`` rows through the engine, one lockstep
-    batch per point count, each prepared once; returns their ``_Row`` or
+def _fit_rows(spec, rows, cfg):
+    """Run ``(x, target, w, theta0, fixed)`` rows through the engine, one
+    lockstep batch per point count, each prepared once with its rows'
+    fixed values stacked as (B, 1) columns; returns their ``_Row`` or
     None."""
     space = _resolve_space(spec, cfg)
     out = [None] * len(rows)
@@ -377,6 +375,8 @@ def _fit_rows(spec, rows, fixed, cfg):
     for members in groups.values():
         x, target, w, theta0 = (np.stack([rows[i][k] for i in members])
                                 for k in range(4))
+        fixed = {name: np.array([[rows[i][4][name]] for i in members], dtype=float)
+                 for name in spec.fixed_names}
         # Unit weights, as in every log-space fit without sigma, are left
         # out of the loop: 1.0 * a == a, bit for bit.
         if np.all(w == 1.0):
@@ -451,7 +451,7 @@ def fit(model_id, x, y, init, *, sigma=None, cfg=None, fixed=None):
     fixed = _check_fixed(spec, fixed)
     x, target, w = _problem(spec, x, y, sigma, cfg)
     theta0 = [float(init[ps.name]) for ps in spec.params]
-    (row,) = _fit_rows(spec, [(x, target, w, theta0)], fixed, cfg)
+    (row,) = _fit_rows(spec, [(x, target, w, theta0, fixed)], cfg)
     if row is None:
         raise FitError(_NOT_FINITE)
     return _result(spec, row, target.size, fixed)
@@ -512,10 +512,12 @@ def _all_failed(reasons):
     return FitError("all restarts failed: " + "; ".join(reasons[:3]))
 
 
-def multi_start_batch(model_id, problems, *, cfg=None, fixed=None):
-    """:func:`multi_start_fit` of every ``(x, y, init, sigma)`` problem,
-    with all starts of all problems fitted in lockstep.
+def multi_start_batch(model_id, problems, *, cfg=None):
+    """:func:`multi_start_fit` of every ``(x, y, init, sigma, fixed)``
+    problem, with all starts of all problems fitted in lockstep.
 
+    Each problem carries its own fixed values (None when the model has
+    none), so problems of one model at different conditions share a batch.
     Returns one entry per problem: its FitResult, or the FitError (or
     ValueError) that fitting it alone would raise.  A problem that fails
     leaves the other entries unchanged.
@@ -524,10 +526,10 @@ def multi_start_batch(model_id, problems, *, cfg=None, fixed=None):
     cfg = cfg or FitConfig()
     factors = _jitter_factors(spec, cfg)
     out, rows, owner = [], [], []
-    for x, y, init, sigma in problems:
+    for x, y, init, sigma, fixed in problems:
         trials = _starts(spec, init, factors)
         try:
-            _check_fixed(spec, fixed)
+            fixed = _check_fixed(spec, fixed)
             data = _problem(spec, x, y, sigma, cfg)
             theta0 = [[float(t[ps.name]) for ps in spec.params] for t in trials]
         except FitError as exc:
@@ -537,21 +539,21 @@ def multi_start_batch(model_id, problems, *, cfg=None, fixed=None):
             out.append(exc)
             continue
         out.append(None)
-        rows.extend(data + (t0,) for t0 in theta0)
+        rows.extend(data + (t0, fixed) for t0 in theta0)
         owner.extend([len(out) - 1] * len(theta0))
 
-    fitted = _fit_rows(spec, rows, dict(fixed or {}), cfg)
+    fitted = _fit_rows(spec, rows, cfg)
     by_problem = {}
     for i, data, row in zip(owner, rows, fitted):
-        by_problem.setdefault(i, (data[1].size, []))[1].append(row)
-    for i, (n, done) in by_problem.items():
+        by_problem.setdefault(i, (data[1].size, data[4], []))[2].append(row)
+    for i, (n, fixed, done) in by_problem.items():
         results = [row for row in done if row is not None]
         if not results:
             out[i] = _all_failed([_NOT_FINITE] * len(done))
             continue
         best = min(results, key=lambda row: row.sse)
         agree = sum(1 for row in results if row.sse <= best.sse * 1.01 + 1e-300)
-        out[i] = _result(spec, best, n, dict(fixed or {}), agree)
+        out[i] = _result(spec, best, n, fixed, agree)
     return out
 
 
@@ -564,7 +566,7 @@ def multi_start_fit(model_id, x, y, init, *, sigma=None, cfg=None, fixed=None):
     one lockstep batch.  Returns the lowest-SSE result, with the count of
     restarts whose SSE agrees with it within 1%.
     """
-    (res,) = multi_start_batch(model_id, [(x, y, init, sigma)], cfg=cfg, fixed=fixed)
+    (res,) = multi_start_batch(model_id, [(x, y, init, sigma, fixed)], cfg=cfg)
     if isinstance(res, Exception):
         raise res
     return res

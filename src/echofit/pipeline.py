@@ -41,6 +41,63 @@ def _condition_value(trace, axis):
     return trace.temperature_k if axis == "temperature" else trace.field_t
 
 
+def _fit_scan(model_id, axis, rows, readout, cfg):
+    """Tables and fits of a condition scan, all rows fitted in one
+    :func:`fitting.multi_start_batch` call.
+
+    ``rows`` are ``(condition, problem)``, problem being ``(x, y, fixed,
+    flags)`` or the error that stopped its preparation.  Each problem is
+    guessed on the samples its fit sees, so its result equals
+    ``initial_guess`` plus ``multi_start_fit`` on it alone.  ``readout``
+    maps each quantity to a function giving a FitResult's ``(value,
+    stderr)``.  A failed row keeps its place, NaN and ``failed:``-flagged.
+    """
+    guessed, problems = [], []
+    for _, problem in rows:
+        guess = problem
+        if not isinstance(problem, Exception):
+            x, y, fixed, _ = problem
+            seen = window_mask(x, cfg.window) if x.ndim == 1 else slice(None)
+            try:
+                guess = initial_guess(model_id, x[seen], y[seen], fixed)
+                problems.append((x, y, guess.params, None, fixed))
+            except ValueError as exc:
+                guess = exc
+        guessed.append(guess)
+    outcomes = iter(multi_start_batch(model_id, problems, cfg=cfg))
+
+    fits, flags, cells = [], [], []
+    for (_, problem), guess in zip(rows, guessed):
+        res = guess if isinstance(guess, Exception) else next(outcomes)
+        if isinstance(res, Exception):
+            fits.append(None)
+            flags.append(f"failed: {res}")
+            cells.append([(np.nan, np.nan)] * len(readout))
+            continue
+        fits.append(res)
+        degenerate = ("guess-degenerate",) if guess.degenerate else ()
+        flags.append(";".join(res.flags + problem[3] + degenerate))
+        cells.append([read(res) for read in readout.values()])
+    cond = [condition for condition, _ in rows]
+    cells = np.array(cells)
+    tables = {q: ScanTable(axis, q, np.array(cond), cells[:, k, 0], cells[:, k, 1],
+                           list(flags))
+              for k, q in enumerate(readout)}
+    return tables, fits
+
+
+def _param(name):
+    """Readout of one fitted parameter and its standard error."""
+    return lambda res: (res.params[name], res.stderr[name])
+
+
+def _gamma_eff(res):
+    """Linewidth from the fitted phase-memory time, with first-order error
+    propagation."""
+    tm, s_tm = res.params["tm_us"], res.stderr["tm_us"]
+    return models.gamma_eff_from_tm(tm), 1e3 * s_tm / (np.pi * tm ** 2)
+
+
 def batch_fit_2ppe(traces, cfg=None, normalize=False):
     """Per-trace stretched-exponential fits over a condition scan.
 
@@ -62,63 +119,17 @@ def batch_fit_2ppe(traces, cfg=None, normalize=False):
     cfg = cfg or FitConfig(window=DEFAULT_2PPE_WINDOW, restarts=4)
     axis = _condition_axis(traces)
 
-    # Guess every trace; a trace that cannot be guessed keeps its error.
-    guessed, problems = [], []
+    rows = []
     for tr in traces:
-        x = tr.time_us
-        y = tr.intensity
-        try:
-            mask = window_mask(x, cfg.window)
-            if normalize:
-                if not np.any(mask) or np.max(y[mask]) <= 0:
-                    raise FitError("no positive in-window intensity to normalize by")
-                y = y / np.max(y[mask])
-            guess = initial_guess("mims", x[mask], y[mask])
-        except (FitError, ValueError) as exc:
-            guessed.append(exc)
-            continue
-        guessed.append(guess)
-        problems.append((x, y, guess.params, None))
-    outcomes = iter(multi_start_batch("mims", problems, cfg=cfg))
-
-    cond, fits, flags = [], [], []
-    vals = {q: [] for q in ("gamma_eff", "i0", "x")}
-    errs = {q: [] for q in ("gamma_eff", "i0", "x")}
-    for tr, guess in zip(traces, guessed):
-        cond.append(_condition_value(tr, axis))
-        try:
-            if isinstance(guess, Exception):
-                raise guess
-            res = next(outcomes)
-            if isinstance(res, Exception):
-                raise res
-            tm, s_tm = res.params["tm_us"], res.stderr["tm_us"]
-            gamma = models.gamma_eff_from_tm(tm)
-            s_gamma = 1e3 * s_tm / (np.pi * tm ** 2)
-            vals["gamma_eff"].append(gamma)
-            errs["gamma_eff"].append(s_gamma)
-            vals["i0"].append(res.params["i0"])
-            errs["i0"].append(res.stderr["i0"])
-            vals["x"].append(res.params["x"])
-            errs["x"].append(res.stderr["x"])
-            row_flags = list(res.flags)
-            if guess.degenerate:
-                row_flags.append("guess-degenerate")
-            flags.append(";".join(row_flags))
-            fits.append(res)
-        except (FitError, ValueError) as exc:
-            for q in vals:
-                vals[q].append(np.nan)
-                errs[q].append(np.nan)
-            flags.append(f"failed: {exc}")
-            fits.append(None)
-
-    tables = {
-        q: ScanTable(axis, q, np.array(cond), np.array(vals[q]),
-                     np.array(errs[q]), list(flags))
-        for q in ("gamma_eff", "i0", "x")
-    }
-    return tables, fits
+        x, y = tr.time_us, tr.intensity
+        mask = window_mask(x, cfg.window)
+        if normalize and (not np.any(mask) or np.max(y[mask]) <= 0):
+            problem = FitError("no positive in-window intensity to normalize by")
+        else:
+            problem = (x, y / np.max(y[mask]) if normalize else y, {}, ())
+        rows.append((_condition_value(tr, axis), problem))
+    readout = {"gamma_eff": _gamma_eff, "i0": _param("i0"), "x": _param("x")}
+    return _fit_scan("mims", axis, rows, readout, cfg)
 
 
 def _resolve_tz(fixed, temperature_k, field_t):
@@ -139,10 +150,13 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
     time of the condition.  T1 is fixed (default 9 ms) unless
     fixed["free_t1"] is true; the sublevel lifetime comes from
     fixed["tz_s"] or a per-condition fixed["tz_table"], defaulting to
-    1 s with an "tz-assumed" flag.
+    1 s with an "tz-assumed" flag.  Every condition is guessed first; then
+    all conditions' restarts are fitted in lockstep, each with its own
+    fixed values, and each condition's result equals ``multi_start_fit``
+    on that condition alone.
 
     Returns ``(tables, fits)`` with one table per fitted quantity
-    (gamma0, gamma_tls, gamma_sd, r_sd, beta).
+    (gamma0, gamma_tls, gamma_sd, r_sd, beta), one row per condition.
     """
     traces = list(traces)
     if not traces:
@@ -159,16 +173,10 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
     for tr in traces:
         groups.setdefault((tr.temperature_k, tr.field_t), []).append(tr)
 
-    quantities = ("gamma0", "gamma_tls", "gamma_sd", "r_sd", "beta")
-    param_of = {"gamma0": "gamma0_khz", "gamma_tls": "gamma_tls_khz",
-                "gamma_sd": "gamma_sd_khz", "r_sd": "r_sd_khz", "beta": "beta"}
-    cond, fits, flags = [], [], []
-    vals = {q: [] for q in quantities}
-    errs = {q: [] for q in quantities}
-
+    rows = []
     for (temp_k, field_t) in sorted(groups):
         members = groups[(temp_k, field_t)]
-        cond.append(temp_k if axis == "temperature" else field_t)
+        condition = temp_k if axis == "temperature" else field_t
         try:
             x = np.concatenate([
                 np.column_stack([np.full(tr.n_points, tr.t12_us), tr.time_us])
@@ -179,32 +187,14 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
             fit_fixed = {"tz_s": tz_s, "t0_us": t0_us}
             if not fixed.get("free_t1"):
                 fit_fixed["t1_ms"] = float(fixed.get("t1_ms", 9.0))
-            guess = initial_guess(model_id, x, y, fit_fixed)
-            res = multi_start_fit(model_id, x, y, guess.params, cfg=cfg,
-                                  fixed=fit_fixed)
-            row_flags = list(res.flags)
-            if assumed:
-                row_flags.append("tz-assumed")
-            if guess.degenerate:
-                row_flags.append("guess-degenerate")
-            for q in quantities:
-                vals[q].append(res.params[param_of[q]])
-                errs[q].append(res.stderr[param_of[q]])
-            flags.append(";".join(row_flags))
-            fits.append(res)
-        except (FitError, ValueError) as exc:
-            for q in quantities:
-                vals[q].append(np.nan)
-                errs[q].append(np.nan)
-            flags.append(f"failed: {exc}")
-            fits.append(None)
-
-    tables = {
-        q: ScanTable(axis, q, np.array(cond), np.array(vals[q]),
-                     np.array(errs[q]), list(flags))
-        for q in quantities
-    }
-    return tables, fits
+        except ValueError as exc:
+            rows.append((condition, exc))
+            continue
+        rows.append((condition, (x, y, fit_fixed, ("tz-assumed",) if assumed else ())))
+    readout = {"gamma0": _param("gamma0_khz"), "gamma_tls": _param("gamma_tls_khz"),
+               "gamma_sd": _param("gamma_sd_khz"), "r_sd": _param("r_sd_khz"),
+               "beta": _param("beta")}
+    return _fit_scan(model_id, axis, rows, readout, cfg)
 
 
 def emit_report(tables, fits, destination, extra_lines=(), fmt="%.6g"):

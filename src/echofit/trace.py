@@ -44,6 +44,8 @@ class EchoTrace:
         self.intensity = np.asarray(self.intensity, dtype=float)
         if self.time_ms.ndim != 1 or self.time_ms.shape != self.intensity.shape:
             raise ValueError("time and intensity must be 1-D and equal length")
+        if not np.all(np.isfinite(self.time_ms)):
+            raise ValueError("times must be finite")
         if self.time_ms.size and np.any(np.diff(self.time_ms) <= 0):
             raise ValueError("times must be strictly increasing")
         if not np.all(np.isfinite(self.intensity)):

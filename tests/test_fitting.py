@@ -23,7 +23,7 @@ from echofit.fitting import (
 )
 from echofit.guesses import initial_guess
 from echofit.pipeline import DEMO_FIELD_GRID_T, _demo_3ppe_traces, batch_fit_3ppe
-from echofit.params import FieldModelParams, MimsParams, TempModelParams
+from echofit.params import FieldModelParams, TempModelParams
 from echofit.presets import (
     FIELD_7MK,
     SD_7MK_009T,
@@ -227,11 +227,30 @@ def test_log_space_rejects_nonpositive_intensity():
         fit("mims", t, y, MIMS_TRUTH)
 
 
+@pytest.mark.parametrize("array, why", [("x", "x values must be finite"),
+                                        ("y", "y values must be finite"),
+                                        ("sigma", "sigma values must be > 0")])
+def test_non_finite_input_is_named(array, why):
+    # a NaN in one field value, one of 14 scan values or one sigma is
+    # named as such, not reported as a model that is not finite
+    b = np.array(DEMO_FIELD_GRID_T)
+    y = models.field_linewidth(FIELD_7MK, b, 0.007)
+    data = {"x": b, "y": y, "sigma": 0.03 * y}
+    data[array] = data[array].copy()
+    data[array][5] = np.nan
+    args = ("field", data["x"], data["y"], FIELD_7MK.to_dict())
+    kw = dict(sigma=data["sigma"], fixed={"temp_k": 0.007})
+    with pytest.raises(FitError) as exc:
+        fit(*args, **kw)
+    assert str(exc.value) == why
+    with pytest.raises(FitError) as exc:
+        multi_start_fit(*args, cfg=FitConfig(restarts=4), **kw)
+    assert str(exc.value) == "all restarts failed: " + "; ".join([why] * 3)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         FitConfig(residual_space="sqrt")
-    with pytest.raises(ValueError):
-        FitConfig(weights="poisson")
     with pytest.raises(ValueError):
         FitConfig(max_iterations=0)
     with pytest.raises(ValueError):
@@ -437,14 +456,14 @@ def test_rows_stopping_by_different_branches_in_one_iteration():
     t0, y0 = _mims_data()
     t, y, opt = _noisy_mims_optimum()
     cfg = FitConfig(tol_step=1e-6, tol_sse_rel=1e-4)
-    problems = [(t0, y0, MIMS_TRUTH, None),
-                (t, y, _scaled(opt, 1 + 1e-8), None),
-                (t, y, _scaled(opt, 1 + 1e-5), None),
-                (t, y, FAR_MIMS_START, None)]
-    stops = [_plain_lm("mims", x, yy, init, cfg, {})[2:] for x, yy, init, _ in problems]
+    problems = [(t0, y0, MIMS_TRUTH, None, None),
+                (t, y, _scaled(opt, 1 + 1e-8), None, None),
+                (t, y, _scaled(opt, 1 + 1e-5), None, None),
+                (t, y, FAR_MIMS_START, None, None)]
+    stops = [_plain_lm("mims", x, yy, init, cfg, {})[2:] for x, yy, init, *_ in problems]
     assert stops[:3] == [(1, "grad"), (1, "step"), (1, "sse")]
     assert stops[3][0] > 1
-    for res, (x, yy, init, _) in zip(multi_start_batch("mims", problems, cfg=cfg), problems):
+    for res, (x, yy, init, *_) in zip(multi_start_batch("mims", problems, cfg=cfg), problems):
         lone = fit("mims", x, yy, init, cfg=cfg)
         assert (res.params, res.sse, res.n_iterations, res.sse_trace, res.converged,
                 res.flags) == (lone.params, lone.sse, lone.n_iterations, lone.sse_trace,
@@ -644,44 +663,64 @@ def test_jitter_factors_equal_one_scalar_draw_at_a_time(p):
     assert _jitter_factors(spec, FitConfig(restarts=1)) == []
 
 
-def _mims_problem(kind, n, seed, with_sigma):
-    """An (x, y, init, sigma) mims problem: "ok" data, a "short" trace
-    with too few points, or "negative" data a log-space fit rejects."""
+def _batch_problem(model_id, kind, n, seed, with_sigma, temp_k):
+    """An (x, y, init, sigma, fixed) problem: "ok" data on an n-point grid,
+    a "short" one with too few points, or "negative" data, which a
+    log-space (mims) fit rejects.  A field problem is a scan at ``temp_k``
+    with that as its own fixed value; mims has no fixed values."""
     rng = np.random.default_rng(seed)
-    truth = _jitter(MIMS_TRUTH, rng)
-    t = build_grid((0.25, 30.0, 3 if kind == "short" else n, "log"))
-    y = models.mims_intensity(MimsParams(**truth), t)
-    y = y * (1.0 + 0.02 * rng.standard_normal(t.size))
+    n = 3 if kind == "short" else n
+    if model_id == "mims":
+        truth, fixed = _jitter(MIMS_TRUTH, rng), None
+        x = build_grid((0.25, 30.0, n, "log"))
+    else:
+        truth, fixed = _jitter(FIELD_7MK.to_dict(), rng), {"temp_k": temp_k}
+        x = np.concatenate([[0.0], np.geomspace(0.01, 2.0, n - 1)])
+    spec = CATALOG[model_id]
+    y = spec.eval_fn(np.array([truth[k] for k in spec.param_names]), spec.prepare(x, fixed))
+    y = y * (1.0 + 0.02 * rng.standard_normal(x.size))
     if kind == "negative":
         y = -y
-    sigma = 0.02 * np.abs(y) * rng.uniform(0.5, 2.0, t.size) if with_sigma else None
-    return t, y, _jitter(truth, rng), sigma
+    sigma = 0.02 * np.abs(y) * rng.uniform(0.5, 2.0, x.size) if with_sigma else None
+    return x, y, _jitter(truth, rng), sigma, fixed
 
 
-@given(st.lists(st.tuples(st.sampled_from(["ok", "ok", "ok", "short", "negative"]),
-                          st.sampled_from([12, 20, 35]), st.integers(0, 2**16),
-                          st.booleans()),
-                min_size=1, max_size=6),
-       st.integers(1, 5),
-       st.sampled_from([None, (0.5, 25.0), (2.0, None)]),
+def _batch_case(model_id):
+    """A model, its problems' specs and a window.  Field grids have 14 or
+    20 points, so problems at different temperatures share a lockstep
+    group."""
+    sizes = {"mims": [12, 20, 35], "field": [14, 20]}[model_id]
+    windows = {"mims": [None, (0.5, 25.0), (2.0, None)],
+               "field": [None, (0.01, None), (None, 1.5)]}[model_id]
+    spec = st.tuples(st.sampled_from(["ok", "ok", "ok", "short", "negative"]),
+                     st.sampled_from(sizes), st.integers(0, 2**16), st.booleans(),
+                     st.sampled_from([0.005, 0.007, 0.02, 0.1]))
+    return st.tuples(st.just(model_id), st.lists(spec, min_size=1, max_size=6),
+                     st.sampled_from(windows))
+
+
+@given(st.sampled_from(["mims", "field"]).flatmap(_batch_case), st.integers(1, 5),
        st.integers(0, 100))
 @settings(max_examples=25, deadline=None)
-def test_batch_entries_equal_their_lone_fits(specs, restarts, window, seed):
+def test_batch_entries_equal_their_lone_fits(case, restarts, seed):
     # rows of different problems stop at different iterations and leave
-    # the live set in any order; no row may see another's state.  Problems
-    # without sigma have unit weights, which the engine leaves out unless
-    # a problem with sigma shares their batch.
-    problems = [_mims_problem(*s) for s in specs]
+    # the live set in any order; no row may see another's state, and each
+    # row's fixed values are its own.  Problems without sigma have unit
+    # weights in log space, which the engine leaves out unless a problem
+    # with sigma shares their batch.
+    model_id, specs, window = case
+    problems = [_batch_problem(model_id, *s) for s in specs]
     cfg = FitConfig(restarts=restarts, seed=seed, window=window)
-    for res, (t, y, init, sigma) in zip(multi_start_batch("mims", problems, cfg=cfg),
-                                        problems):
+    for res, (x, y, init, sigma, fixed) in zip(multi_start_batch(model_id, problems, cfg=cfg),
+                                               problems):
         try:
-            lone = multi_start_fit("mims", t, y, init, sigma=sigma, cfg=cfg)
+            lone = multi_start_fit(model_id, x, y, init, sigma=sigma, cfg=cfg, fixed=fixed)
         except ValueError as exc:
             assert isinstance(res, type(exc)) and str(res) == str(exc)
             continue
-        assert (res.params, res.sse, res.n_iterations, res.sse_trace, res.flags) == \
-            (lone.params, lone.sse, lone.n_iterations, lone.sse_trace, lone.flags)
+        assert (res.params, res.sse, res.n_iterations, res.sse_trace, res.flags,
+                res.fixed) == (lone.params, lone.sse, lone.n_iterations, lone.sse_trace,
+                               lone.flags, lone.fixed)
 
 
 def _invariant_problem(model_id, seed):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from echofit import models
-from echofit.fitting import FitConfig, multi_start_fit
+from echofit.fitting import FitConfig, FitError, multi_start_fit
 from echofit.guesses import initial_guess
 from echofit.pipeline import (
     DEFAULT_2PPE_WINDOW,
@@ -39,15 +39,16 @@ def _mims_trace(field_t, seed, tm_us=40.0):
         temperature_k=0.007, field_t=field_t))
 
 
-def _3ppe_traces(seed, beta=0.2, noise=0.03):
+def _3ppe_traces(seed, beta=0.2, noise=0.03, field_t=0.09, t23_min=50.0, n=120,
+                 tz_s=2.0):
     truth = dict(SD_TRUTH, beta=beta)
     out = []
     for j, t12 in enumerate(T12_SET_US):
         out.append(synth_trace(SynthSpec(
-            "echo3", truth, (50.0, 7500.0, 120, "log"),
+            "echo3", truth, (t23_min, 7500.0, n, "log"),
             ("multiplicative", noise), seed=seed * 7 + j,
-            temperature_k=0.007, field_t=0.09,
-            fixed={"t1_ms": 9.0, "tz_s": 2.0, "t0_us": 50.0,
+            temperature_k=0.007, field_t=field_t,
+            fixed={"t1_ms": 9.0, "tz_s": tz_s, "t0_us": 50.0,
                    "t12_us": t12})))
     return out
 
@@ -115,12 +116,16 @@ def test_corrupted_trace_is_isolated():
 
 def test_lockstep_batch_rows_equal_their_lone_fits():
     # 14 demo traces of 50 in-window points, one of 30 (its own lockstep
-    # group) and one that fails: every good row must be bit-identical to
-    # fitting its trace alone, and the failure must read as before
+    # group), one with samples before the window and one that fails: every
+    # good row must be bit-identical to fitting its trace alone, and the
+    # failure must read as before
     short = synth_trace(SynthSpec(
         "mims", MIMS_TRUTH, (0.25, 90.0, 30, "log"), ("multiplicative", 0.02),
         seed=5, temperature_k=0.007, field_t=2.5))
-    good = _demo_2ppe_traces(3) + [short]
+    early = synth_trace(SynthSpec(
+        "mims", MIMS_TRUTH, (0.05, 90.0, 40, "log"), ("multiplicative", 0.02),
+        seed=6, temperature_k=0.007, field_t=2.7))
+    good = _demo_2ppe_traces(3) + [short, early]
     broken = EchoTrace(sequence="2ppe", time_ms=short.time_ms.copy(),
                        intensity=-short.intensity, temperature_k=0.007,
                        field_t=3.0)
@@ -222,6 +227,52 @@ def test_3ppe_default_tz_is_flagged_assumed():
         fixed={"t1_ms": 9.0})
     assert "tz-assumed" in tables["gamma0"].flag[0]
     assert fits[0].fixed["tz_s"] == 1.0
+
+
+def test_3ppe_conditions_fit_in_one_batch_equal_their_lone_fits():
+    # the first two conditions share one lockstep group (3 x 120 points)
+    # with different t0_us and tz_s columns; the third is its own group
+    # and the fourth cannot be fitted
+    table = [{"temperature_k": 0.007, "field_t": 0.09, "tz_s": 2.0},
+             {"temperature_k": 0.007, "field_t": 0.3, "tz_s": 0.5}]
+    conditions = [_3ppe_traces(seed=400),
+                  _3ppe_traces(seed=401, field_t=0.3, t23_min=80.0, tz_s=0.5),
+                  _3ppe_traces(seed=402, field_t=0.6, n=100),
+                  _3ppe_traces(seed=403, field_t=0.9, n=2)]
+    cfg = FitConfig(restarts=4, seed=7)
+    tables, fits = batch_fit_3ppe(sum(conditions, []), cfg=cfg,
+                                  fixed={"t1_ms": 9.0, "tz_table": table})
+    np.testing.assert_array_equal(tables["beta"].condition, [0.09, 0.3, 0.6, 0.9])
+
+    lone_flags = []
+    for traces, tz_s, res in zip(conditions, [2.0, 0.5, 1.0, 1.0], fits):
+        x = np.concatenate([np.column_stack([np.full(tr.n_points, tr.t12_us), tr.time_us])
+                            for tr in traces])
+        y = np.concatenate([tr.intensity for tr in traces])
+        fixed = {"tz_s": tz_s, "t0_us": float(x[:, 1].min()), "t1_ms": 9.0}
+        guess = initial_guess("echo3", x, y, fixed)
+        try:
+            alone = multi_start_fit("echo3", x, y, guess.params, cfg=cfg, fixed=fixed)
+        except FitError as exc:
+            assert res is None
+            lone_flags.append(f"failed: {exc}")
+            continue
+        assert res.params == alone.params
+        assert res.stderr == alone.stderr
+        assert res.sse == alone.sse
+        assert res.sse_trace == alone.sse_trace
+        assert res.n_iterations == alone.n_iterations
+        assert res.n_restarts_agreeing == alone.n_restarts_agreeing
+        assert res.flags == alone.flags
+        assert res.fixed == fixed
+        assert res.covariance.tobytes() == alone.covariance.tobytes()
+        lone_flags.append(";".join(alone.flags + (("tz-assumed",) if tz_s == 1.0 else ())
+                                   + (("guess-degenerate",) if guess.degenerate else ())))
+    assert [f is None for f in fits] == [False, False, False, True]
+    assert "need at least 7 points inside the window, got 6" in lone_flags[-1]
+    assert "tz-assumed" in lone_flags[2]
+    for q in tables:
+        assert tables[q].flag == lone_flags
 
 
 def test_3ppe_tz_table_lookup():

@@ -149,6 +149,11 @@ def test_trace_validation_direct():
         _trace(sequence="3ppe-vs-t23")
     with pytest.raises(ValueError, match="finite"):
         _trace(intensity=np.array([1.0, np.nan, 0.4, 0.05]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="times must be finite"):
+            _trace(time_ms=np.array([0.00025, 0.001, 0.005, bad]))
+    with pytest.raises(ValueError, match="times must be finite"):
+        _trace(time_ms=np.array([0.00025, np.nan, 0.005, 0.02]))
 
 
 # ---------------------------------------------------------------------------
