@@ -44,8 +44,11 @@ from . import guesses, models
 from .params import BETA_BOUNDS, EXPONENT_BOUNDS, X_BOUNDS
 
 # Margin used when clipping an initial value into an open interval before
-# applying a log/logit transform.
-_EDGE = 1e-9
+# applying a log/logit transform.  The transforms' scalar operands are 0-d
+# float64 arrays: a Python float operand costs NumPy a scalar promotion on
+# every call, and gives the same bits.
+_EDGE = np.array(1e-9)
+_ONE = np.array(1.0)
 
 
 @dataclass(frozen=True)
@@ -87,13 +90,19 @@ class ModelSpec:
 # Each transform maps parameter j to column j along the last axis, so a
 # (p,) vector and a (B, p) stack are handled alike.
 
+def _log_internal(t):
+    return np.log(np.maximum(t, _EDGE * np.maximum(_ONE, np.abs(t))))
+
+
 def to_internal(spec: ModelSpec, theta):
     theta = np.asarray(theta, dtype=float)
+    if spec.log_only:
+        return _log_internal(theta)
     u = np.empty_like(theta)
     for j, ps in enumerate(spec.params):
         t = theta[..., j]
         if ps.transform == "log":
-            u[..., j] = np.log(np.maximum(t, _EDGE * np.maximum(1.0, np.abs(t))))
+            u[..., j] = _log_internal(t)
         else:
             width = ps.hi - ps.lo
             p = np.clip(t, ps.lo + _EDGE * width, ps.hi - _EDGE * width)
@@ -110,16 +119,18 @@ def to_natural(spec: ModelSpec, u):
         if ps.transform == "log":
             theta[..., j] = np.exp(u[..., j])
         else:
-            s = 1.0 / (1.0 + np.exp(-u[..., j]))
+            s = _ONE / (_ONE + np.exp(-u[..., j]))
             theta[..., j] = ps.lo + (ps.hi - ps.lo) * s
     return theta
 
 
 def dnatural_dinternal(spec: ModelSpec, theta):
-    """Diagonal of d(natural)/d(internal) at the natural point ``theta``."""
-    if spec.log_only:
-        return np.array(theta, dtype=float)
+    """Diagonal of d(natural)/d(internal) at the natural point ``theta``.
+    When every parameter is log-transformed this is ``theta`` itself, not
+    a copy."""
     theta = np.asarray(theta, dtype=float)
+    if spec.log_only:
+        return theta
     d = np.empty_like(theta)
     for j, ps in enumerate(spec.params):
         t = theta[..., j]

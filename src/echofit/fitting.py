@@ -25,18 +25,40 @@ the engine's arrays hold the live rows only: accepted rows take their
 trial values and Jacobians in place, the rest of the step (stop tests,
 damping) runs on whole arrays, and rows are gathered only when some
 stop, at which point they are written out and dropped.
+
+On arrays this small an iteration costs NumPy calls, not arithmetic, so
+the engine keeps the count of calls down without changing a bit.  Its
+scalar operands are 0-d float64 arrays (a Python float operand costs a
+scalar promotion on every call), reductions and counts call the ufuncs
+and ``np.count_nonzero`` directly, an iteration in which every row
+accepts skips the masked copies, and the damped systems go straight to
+the LAPACK ``gesv`` gufunc under ``np.linalg.solve``, whose argument
+checks they do not need.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
+from numbers import Real
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .catalog import dnatural_dinternal, get_model, to_internal, to_natural
 
-# Damping schedule: multiplicative, reject *3 / accept /3.
-_LAMBDA_UP = 3.0
-_LAMBDA_DOWN = 3.0
-_LAMBDA_MAX = 1e12
+# The engine's scalar operands are 0-d float64 arrays.  A Python float
+# operand goes through NumPy's scalar promotion on every call, which
+# about doubles the cost of a ufunc on a small array; a float64 operand
+# of the same value gives the same bits.
+_ONE = np.array(1.0)
+_TINY = np.array(1e-300)
+
+# Damping schedule: multiplicative, reject *3 / accept /3, starting at
+# 1e-3 of the largest diagonal entry of J^T J.
+_LAMBDA_START = np.array(1e-3)
+_LAMBDA_UP = np.array(3.0)
+_LAMBDA_DOWN = np.array(3.0)
+_LAMBDA_MIN = np.array(1e-15)
+_LAMBDA_MAX = np.array(1e12)
 
 # Singular values below this fraction of the largest are treated as zero;
 # parameters loading on such directions get unbounded errors.
@@ -178,6 +200,10 @@ def _check_fixed(spec, fixed):
     missing = [n for n in spec.fixed_names if n not in fixed]
     if missing:
         raise FitError(f"model {spec.model_id!r} needs fixed values for {missing}")
+    for name in spec.fixed_names:
+        value = fixed[name]
+        if not (isinstance(value, Real) and math.isfinite(value)):
+            raise FitError(f"fixed value {name} must be a finite number, got {value!r}")
     return fixed
 
 
@@ -192,15 +218,13 @@ def _problem(spec, x, y, sigma, cfg):
 
 
 def _evaluate(spec, theta, terms, target, w, space):
-    """Weighted residuals and Jacobians (in natural and in internal
-    coordinates) of every row from one ``jac_fn`` call, and which rows have
-    a finite (and, in log space, positive) model.  ``w`` None stands for
-    unit weights.  Rows that are not finite get non-finite residuals,
-    which the engine never accepts."""
+    """Weighted residuals, model values and Jacobians (in natural and in
+    internal coordinates) of every row from one ``jac_fn`` call.  ``w``
+    None stands for unit weights.  A row whose model is not finite (or,
+    in log space, not positive) gets a non-finite residual, and so a
+    non-finite SSE, which the engine never accepts."""
     m, jn = spec.jac_fn(theta, terms)
-    finite = np.isfinite(m)
     if space == "log-intensity":
-        finite &= m > 0
         r = np.log(m) - target
         jn = jn / m[..., None]
     else:
@@ -208,25 +232,47 @@ def _evaluate(spec, theta, terms, target, w, space):
     if w is not None:
         r = w * r
         jn = w[..., None] * jn
-    return r, finite.all(axis=-1), jn, jn * dnatural_dinternal(spec, theta)[:, None, :]
+    return r, m, jn, jn * dnatural_dinternal(spec, theta)[:, None, :]
 
 
-def _take(terms, rows):
-    """The prepared terms of the rows where the mask ``rows`` holds.  A
-    term with one entry per row is gathered; the others, values of the
-    fixed quantities alone, are shared by every row."""
-    return tuple(t[rows] if np.shape(t)[:1] == rows.shape else t for t in terms)
+def _finite_rows(m, space):
+    """Rows whose model values are all finite and, in log space, positive."""
+    finite = np.isfinite(m)
+    if space == "log-intensity":
+        finite &= m > 0
+    return np.logical_and.reduce(finite, axis=-1)
+
+
+def _max_abs(a):
+    """Largest magnitude in each row of a (B, p) array."""
+    return np.maximum.reduce(np.abs(a), axis=1)
+
+
+def _take(terms, rows, n_rows):
+    """The prepared terms of the rows at the indices ``rows`` out of
+    ``n_rows``.  A term with one entry per row is gathered; the others,
+    values of the fixed quantities alone, are shared by every row."""
+    return tuple(t.take(rows, axis=0) if np.shape(t)[:1] == (n_rows,) else t
+                 for t in terms)
 
 
 def _damped_solve(a, lam, g):
     """Steps solving (a + lam I) step = -g for every row, adding lam to the
-    diagonal of ``a`` in place.  When a matrix is singular, every row is
-    solved on its own and that row falls back to least squares."""
+    diagonal of ``a`` in place.
+
+    The stack goes straight to the LAPACK ``gesv`` gufunc that
+    ``np.linalg.solve`` wraps, which skips that function's argument checks;
+    the gufunc signals a singular matrix as an invalid floating-point
+    operation.  Then every row is solved on its own, and a singular row
+    falls back to least squares.
+    """
     p = a.shape[-1]
     a.reshape(len(a), p * p)[:, ::p + 1] += lam[:, None]
+    b = -g[:, :, None]
     try:
-        return np.linalg.solve(a, -g[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
+        with np.errstate(invalid="raise"):
+            return _umath_linalg.solve(a, b, signature="dd->d")[:, :, 0]
+    except FloatingPointError:
         step = np.empty_like(g)
         for k in range(len(g)):
             try:
@@ -266,12 +312,13 @@ class _Live:
 
     def take(self, keep):
         """The rows where the mask ``keep`` holds, gathered once."""
+        idx = np.flatnonzero(keep)
         arrays = (self.rows, self.target, self.w, self.u, self.theta, self.r,
                   self.sse, self.jn, self.j, self.lam)
         rows, target, w, u, theta, r, sse, jn, j, lam = (
-            None if a is None else a[keep] for a in arrays)
-        return _Live(rows, _take(self.terms, keep), target, w, u, theta, r, sse,
-                     jn, j, lam)
+            None if a is None else a.take(idx, axis=0) for a in arrays)
+        return _Live(rows, _take(self.terms, idx, keep.size), target, w, u, theta,
+                     r, sse, jn, j, lam)
 
 
 # Non-finite trial rows are rejected and non-finite starts fail, so their
@@ -289,28 +336,34 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
     out and gathered away.  Returns a ``_Row`` per row, or None for a row
     whose model or SSE is not finite at its start.
     """
+    tol_grad, tol_step, tol_sse = (np.array(t) for t in
+                                   (cfg.tol_grad, cfg.tol_step, cfg.tol_sse_rel))
     u = to_internal(spec, theta0)
     theta = to_natural(spec, u)
-    r, ok, jn, j = _evaluate(spec, theta, terms, target, w, space)
+    r, _, jn, j = _evaluate(spec, theta, terms, target, w, space)
     sse = np.vecdot(r, r)
-    ok &= np.isfinite(sse)
+    # A start whose model is not finite has a non-finite SSE.
+    ok = np.isfinite(sse)
     traces = [[s] for s in sse.tolist()]
     out = [None] * len(traces)
-    if not ok.any():
+    n_ok = np.count_nonzero(ok)
+    if not n_ok:
         return out
     live = _Live(np.arange(len(traces)), terms, target, w, u, theta, r, sse, jn, j)
-    if not ok.all():
+    if n_ok < ok.size:
         live = live.take(ok)
     diag_max = (live.j * live.j).sum(axis=1).max(axis=1)
-    live.lam = np.where(diag_max > 0, 1e-3 * diag_max, 1e-3)
+    live.lam = np.where(diag_max > 0, _LAMBDA_START * diag_max, _LAMBDA_START)
 
     def stop(done, converged, it):
-        """Write out the rows where ``done`` holds; the rest stay live."""
-        for k in np.flatnonzero(done).tolist():
+        """Write out the rows where ``done`` holds; returns the rest, or
+        None when no row is left."""
+        stopped = np.flatnonzero(done).tolist()
+        for k in stopped:
             i = live.rows[k]
             out[i] = _Row(live.theta[k], live.r[k].copy(), live.jn[k], traces[i][-1],
                           traces[i], it, bool(converged[k]))
-        return live.take(~done)
+        return live.take(~done) if len(stopped) < done.size else None
 
     for it in range(1, cfg.max_iterations + 1):
         # Both operands view one buffer, so NumPy computes J^T J exactly as
@@ -321,41 +374,54 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
         # A vanishing gradient, or a damped step shrunk to nothing: at large
         # damping a rejected descent step implies a numerically zero
         # gradient.
-        done = ((np.abs(g).max(axis=1) < cfg.tol_grad)
-                | (np.abs(step).max(axis=1)
-                   <= cfg.tol_step * (1.0 + np.abs(live.u).max(axis=1))))
-        if done.any():
-            live, step = stop(done, done, it), step[~done]
-            if not live.rows.size:
+        done = ((_max_abs(g) < tol_grad)
+                | (_max_abs(step) <= tol_step * (_ONE + _max_abs(live.u))))
+        if np.count_nonzero(done):
+            live = stop(done, done, it)
+            if live is None:
                 return out
+            step = step[~done]
         u_try = live.u + step
         theta_try = to_natural(spec, u_try)
-        r_try, ok_try, jn_try, j_try = _evaluate(spec, theta_try, live.terms,
-                                                 live.target, live.w, space)
+        r_try, m_try, jn_try, j_try = _evaluate(spec, theta_try, live.terms,
+                                                live.target, live.w, space)
         sse_try = np.vecdot(r_try, r_try)
-        better = ok_try & (sse_try < live.sse)
-        converged = better & (live.sse - sse_try
-                              <= cfg.tol_sse_rel * np.maximum(sse_try, 1e-300))
-        live.lam = np.where(better, np.maximum(live.lam / _LAMBDA_DOWN, 1e-15),
-                            np.minimum(live.lam * _LAMBDA_UP, _LAMBDA_MAX))
-        # Damping saturated without an acceptable step: no further progress
-        # is possible.  A non-finite trial only raises the damping.
-        saturated = ok_try & ~better & (live.lam >= _LAMBDA_MAX)
+        # A trial whose model is not finite has a non-finite SSE, so it is
+        # never better.
+        better = sse_try < live.sse
+        converged = live.sse - sse_try <= tol_sse * np.maximum(sse_try, _TINY)
 
-        if better.all():
+        n_better = np.count_nonzero(better)
+        if n_better == better.size:
+            live.lam = np.maximum(live.lam / _LAMBDA_DOWN, _LAMBDA_MIN)
             live.u, live.theta, live.r, live.sse = u_try, theta_try, r_try, sse_try
             live.jn, live.j = jn_try, j_try
-        elif better.any():
-            for mine, trial in ((live.u, u_try), (live.theta, theta_try), (live.r, r_try),
-                                (live.sse, sse_try), (live.jn, jn_try), (live.j, j_try)):
-                mine[better] = trial[better]
-        for i, s in zip(live.rows[better].tolist(), sse_try[better].tolist()):
-            traces[i].append(s)
-
-        done = saturated | converged
-        if done.any():
+            for i, s in zip(live.rows.tolist(), sse_try.tolist()):
+                traces[i].append(s)
+            done = converged
+        else:
+            live.lam = np.where(better, np.maximum(live.lam / _LAMBDA_DOWN, _LAMBDA_MIN),
+                                np.minimum(live.lam * _LAMBDA_UP, _LAMBDA_MAX))
+            if n_better:
+                rows = better[:, None]
+                cells = better[:, None, None]
+                for mine, trial, where in ((live.u, u_try, rows), (live.theta, theta_try, rows),
+                                           (live.r, r_try, rows), (live.sse, sse_try, better),
+                                           (live.jn, jn_try, cells), (live.j, j_try, cells)):
+                    np.copyto(mine, trial, where=where)
+                for i, s in zip(live.rows[better].tolist(), sse_try[better].tolist()):
+                    traces[i].append(s)
+            converged &= better
+            # Damping saturated without an acceptable step: no further
+            # progress is possible.  A non-finite trial only raises the
+            # damping.
+            saturated = ~better & (live.lam >= _LAMBDA_MAX)
+            if np.count_nonzero(saturated):
+                saturated &= _finite_rows(m_try, space)
+            done = saturated | converged
+        if np.count_nonzero(done):
             live = stop(done, converged, it)
-            if not live.rows.size:
+            if live is None:
                 return out
     stop(np.ones(live.rows.size, dtype=bool), np.zeros(live.rows.size, dtype=bool),
          cfg.max_iterations)

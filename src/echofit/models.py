@@ -45,11 +45,23 @@ FOUR_PI = 4.0 * np.pi
 DEGENERATE_LIFETIME_RTOL = 1e-9
 
 
+# Scalar operands of the fitted kernels, as 0-d float64 arrays: a Python
+# float operand costs NumPy a scalar promotion on every call, which about
+# doubles the cost of a ufunc on a small array, and gives the same bits.
+_ZERO = np.array(0.0)
+_HALF = np.array(0.5)
+_ONE = np.array(1.0)
+_TWO = np.array(2.0)
+_NEG_TWO = np.array(-2.0)
+_EXP_LO = np.array(-EXP_CLAMP)
+_EXP_HI = np.array(EXP_CLAMP)
+
+
 def _cexp(a):
     """exp with the argument clamped to +-EXP_CLAMP (the two-ufunc form
     of np.clip, equal to it bit for bit and NaN for NaN, but with less
     call overhead on small arrays)."""
-    return np.exp(np.minimum(np.maximum(a, -EXP_CLAMP), EXP_CLAMP))
+    return np.exp(np.minimum(np.maximum(a, _EXP_LO), _EXP_HI))
 
 
 def _asarray(t, name, minimum=None):
@@ -75,15 +87,15 @@ def _mims_terms(t12_us):
 
 def _mims(i0, tm_us, x, two_t12):
     u = two_t12 / tm_us
-    return i0 * _cexp(-2.0 * u ** x)
+    return i0 * _cexp(_NEG_TWO * u ** x)
 
 
 def _mims_grad(i0, tm_us, x, two_t12):
     u = np.atleast_1d(two_t12 / tm_us)
     ux = u ** x
-    intensity = i0 * _cexp(-2.0 * ux)
+    intensity = i0 * _cexp(_NEG_TWO * ux)
     # d/dx of u^x is u^x*ln(u); the t12 = 0 sample contributes zero in the limit.
-    pos = u > 0.0
+    pos = u > _ZERO
     if pos.all():
         ux_logu = ux * np.log(u)
     else:
@@ -91,8 +103,8 @@ def _mims_grad(i0, tm_us, x, two_t12):
         ux_logu[pos] = ux[pos] * np.log(u[pos])
     g = np.empty(u.shape + (3,))
     g[..., 0] = intensity / i0
-    g[..., 1] = intensity * (2.0 * x / tm_us) * ux
-    g[..., 2] = -2.0 * intensity * ux_logu
+    g[..., 1] = intensity * (_TWO * x / tm_us) * ux
+    g[..., 2] = _NEG_TWO * intensity * ux_logu
     return intensity, g
 
 
@@ -131,15 +143,15 @@ def _field_terms(temp_k, b_t, consts=DEFAULT_CONSTANTS):
 
 
 def _field(gamma0, alpha1, alpha2, g1, g2, c, b):
-    return gamma0 + alpha1 * _cexp(-g1 * c * b) + alpha2 * (1.0 - _cexp(-g2 * c * b))
+    return gamma0 + alpha1 * _cexp(-g1 * c * b) + alpha2 * (_ONE - _cexp(-g2 * c * b))
 
 
 def _field_grad(gamma0, alpha1, alpha2, g1, g2, c, b):
     e1 = _cexp(-g1 * c * b)
     e2 = _cexp(-g2 * c * b)
-    rise = 1.0 - e2
+    rise = _ONE - e2
     g = np.empty(np.shape(e1) + (5,))
-    g[..., 0] = 1.0
+    g[..., 0] = _ONE
     g[..., 1] = e1
     g[..., 2] = rise
     g[..., 3] = -alpha1 * c * b * e1
@@ -236,7 +248,7 @@ def _temp(floor, amp, n, t, log_t):
 def _temp_grad(floor, amp, n, t, log_t):
     tn = np.atleast_1d(t ** n)
     g = np.empty(tn.shape + (3,))
-    g[..., 0] = 1.0
+    g[..., 0] = _ONE
     g[..., 1] = tn
     g[..., 2] = amp * tn * log_t
     return floor + amp * tn, g
@@ -268,7 +280,7 @@ def _sd_terms(t0_us, t12_us, t23_us):
 
 def _sd(gamma0, gamma_sd, r_sd, gamma_tls, t12_ms, t23_ms, log_t23):
     return (gamma0
-            + 0.5 * gamma_sd * (r_sd * t12_ms + 1.0 - _cexp(-r_sd * t23_ms))
+            + _HALF * gamma_sd * (r_sd * t12_ms + _ONE - _cexp(-r_sd * t23_ms))
             + gamma_tls * log_t23)
 
 
@@ -277,16 +289,16 @@ def _sd_parts(gamma0, gamma_sd, r_sd, gamma_tls, t12_ms, t23_ms, log_t23):
     exponential; the derivatives by gamma0 and gamma_tls are 1 and
     log_t23."""
     e = _cexp(-r_sd * t23_ms)
-    q = r_sd * t12_ms + 1.0 - e
-    return (gamma0 + 0.5 * gamma_sd * q + gamma_tls * log_t23,
-            0.5 * q, 0.5 * gamma_sd * (t12_ms + t23_ms * e))
+    q = r_sd * t12_ms + _ONE - e
+    return (gamma0 + _HALF * gamma_sd * q + gamma_tls * log_t23,
+            _HALF * q, _HALF * gamma_sd * (t12_ms + t23_ms * e))
 
 
 def _sd_grad(gamma0, gamma_sd, r_sd, gamma_tls, t12_ms, t23_ms, log_t23):
     gamma, d_gamma_sd, d_r_sd = _sd_parts(gamma0, gamma_sd, r_sd, gamma_tls,
                                           t12_ms, t23_ms, log_t23)
     g = np.empty(np.shape(d_gamma_sd) + (4,))
-    g[..., 0] = 1.0
+    g[..., 0] = _ONE
     g[..., 1] = d_gamma_sd
     g[..., 2] = d_r_sd
     g[..., 3] = log_t23
@@ -345,7 +357,7 @@ def _population_terms(t1_ms, tz_ms, t23_ms, eb):
 
 
 def _population(beta, ea, a, b):
-    return ea + 0.5 * beta * a * b
+    return ea + _HALF * beta * a * b
 
 
 def three_level_population_factor(p: ThreeLevelParams, t23_ms):
@@ -386,7 +398,7 @@ def _echo3_columns(i0, pop, dpop_dbeta, gamma0, gamma_sd, r_sd, gamma_tls,
     intensity = i0_pop2 * env
     g = np.empty(intensity.shape + (cols,))
     g[..., 0] = pop2 * env
-    g[..., 1] = i0 * 2.0 * pop * dpop_dbeta * env
+    g[..., 1] = i0 * _TWO * pop * dpop_dbeta * env
     # Chain rule through Gamma_eff, whose gamma0 derivative is 1.
     scale = m4pi_t12 * intensity
     g[..., 2] = scale
@@ -441,7 +453,7 @@ def _echo3_free_t1_grad(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, t1_ms, tz_m
                         m4pi_t12, t12_ms, t23_ms, log_t23, t12_rt, t23_rt, log_rt):
     ea, a, b = _population_terms(t1_ms, tz_ms, t23_ms, eb)
     pop = _population(beta, ea, a, b)
-    value, g, env = _echo3_columns(i0, pop, 0.5 * a * b, gamma0, gamma_sd, r_sd,
+    value, g, env = _echo3_columns(i0, pop, _HALF * a * b, gamma0, gamma_sd, r_sd,
                                    gamma_tls, m4pi_t12, t12_ms, t23_ms, log_t23,
                                    t12_rt, t23_rt, log_rt, 7)
     # Squares are products: pow(t, 2) on a scalar is not always the
@@ -452,13 +464,13 @@ def _echo3_free_t1_grad(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, t1_ms, tz_m
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.divide(tz_ms, tz_ms - t1_ms)
         dw = tz_ms / ((tz_ms - t1_ms) * (tz_ms - t1_ms))
-        dpop_dt1 = dea + 0.5 * beta * (dw * (eb - ea) - w * dea)
+        dpop_dt1 = dea + _HALF * beta * (dw * (eb - ea) - w * dea)
     if np.any(degenerate):
         dpop_dt1 = np.where(
             degenerate,
-            dea + 0.5 * beta * (dea * t23_ms / t1_ms - ea * t23_ms / t1_sq),
+            dea + _HALF * beta * (dea * t23_ms / t1_ms - ea * t23_ms / t1_sq),
             dpop_dt1)
-    g[..., 6] = i0 * 2.0 * pop * dpop_dt1 * env
+    g[..., 6] = i0 * _TWO * pop * dpop_dt1 * env
     return value, g
 
 
@@ -490,15 +502,15 @@ def _sech2_terms(temp_k, b_t, consts=DEFAULT_CONSTANTS):
 
 def _sech2(gamma_max, g, mu, b, two_t, cb):
     k = g * mu * b / two_t
-    return gamma_max / np.cosh(np.clip(k, -EXP_CLAMP, EXP_CLAMP)) ** 2
+    return gamma_max / np.cosh(np.clip(k, _EXP_LO, _EXP_HI)) ** 2
 
 
 def _sech2_grad(gamma_max, g, mu, b, two_t, cb):
-    k = np.clip(g * cb, -EXP_CLAMP, EXP_CLAMP)
-    sech2 = 1.0 / np.cosh(k) ** 2
+    k = np.clip(g * cb, _EXP_LO, _EXP_HI)
+    sech2 = _ONE / np.cosh(k) ** 2
     grad = np.empty(np.shape(k) + (2,))
     grad[..., 0] = sech2
-    grad[..., 1] = -2.0 * gamma_max * sech2 * np.tanh(k) * cb
+    grad[..., 1] = _NEG_TWO * gamma_max * sech2 * np.tanh(k) * cb
     # g * cb is not g * mu * b / two_t to the last bit, so the value keeps
     # the value kernel's own argument.
     return _sech2(gamma_max, g, mu, b, two_t, cb), grad

@@ -132,13 +132,26 @@ def batch_fit_2ppe(traces, cfg=None, normalize=False):
     return _fit_scan("mims", axis, rows, readout, cfg)
 
 
+def _number(value, name):
+    """``value`` as a float; a ValueError naming ``name`` when it is not a
+    number (a YAML key left empty gives None)."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 def _resolve_tz(fixed, temperature_k, field_t):
+    # A key missing from a table entry reads as None, and so fails the
+    # condition like an empty one.
     for row in fixed.get("tz_table", ()):
-        if (np.isclose(row["temperature_k"], temperature_k, rtol=1e-9)
-                and np.isclose(row["field_t"], field_t, rtol=1e-9)):
-            return float(row["tz_s"]), False
+        if (np.isclose(_number(row.get("temperature_k"), "tz_table temperature_k"),
+                       temperature_k, rtol=1e-9)
+                and np.isclose(_number(row.get("field_t"), "tz_table field_t"),
+                               field_t, rtol=1e-9)):
+            return _number(row.get("tz_s"), "tz_table tz_s"), False
     if "tz_s" in fixed:
-        return float(fixed["tz_s"]), False
+        return _number(fixed["tz_s"], "tz_s"), False
     return 1.0, True
 
 
@@ -186,7 +199,7 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
             tz_s, assumed = _resolve_tz(fixed, temp_k, field_t)
             fit_fixed = {"tz_s": tz_s, "t0_us": t0_us}
             if not fixed.get("free_t1"):
-                fit_fixed["t1_ms"] = float(fixed.get("t1_ms", 9.0))
+                fit_fixed["t1_ms"] = _number(fixed.get("t1_ms", 9.0), "t1_ms")
         except ValueError as exc:
             rows.append((condition, exc))
             continue

@@ -13,6 +13,7 @@ from echofit.fitting import (
     FitConfig,
     FitError,
     _covariance,
+    _damped_solve,
     _jitter_factors,
     _prepare,
     _starts,
@@ -721,6 +722,98 @@ def test_batch_entries_equal_their_lone_fits(case, restarts, seed):
         assert (res.params, res.sse, res.n_iterations, res.sse_trace, res.flags,
                 res.fixed) == (lone.params, lone.sse, lone.n_iterations, lone.sse_trace,
                                lone.flags, lone.fixed)
+
+
+def _assert_same_fit(res, lone):
+    """Every field of two FitResults, arrays by their bytes."""
+    assert (res.params, res.stderr, res.sse, res.dof, res.converged, res.n_iterations,
+            res.n_restarts_agreeing, res.sse_trace, res.flags, res.fixed) == (
+        lone.params, lone.stderr, lone.sse, lone.dof, lone.converged, lone.n_iterations,
+        lone.n_restarts_agreeing, lone.sse_trace, lone.flags, lone.fixed)
+    assert res.covariance.tobytes() == lone.covariance.tobytes()
+    assert res.residuals.tobytes() == lone.residuals.tobytes()
+
+
+def test_bad_fixed_value_fails_only_its_problem():
+    # a fixed value that is not a number used to raise out of the whole
+    # batch when the rows were stacked, and a NaN one failed every start
+    # as a model that is not finite
+    x, y, init, fixed = _invariant_problem("field", 3)
+    cfg = FitConfig(restarts=3, seed=5)
+    cold, good, nan = multi_start_batch(
+        "field", [(x, y, init, None, {"temp_k": "cold"}), (x, y, init, None, fixed),
+                  (x, y, init, None, {"temp_k": np.nan})], cfg=cfg)
+    _assert_same_fit(good, multi_start_fit("field", x, y, init, cfg=cfg, fixed=fixed))
+    for res, shown in ((cold, "'cold'"), (nan, "nan")):
+        assert isinstance(res, FitError)
+        assert f"fixed value temp_k must be a finite number, got {shown}" in str(res)
+    with pytest.raises(FitError, match="fixed value temp_k must be a finite number, got inf"):
+        fit("field", x, y, init, fixed={"temp_k": np.inf})
+
+
+def _damped_reference(a, lam, g):
+    """np.linalg.solve on the stack (a + lam I) step = -g, and on its
+    rows one by one, with least squares for a singular row, when the
+    stack is singular."""
+    damped = a + lam[:, None, None] * np.eye(a.shape[-1])
+    try:
+        return np.linalg.solve(damped, -g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(g)
+        for k in range(len(g)):
+            try:
+                out[k] = np.linalg.solve(damped[k], -g[k])
+            except np.linalg.LinAlgError:
+                out[k] = np.linalg.lstsq(damped[k], -g[k], rcond=None)[0]
+        return out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", range(2, 8))
+def test_damped_solve_equals_numpy_solve(p):
+    # the engine calls the gesv gufunc under np.linalg.solve directly
+    rng = np.random.default_rng(p)
+    for b in range(1, 9):
+        j = rng.standard_normal((b, 3 * p, p))
+        a = np.matmul(j.transpose(0, 2, 1), j)
+        lam = 10.0 ** rng.uniform(-15, 2, b)
+        g = rng.standard_normal((b, p))
+        step = _damped_solve(a.copy(), lam, g)
+        assert step.tobytes() == _damped_reference(a, lam, g).tobytes()
+        # a row with an infinite entry; then a singular row beside it,
+        # which sends the stack to the row-by-row fallback
+        a[-1, 0, -1] = np.inf
+        step = _damped_solve(a.copy(), lam, g)
+        assert step.tobytes() == _damped_reference(a, lam, g).tobytes()
+        a[0] = 1.0
+        lam[0] = 0.0
+        step = _damped_solve(a.copy(), lam, g)
+        assert step.tobytes() == _damped_reference(a, lam, g).tobytes()
+        assert np.all(np.isfinite(step[0]))
+
+
+@pytest.mark.parametrize("model_id", sorted(m for m in CATALOG if CATALOG[m].log_only))
+def test_log_only_transforms_equal_the_per_column_formulas(model_id):
+    # a spec whose parameters are all log-transformed maps a (p,) vector
+    # or a (B, p) stack in one whole-array operation per transform
+    spec = CATALOG[model_id]
+    rng = np.random.default_rng(17)
+    p = len(spec.params)
+    theta = np.exp(rng.uniform(-30, 30, (9, p)))
+    theta[0] = [0.0, 1e-300, -2.0, np.inf, 5e-10][:p]
+    for t in (theta, theta[3]):
+        expected = np.empty_like(t)
+        for k in range(p):
+            c = t[..., k]
+            expected[..., k] = np.log(np.maximum(c, 1e-9 * np.maximum(1.0, np.abs(c))))
+        u = to_internal(spec, t)
+        assert (u.shape, u.tobytes()) == (expected.shape, expected.tobytes())
+        natural = np.empty_like(u)
+        for k in range(p):
+            natural[..., k] = np.exp(u[..., k])
+        assert to_natural(spec, u).tobytes() == natural.tobytes()
+        # the chain-rule factor of a log parameter is the parameter itself
+        assert dnatural_dinternal(spec, t) is t
 
 
 def _invariant_problem(model_id, seed):

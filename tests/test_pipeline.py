@@ -275,6 +275,37 @@ def test_3ppe_conditions_fit_in_one_batch_equal_their_lone_fits():
         assert tables[q].flag == lone_flags
 
 
+@pytest.mark.parametrize("bad", [{"tz_s": None}, {"tz_s": "long"}, {}])
+def test_3ppe_bad_tz_table_entry_fails_only_its_condition(bad):
+    # a YAML tz_s left empty is None, which used to raise TypeError out of
+    # the whole batch, and a missing one KeyError
+    traces = _3ppe_traces(seed=410, n=40) + _3ppe_traces(seed=411, field_t=0.3, n=40)
+    good = [{"temperature_k": 0.007, "field_t": 0.09, "tz_s": 2.0},
+            {"temperature_k": 0.007, "field_t": 0.3, "tz_s": 0.5}]
+    broken = [good[0], dict({"temperature_k": 0.007, "field_t": 0.3}, **bad)]
+    cfg = FitConfig(restarts=2, seed=3)
+    tables, fits = batch_fit_3ppe(traces, cfg=cfg, fixed={"t1_ms": 9.0, "tz_table": broken})
+    tables_ref, fits_ref = batch_fit_3ppe(traces, cfg=cfg,
+                                          fixed={"t1_ms": 9.0, "tz_table": good})
+    assert fits[1] is None
+    for q in tables:
+        assert tables[q].flag[1] == ("failed: tz_table tz_s must be a number, got "
+                                     f"{bad.get('tz_s')!r}")
+        assert tables[q].flag[0] == tables_ref[q].flag[0]
+        assert tables[q].value[:1].tobytes() == tables_ref[q].value[:1].tobytes()
+        assert tables[q].stderr[:1].tobytes() == tables_ref[q].stderr[:1].tobytes()
+    assert (fits[0].params, fits[0].stderr, fits[0].sse_trace, fits[0].fixed) == (
+        fits_ref[0].params, fits_ref[0].stderr, fits_ref[0].sse_trace, fits_ref[0].fixed)
+
+
+@pytest.mark.parametrize("fixed", [{"t1_ms": None, "tz_s": 2.0}, {"t1_ms": 9.0, "tz_s": None}])
+def test_3ppe_non_numeric_fixed_value_fails_every_row(fixed):
+    tables, fits = batch_fit_3ppe(_3ppe_traces(seed=412, n=40), fixed=fixed)
+    name = "t1_ms" if fixed["t1_ms"] is None else "tz_s"
+    assert fits == [None]
+    assert tables["beta"].flag == [f"failed: {name} must be a number, got None"]
+
+
 def test_3ppe_tz_table_lookup():
     table = [{"temperature_k": 0.007, "field_t": 0.09, "tz_s": 2.0}]
     _, fits = batch_fit_3ppe(

@@ -14,6 +14,7 @@ import functools
 import numpy as np
 import pytest
 
+from echofit import models
 from echofit.catalog import CATALOG, _draw_inputs
 from echofit.constants import DEFAULT_CONSTANTS, EXP_CLAMP
 
@@ -199,3 +200,21 @@ def test_prepared_kernels_equal_the_direct_formulas(model_id):
     x = np.stack([d[1] for d in draws])
     fixed = {k: np.array([[d[2][k]] for d in draws]) for k in draws[0][2]}
     _assert_prepared_equal_direct(spec, value, grad, fixed_names, theta, x, fixed)
+
+
+def test_clamped_exp_equals_exp_of_clip():
+    # the kernels clamp exp's argument with np.maximum and np.minimum
+    # against 0-d float64 bounds; that must be np.clip's result, NaN
+    # included, for scalars, 0-d arrays and stacks alike
+    edges = [np.nan, np.inf, -np.inf, 0.0, -1.5]
+    for c in (EXP_CLAMP, -EXP_CLAMP):
+        edges += [c, float(np.nextafter(c, np.inf)), float(np.nextafter(c, -np.inf))]
+    for a in edges:
+        for arg in (a, np.array(a)):
+            out = models._cexp(arg)
+            assert type(out) is np.float64
+            assert out.tobytes() == _cexp(arg).tobytes()
+    stack = np.array(edges * 2).reshape(2, -1)
+    out = models._cexp(stack)
+    assert type(out) is np.ndarray
+    assert (out.shape, out.tobytes()) == (stack.shape, _cexp(stack).tobytes())
