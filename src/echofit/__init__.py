@@ -1,7 +1,7 @@
 """Forward models and nonlinear least-squares fitting for photon-echo
 decay and linewidth data."""
 
-from .constants import DEFAULT_CONSTANTS, MU_B_OVER_K_B, PhysicalConstants
+from .constants import MU_B_OVER_K_B
 from .params import (
     FieldModelParams,
     MimsParams,

@@ -77,10 +77,10 @@ class ModelSpec:
         return tuple(p.name for p in self.params)
 
     @cached_property
-    def log_only(self):
-        """Whether every parameter has the log transform, so that a
-        transform is one whole-array operation."""
-        return all(p.transform == "log" for p in self.params)
+    def boxes(self):
+        """``(column, lo, hi)`` of every logit-transformed parameter."""
+        return tuple((j, p.lo, p.hi) for j, p in enumerate(self.params)
+                     if p.transform == "logit")
 
 
 # ---------------------------------------------------------------------------
@@ -88,56 +88,36 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 
 # Each transform maps parameter j to column j along the last axis, so a
-# (p,) vector and a (B, p) stack are handled alike.
-
-def _log_internal(t):
-    return np.log(np.maximum(t, _EDGE * np.maximum(_ONE, np.abs(t))))
-
+# (p,) vector and a (B, p) stack are handled alike.  The log rule runs on
+# the whole array in one operation; the logit columns listed in
+# ``ModelSpec.boxes`` are then overwritten.
 
 def to_internal(spec: ModelSpec, theta):
     theta = np.asarray(theta, dtype=float)
-    if spec.log_only:
-        return _log_internal(theta)
-    u = np.empty_like(theta)
-    for j, ps in enumerate(spec.params):
-        t = theta[..., j]
-        if ps.transform == "log":
-            u[..., j] = _log_internal(t)
-        else:
-            width = ps.hi - ps.lo
-            p = np.clip(t, ps.lo + _EDGE * width, ps.hi - _EDGE * width)
-            u[..., j] = np.log((p - ps.lo) / (ps.hi - p))
+    u = np.log(np.maximum(theta, _EDGE * np.maximum(_ONE, np.abs(theta))))
+    for j, lo, hi in spec.boxes:
+        width = hi - lo
+        p = np.clip(theta[..., j], lo + _EDGE * width, hi - _EDGE * width)
+        u[..., j] = np.log((p - lo) / (hi - p))
     return u
 
 
 def to_natural(spec: ModelSpec, u):
     u = np.asarray(u, dtype=float)
-    if spec.log_only:
-        return np.exp(u)
-    theta = np.empty_like(u)
-    for j, ps in enumerate(spec.params):
-        if ps.transform == "log":
-            theta[..., j] = np.exp(u[..., j])
-        else:
-            s = _ONE / (_ONE + np.exp(-u[..., j]))
-            theta[..., j] = ps.lo + (ps.hi - ps.lo) * s
+    theta = np.exp(u)
+    for j, lo, hi in spec.boxes:
+        s = _ONE / (_ONE + np.exp(-u[..., j]))
+        theta[..., j] = lo + (hi - lo) * s
     return theta
 
 
 def dnatural_dinternal(spec: ModelSpec, theta):
-    """Diagonal of d(natural)/d(internal) at the natural point ``theta``.
-    When every parameter is log-transformed this is ``theta`` itself, not
-    a copy."""
-    theta = np.asarray(theta, dtype=float)
-    if spec.log_only:
-        return theta
-    d = np.empty_like(theta)
-    for j, ps in enumerate(spec.params):
-        t = theta[..., j]
-        if ps.transform == "log":
-            d[..., j] = t
-        else:
-            d[..., j] = (t - ps.lo) * (ps.hi - t) / (ps.hi - ps.lo)
+    """Diagonal of d(natural)/d(internal) at the natural point ``theta``,
+    as a new array."""
+    d = np.array(theta, dtype=float)
+    for j, lo, hi in spec.boxes:
+        t = d[..., j]
+        d[..., j] = (t - lo) * (hi - t) / (hi - lo)
     return d
 
 

@@ -184,22 +184,26 @@ def _print_fit(res):
         print(f"  flags: {';'.join(res.flags)}")
 
 
-def cmd_fit_2ppe(args):
-    traces = [load_trace(p) for p in args.traces]
-    cfg = FitConfig(window=_parse_window(args.window) or DEFAULT_2PPE_WINDOW,
-                    restarts=args.restarts, seed=args.seed)
-    tables, fits = batch_fit_2ppe(traces, cfg=cfg, normalize=args.normalize)
+def _report_fits(tables, fits, out):
+    """Print every fit of a batch and, when ``out`` is set, write its
+    report there; the exit code is 1 when a row failed."""
     for res in fits:
         if res is None:
             print("fit FAILED")
         else:
             _print_fit(res)
-    if args.out:
-        paths = emit_report(tables, fits, args.out)
-        print(f"wrote {len(paths)} files to {args.out}")
-    if any(res is None for res in fits):
-        return 1
-    return 0
+    if out:
+        paths = emit_report(tables, fits, out)
+        print(f"wrote {len(paths)} files to {out}")
+    return 1 if any(res is None for res in fits) else 0
+
+
+def cmd_fit_2ppe(args):
+    traces = [load_trace(p) for p in args.traces]
+    cfg = FitConfig(window=_parse_window(args.window) or DEFAULT_2PPE_WINDOW,
+                    restarts=args.restarts, seed=args.seed)
+    tables, fits = batch_fit_2ppe(traces, cfg=cfg, normalize=args.normalize)
+    return _report_fits(tables, fits, args.out)
 
 
 def cmd_fit_3ppe(args):
@@ -223,17 +227,7 @@ def cmd_fit_3ppe(args):
             print(f"# config {key} = {conf[key]} (from {args.config})")
     cfg = FitConfig(**cfg_kwargs)
     tables, fits = batch_fit_3ppe(traces, cfg=cfg, fixed=fixed)
-    for res in fits:
-        if res is None:
-            print("fit FAILED")
-        else:
-            _print_fit(res)
-    if args.out:
-        paths = emit_report(tables, fits, args.out)
-        print(f"wrote {len(paths)} files to {args.out}")
-    if any(res is None for res in fits):
-        return 1
-    return 0
+    return _report_fits(tables, fits, args.out)
 
 
 def cmd_scan_field(args):

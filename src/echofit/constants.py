@@ -4,8 +4,6 @@ Only the ratio of the Bohr magneton to the Boltzmann constant enters any
 model, so it is stored as a single number in kelvin per tesla.
 """
 
-from dataclasses import dataclass
-
 # CODATA 2018 values, J/T and J/K.
 MU_B = 9.2740100783e-24
 K_B = 1.380649e-23
@@ -16,13 +14,3 @@ MU_B_OVER_K_B = MU_B / K_B
 # Largest magnitude allowed inside exp(); keeps asymptotes exact without
 # overflow at millikelvin temperatures and tesla-scale fields.
 EXP_CLAMP = 700.0
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Constant bundle passed to model evaluations that need field/temperature."""
-
-    mu_b_over_k_b: float = MU_B_OVER_K_B
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()

@@ -11,13 +11,18 @@ in lockstep: one kernel call for the values and Jacobians of the trial
 points, one stacked J^T r and J^T J and one stacked solve per iteration,
 whatever B is.  Each row keeps its own damping, stop reason and SSE
 trace, and its result is bit-identical to fitting that row alone.
-``fit`` is one row; the restarts of ``multi_start_fit`` share one batch;
-``multi_start_batch`` (used by both ``pipeline`` batch runners) puts
-every start of every problem into one batch per in-window point count,
-each problem's fixed values (T1, T_Z, t0, temperature) stacked as (B, 1)
-columns, so problems at different conditions share a batch.  Rows of
-different point counts are never padded into one batch: padding changes
-how BLAS accumulates the sums, and so the last bits of the results.
+Every fit goes through ``multi_start_batch`` (used by both ``pipeline``
+batch runners), which puts every start of every problem into one batch
+per in-window point count, each problem's fixed values (T1, T_Z, t0,
+temperature) stacked as (B, 1) columns, so problems at different
+conditions share a batch.  ``multi_start_fit`` is one problem, and
+``fit`` is ``multi_start_fit`` with one start.  Rows of different point
+counts are never padded into one batch: padding changes how BLAS
+accumulates the sums, and so the last bits of the results.
+
+A problem fails once, with one FitError (or ValueError) that names why:
+bad data, too few points in the window, a bad fixed value, or a model
+that is not finite at every start.
 
 The engine computes each iteration only what changed.  The model's
 data-only terms are prepared once per batch (``ModelSpec.prepare``), and
@@ -37,7 +42,7 @@ checks they do not need.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from numbers import Real
 
 import numpy as np
@@ -453,7 +458,7 @@ def _fit_rows(spec, rows, cfg):
     return out
 
 
-def _result(spec, row, n, fixed, agreeing=1):
+def _result(spec, row, n, fixed, agreeing):
     p = len(spec.params)
     dof = n - p
     cov, stderr, unbounded = _covariance(row.jac, row.sse, dof)
@@ -484,11 +489,9 @@ def _result(spec, row, n, fixed, agreeing=1):
     )
 
 
-_NOT_FINITE = "model is not finite at the initial parameters"
-
-
 def fit(model_id, x, y, init, *, sigma=None, cfg=None, fixed=None):
-    """Weighted least-squares fit of one catalogued model.
+    """Weighted least-squares fit of one catalogued model from ``init``:
+    :func:`multi_start_fit` with one start, whatever ``cfg.restarts`` is.
 
     Parameters
     ----------
@@ -512,15 +515,8 @@ def fit(model_id, x, y, init, *, sigma=None, cfg=None, fixed=None):
     -------
     FitResult
     """
-    spec = get_model(model_id)
-    cfg = cfg or FitConfig()
-    fixed = _check_fixed(spec, fixed)
-    x, target, w = _problem(spec, x, y, sigma, cfg)
-    theta0 = [float(init[ps.name]) for ps in spec.params]
-    (row,) = _fit_rows(spec, [(x, target, w, theta0, fixed)], cfg)
-    if row is None:
-        raise FitError(_NOT_FINITE)
-    return _result(spec, row, target.size, fixed)
+    cfg = replace(cfg or FitConfig(), restarts=1)
+    return multi_start_fit(model_id, x, y, init, sigma=sigma, cfg=cfg, fixed=fixed)
 
 
 def _covariance(j, sse, dof):
@@ -550,7 +546,9 @@ def _covariance(j, sse, dof):
 
 def _jitter_factors(spec, cfg):
     """Seeded log-uniform factors in [0.5, 1.5], one row per restart after
-    the first."""
+    the first; a single start draws none."""
+    if cfg.restarts == 1:
+        return []
     rng = np.random.default_rng(cfg.seed)
     draws = rng.uniform(np.log(0.5), np.log(1.5), size=(cfg.restarts - 1, len(spec.params)))
     return np.exp(draws).tolist()
@@ -574,10 +572,6 @@ def _starts(spec, init, factors):
     return trials
 
 
-def _all_failed(reasons):
-    return FitError("all restarts failed: " + "; ".join(reasons[:3]))
-
-
 def multi_start_batch(model_id, problems, *, cfg=None):
     """:func:`multi_start_fit` of every ``(x, y, init, sigma, fixed)``
     problem, with all starts of all problems fitted in lockstep.
@@ -598,9 +592,6 @@ def multi_start_batch(model_id, problems, *, cfg=None):
             fixed = _check_fixed(spec, fixed)
             data = _problem(spec, x, y, sigma, cfg)
             theta0 = [[float(t[ps.name]) for ps in spec.params] for t in trials]
-        except FitError as exc:
-            out.append(_all_failed([str(exc)] * len(trials)))
-            continue
         except ValueError as exc:
             out.append(exc)
             continue
@@ -615,7 +606,7 @@ def multi_start_batch(model_id, problems, *, cfg=None):
     for i, (n, fixed, done) in by_problem.items():
         results = [row for row in done if row is not None]
         if not results:
-            out[i] = _all_failed([_NOT_FINITE] * len(done))
+            out[i] = FitError("model is not finite at the initial parameters")
             continue
         best = min(results, key=lambda row: row.sse)
         agree = sum(1 for row in results if row.sse <= best.sse * 1.01 + 1e-300)

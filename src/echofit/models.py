@@ -29,7 +29,7 @@ Jacobian uses.
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, EXP_CLAMP
+from .constants import EXP_CLAMP, MU_B_OVER_K_B
 from .params import (
     FieldModelParams,
     MimsParams,
@@ -94,13 +94,9 @@ def _mims_grad(i0, tm_us, x, two_t12):
     u = np.atleast_1d(two_t12 / tm_us)
     ux = u ** x
     intensity = i0 * _cexp(_NEG_TWO * ux)
-    # d/dx of u^x is u^x*ln(u); the t12 = 0 sample contributes zero in the limit.
-    pos = u > _ZERO
-    if pos.all():
-        ux_logu = ux * np.log(u)
-    else:
-        ux_logu = np.zeros_like(u)
-        ux_logu[pos] = ux[pos] * np.log(u[pos])
+    # d/dx of u^x is u^x*ln(u); the t12 = 0 sample contributes zero in the
+    # limit, which u^x * ln(1) gives.
+    ux_logu = ux * np.log(np.where(u > _ZERO, u, _ONE))
     g = np.empty(u.shape + (3,))
     g[..., 0] = intensity / i0
     g[..., 1] = intensity * (_TWO * x / tm_us) * ux
@@ -138,8 +134,8 @@ def tm_from_gamma_eff(gamma_khz):
 # Linewidth versus magnetic field
 # ---------------------------------------------------------------------------
 
-def _field_terms(temp_k, b_t, consts=DEFAULT_CONSTANTS):
-    return consts.mu_b_over_k_b / temp_k, np.asarray(b_t, dtype=float)
+def _field_terms(temp_k, b_t):
+    return MU_B_OVER_K_B / temp_k, np.asarray(b_t, dtype=float)
 
 
 def _field(gamma0, alpha1, alpha2, g1, g2, c, b):
@@ -159,7 +155,7 @@ def _field_grad(gamma0, alpha1, alpha2, g1, g2, c, b):
     return gamma0 + alpha1 * e1 + alpha2 * rise, g
 
 
-def field_linewidth(p: FieldModelParams, b_t, temp_k, consts=DEFAULT_CONSTANTS):
+def field_linewidth(p: FieldModelParams, b_t, temp_k):
     """Effective linewidth in kHz at field ``b_t`` (tesla) and temperature
     ``temp_k`` (kelvin).
 
@@ -173,13 +169,12 @@ def field_linewidth(p: FieldModelParams, b_t, temp_k, consts=DEFAULT_CONSTANTS):
     b = _asarray(b_t, "b_t", minimum=0.0)
     return _maybe_scalar(
         _field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2,
-               *_field_terms(temp_k, b, consts)),
+               *_field_terms(temp_k, b)),
         b_t,
     )
 
 
-def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t,
-                            n_grid=2048, consts=DEFAULT_CONSTANTS):
+def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t, n_grid=2048):
     """Global minimum of the field model on [0, b_max_t].
 
     Coarse grid scan (n_grid points, at least 2000) followed by bisection
@@ -193,7 +188,7 @@ def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t,
     if b_max_t <= 0:
         raise ValueError("b_max_t must be > 0")
     n_grid = max(int(n_grid), 2000)
-    c = consts.mu_b_over_k_b / temp_k
+    c = MU_B_OVER_K_B / temp_k
 
     def dgamma(b):
         return (-p.alpha1_khz * p.g1 * c * _cexp(-p.g1 * c * b)
@@ -201,7 +196,7 @@ def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t,
 
     grid = np.linspace(0.0, b_max_t, n_grid)
     vals = _field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2,
-                  *_field_terms(temp_k, grid, consts))
+                  *_field_terms(temp_k, grid))
     k = int(np.argmin(vals))
     if k == 0 and dgamma(0.0) >= 0.0:
         return 0.0, float(vals[0]), "low"
@@ -228,7 +223,7 @@ def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t,
             hi = mid
     b_star = 0.5 * (lo + hi)
     gamma_star = _field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2,
-                        *_field_terms(temp_k, b_star, consts))
+                        *_field_terms(temp_k, b_star))
     return float(b_star), float(gamma_star), None
 
 
@@ -350,8 +345,6 @@ def _population_terms(t1_ms, tz_ms, t23_ms, eb):
     degenerate = _degenerate(t1_ms, tz_ms)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.divide(tz_ms, tz_ms - t1_ms)
-    if not np.any(degenerate):
-        return ea, w, eb - ea
     return (ea, np.where(degenerate, t23_ms / t1_ms, w),
             np.where(degenerate, ea, eb - ea))
 
@@ -464,12 +457,10 @@ def _echo3_free_t1_grad(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, t1_ms, tz_m
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.divide(tz_ms, tz_ms - t1_ms)
         dw = tz_ms / ((tz_ms - t1_ms) * (tz_ms - t1_ms))
-        dpop_dt1 = dea + _HALF * beta * (dw * (eb - ea) - w * dea)
-    if np.any(degenerate):
         dpop_dt1 = np.where(
             degenerate,
             dea + _HALF * beta * (dea * t23_ms / t1_ms - ea * t23_ms / t1_sq),
-            dpop_dt1)
+            dea + _HALF * beta * (dw * (eb - ea) - w * dea))
     g[..., 6] = i0 * _TWO * pop * dpop_dt1 * env
     return value, g
 
@@ -493,11 +484,10 @@ def stimulated_echo_intensity(tl: ThreeLevelParams, sd: SpectralDiffusionParams,
 # Field/temperature dependence of the diffusion amplitude
 # ---------------------------------------------------------------------------
 
-def _sech2_terms(temp_k, b_t, consts=DEFAULT_CONSTANTS):
-    mu = consts.mu_b_over_k_b
+def _sech2_terms(temp_k, b_t):
     b = np.asarray(b_t, dtype=float)
     two_t = 2.0 * temp_k
-    return mu, b, two_t, mu * b / two_t
+    return MU_B_OVER_K_B, b, two_t, MU_B_OVER_K_B * b / two_t
 
 
 def _sech2(gamma_max, g, mu, b, two_t, cb):
@@ -516,9 +506,9 @@ def _sech2_grad(gamma_max, g, mu, b, two_t, cb):
     return _sech2(gamma_max, g, mu, b, two_t, cb), grad
 
 
-def sech2_sd_amplitude(gamma_max_khz, g, b_t, temp_k, consts=DEFAULT_CONSTANTS):
+def sech2_sd_amplitude(gamma_max_khz, g, b_t, temp_k):
     """Flip-flop diffusion amplitude gamma_max*sech^2(g*mu_B*B/(2*k_B*T))."""
     if temp_k <= 0:
         raise ValueError("temp_k must be > 0")
     b = _asarray(b_t, "b_t")
-    return _maybe_scalar(_sech2(gamma_max_khz, g, *_sech2_terms(temp_k, b, consts)), b_t)
+    return _maybe_scalar(_sech2(gamma_max_khz, g, *_sech2_terms(temp_k, b)), b_t)

@@ -6,6 +6,7 @@ and the remaining rows are bit-identical to a run without the bad trace.
 """
 
 import os
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -162,8 +163,9 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
     fixed t12 values; the reference timescale t0 is the smallest waiting
     time of the condition.  T1 is fixed (default 9 ms) unless
     fixed["free_t1"] is true; the sublevel lifetime comes from
-    fixed["tz_s"] or a per-condition fixed["tz_table"], defaulting to
-    1 s with an "tz-assumed" flag.  Every condition is guessed first; then
+    fixed["tz_s"] or a per-condition fixed["tz_table"] (a list of
+    mappings with temperature_k, field_t and tz_s), defaulting to 1 s
+    with an "tz-assumed" flag.  Every condition is guessed first; then
     all conditions' restarts are fitted in lockstep, each with its own
     fixed values, and each condition's result equals ``multi_start_fit``
     on that condition alone.
@@ -179,6 +181,11 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
         raise ValueError(f"batch_fit_3ppe expects 3ppe-vs-t23 traces, got {bad[0]!r}")
     cfg = cfg or FitConfig(restarts=4)
     fixed = dict(fixed or {})
+    table = fixed.get("tz_table", [])
+    if (not isinstance(table, (list, tuple))
+            or not all(isinstance(row, Mapping) for row in table)):
+        raise ValueError("tz_table must be a list of mappings with temperature_k, "
+                         "field_t and tz_s")
     axis = _condition_axis(traces)
     model_id = "echo3-free-t1" if fixed.get("free_t1") else "echo3"
 
@@ -211,7 +218,8 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
 
 
 def emit_report(tables, fits, destination, extra_lines=(), fmt="%.6g"):
-    """Write one table file per quantity plus a human-readable summary.
+    """Write one table file per quantity of ``tables``, a mapping of
+    quantity id to ScanTable, plus a human-readable summary.
 
     Output is deterministic: stable table order, fixed float formatting,
     no timestamps.  Raises before writing anything if there are no tables.
@@ -219,8 +227,7 @@ def emit_report(tables, fits, destination, extra_lines=(), fmt="%.6g"):
     """
     if not tables:
         raise ValueError("emit_report needs at least one table")
-    items = sorted(tables.items()) if isinstance(tables, dict) else \
-        sorted((t.quantity_id, t) for t in tables)
+    items = sorted(tables.items())
     os.makedirs(destination, exist_ok=True)
 
     paths = []

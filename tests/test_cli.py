@@ -139,3 +139,41 @@ def test_fit_3ppe_with_config_yaml(tmp_path, capsys):
     assert rc == 0
     tbl = load_table(out_dir / "gamma0_vs_field.txt")
     assert abs(tbl.value[0] - 7.96) < 3 * 0.48
+
+
+def _synth(tmp_path, name, *args):
+    path = tmp_path / name
+    assert main(["synth", *args, "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["fit-2ppe", "fit-3ppe"])
+def test_fit_batch_with_a_too_short_trace_fails_its_row_and_exits_1(tmp_path, capsys,
+                                                                    command):
+    # the last row has too few points to fit: it prints "fit FAILED", keeps
+    # its place in the report as a failed: row, and the run exits 1
+    if command == "fit-2ppe":
+        base = ["--model", "mims", "--params", "i0=1,tm_us=40,x=1.3", "--noise", "mult:0.02"]
+        traces = [_synth(tmp_path, "good.txt", *base, "--grid", "0.25:30:50:log"),
+                  _synth(tmp_path, "short.txt", *base, "--grid", "0.25:30:3:log",
+                         "--field-T", "0.09")]
+        table, why = "gamma_eff_vs_field.txt", "need at least 4 points inside the window, got 3"
+    else:
+        base = ["--model", "echo3", "--preset", "3ppe-7mK-0.09T", "--noise", "mult:0.02"]
+        traces = [_synth(tmp_path, f"t12_{j}.txt", *base, "--grid", "50:7500:80:log",
+                         "--t12-us", t12, "--seed", str(40 + j), "--field-T", "0.09")
+                  for j, t12 in enumerate(("0.09", "0.33", "1.068"))]
+        traces.append(_synth(tmp_path, "short.txt", *base, "--grid", "50:7500:5:log",
+                             "--t12-us", "0.33", "--field-T", "0.3"))
+        table, why = "gamma0_vs_field.txt", "need at least 7 points inside the window, got 5"
+    capsys.readouterr()
+    out_dir = tmp_path / "report"
+    rc = main([command, *traces, "--restarts", "2", "--out", str(out_dir)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.count("fit FAILED") == 1
+    assert f"wrote {len(os.listdir(out_dir))} files to {out_dir}" in out
+    tbl = load_table(out_dir / table)
+    assert tbl.flag[1] == f"failed: {why}"
+    assert np.isnan(tbl.value[1]) and np.isfinite(tbl.value[0])
+    assert "fit[1]: FAILED" in (out_dir / "summary.txt").read_text().splitlines()

@@ -246,7 +246,7 @@ def test_non_finite_input_is_named(array, why):
     assert str(exc.value) == why
     with pytest.raises(FitError) as exc:
         multi_start_fit(*args, cfg=FitConfig(restarts=4), **kw)
-    assert str(exc.value) == "all restarts failed: " + "; ".join([why] * 3)
+    assert str(exc.value) == why
 
 
 def test_config_validation():
@@ -307,6 +307,11 @@ def test_single_restart_equals_plain_fit():
                             cfg=FitConfig(restarts=1))
     assert res_a.params == res_b.params
     assert res_b.n_restarts_agreeing == 1
+    # fit is one start whatever cfg.restarts says, and one start draws no
+    # jitter, so a seed that NumPy would reject is never used
+    res_c = fit("mims", t, y, MIMS_TRUTH, cfg=FitConfig(restarts=4, seed=-1))
+    assert (res_c.params, res_c.sse_trace) == (res_a.params, res_a.sse_trace)
+    assert res_c.n_restarts_agreeing == 1
 
 
 def test_multi_start_recovers_from_poor_init():
@@ -624,7 +629,7 @@ def test_start_with_overflowing_sse_is_not_fitted():
     init = {"i0": 1.2e308, "tm_us": 40.0, "x": 1.3}
     cfg = FitConfig(restarts=6, residual_space="linear")
     with np.errstate(over="ignore"):
-        with pytest.raises(FitError, match="all restarts failed: model is not finite"):
+        with pytest.raises(FitError, match="^model is not finite at the initial parameters$"):
             multi_start_fit("mims", t, y, init, cfg=cfg)
         with pytest.raises(FitError, match="model is not finite"):
             fit("mims", t, y, init, cfg=cfg)
@@ -639,8 +644,7 @@ def test_overflowing_start_fails_without_warnings():
     cfg = FitConfig(restarts=6, residual_space="linear")
     with pytest.raises(FitError) as exc:
         multi_start_fit("mims", t, y, init, cfg=cfg)
-    assert str(exc.value) == "all restarts failed: " + "; ".join(
-        ["model is not finite at the initial parameters"] * 3)
+    assert str(exc.value) == "model is not finite at the initial parameters"
 
 
 def test_covariance_of_an_overflowed_jacobian_bounds_nothing():
@@ -792,28 +796,44 @@ def test_damped_solve_equals_numpy_solve(p):
         assert np.all(np.isfinite(step[0]))
 
 
-@pytest.mark.parametrize("model_id", sorted(m for m in CATALOG if CATALOG[m].log_only))
-def test_log_only_transforms_equal_the_per_column_formulas(model_id):
-    # a spec whose parameters are all log-transformed maps a (p,) vector
-    # or a (B, p) stack in one whole-array operation per transform
+@pytest.mark.parametrize("model_id", sorted(CATALOG))
+def test_transforms_equal_the_per_column_formulas(model_id):
+    # the log rule runs on the whole array and the logit columns are then
+    # overwritten; a (p,) vector or a (B, p) stack gives the bytes of the
+    # per-column formulas, special values included
     spec = CATALOG[model_id]
     rng = np.random.default_rng(17)
     p = len(spec.params)
     theta = np.exp(rng.uniform(-30, 30, (9, p)))
-    theta[0] = [0.0, 1e-300, -2.0, np.inf, 5e-10][:p]
-    for t in (theta, theta[3]):
-        expected = np.empty_like(t)
-        for k in range(p):
+    for k, ps in enumerate(spec.params):
+        if ps.transform == "logit":
+            width = ps.hi - ps.lo
+            theta[1:, k] = rng.uniform(ps.lo - 0.2 * width, ps.hi + 0.2 * width, 8)
+            theta[1:3, k] = ps.lo, ps.hi
+    theta[0] = [0.0, 1e-300, -2.0, np.inf, 5e-10, np.nan, 1e300][:p]
+    for t in (theta, theta[0], theta[3]):
+        u_ref, natural, d_ref = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+        for k, ps in enumerate(spec.params):
             c = t[..., k]
-            expected[..., k] = np.log(np.maximum(c, 1e-9 * np.maximum(1.0, np.abs(c))))
+            if ps.transform == "log":
+                u_ref[..., k] = np.log(np.maximum(c, 1e-9 * np.maximum(1.0, np.abs(c))))
+                d_ref[..., k] = c
+            else:
+                width = ps.hi - ps.lo
+                q = np.clip(c, ps.lo + 1e-9 * width, ps.hi - 1e-9 * width)
+                u_ref[..., k] = np.log((q - ps.lo) / (ps.hi - q))
+                d_ref[..., k] = (c - ps.lo) * (ps.hi - c) / (ps.hi - ps.lo)
         u = to_internal(spec, t)
-        assert (u.shape, u.tobytes()) == (expected.shape, expected.tobytes())
-        natural = np.empty_like(u)
-        for k in range(p):
-            natural[..., k] = np.exp(u[..., k])
+        assert (u.shape, u.tobytes()) == (u_ref.shape, u_ref.tobytes())
+        for k, ps in enumerate(spec.params):
+            if ps.transform == "log":
+                natural[..., k] = np.exp(u[..., k])
+            else:
+                natural[..., k] = ps.lo + (ps.hi - ps.lo) * (1.0 / (1.0 + np.exp(-u[..., k])))
         assert to_natural(spec, u).tobytes() == natural.tobytes()
-        # the chain-rule factor of a log parameter is the parameter itself
-        assert dnatural_dinternal(spec, t) is t
+        d = dnatural_dinternal(spec, t)
+        assert (d.shape, d.tobytes()) == (d_ref.shape, d_ref.tobytes())
+        assert not np.shares_memory(d, t)
 
 
 def _invariant_problem(model_id, seed):

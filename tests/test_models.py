@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echofit import models
-from echofit.constants import DEFAULT_CONSTANTS, MU_B_OVER_K_B
+from echofit.constants import MU_B_OVER_K_B
 from echofit.params import (
     FieldModelParams,
     MimsParams,
@@ -136,7 +136,7 @@ def test_field_frozen_value_at_2t():
 
 def test_field_against_mpmath():
     mp.mp.dps = 50
-    c = mp.mpf(DEFAULT_CONSTANTS.mu_b_over_k_b)
+    c = mp.mpf(MU_B_OVER_K_B)
     b, t = mp.mpf("0.35"), mp.mpf("0.007")
     want = float(
         mp.mpf("7.42")

@@ -147,7 +147,7 @@ def test_lockstep_batch_rows_equal_their_lone_fits():
     assert fits[-1] is None
     why = ("log-intensity residuals need strictly positive data; "
            "use residual_space='linear'")
-    assert tables["x"].flag[-1] == f"failed: all restarts failed: {why}; {why}; {why}"
+    assert tables["x"].flag[-1] == f"failed: {why}"
 
 
 def test_failed_row_message_survives_report_round_trip(tmp_path):
@@ -304,6 +304,18 @@ def test_3ppe_non_numeric_fixed_value_fails_every_row(fixed):
     name = "t1_ms" if fixed["t1_ms"] is None else "tz_s"
     assert fits == [None]
     assert tables["beta"].flag == [f"failed: {name} must be a number, got None"]
+
+
+@pytest.mark.parametrize("table", [
+    {"temperature_k": 0.007, "field_t": 0.09, "tz_s": 2.0},
+    "tz.yaml",
+    [[0.007, 0.09, 2.0]],
+])
+def test_3ppe_tz_table_of_the_wrong_shape_is_named(table):
+    # one YAML entry written without its leading "-", a file name, or a
+    # list of rows: each used to escape the batch as AttributeError
+    with pytest.raises(ValueError, match="^tz_table must be a list of mappings"):
+        batch_fit_3ppe(_3ppe_traces(seed=412, n=40), fixed={"t1_ms": 9.0, "tz_table": table})
 
 
 def test_3ppe_tz_table_lookup():

@@ -16,10 +16,10 @@ import pytest
 
 from echofit import models
 from echofit.catalog import CATALOG, _draw_inputs
-from echofit.constants import DEFAULT_CONSTANTS, EXP_CLAMP
+from echofit.constants import EXP_CLAMP, MU_B_OVER_K_B
 
 FOUR_PI = 4.0 * np.pi
-MU = DEFAULT_CONSTANTS.mu_b_over_k_b
+MU = MU_B_OVER_K_B
 
 
 def _cexp(a):
