@@ -28,7 +28,7 @@ from .fitting import FitConfig, FitError, FitResult, fit, multi_start_fit, uncer
 from .guesses import GuessResult, initial_guess
 from .synth import Modulation, SynthSpec, synth_scan, synth_trace
 from .trace import EchoTrace, ScanTable, load_table, load_trace, write_table, write_trace
-from .pipeline import batch_fit_2ppe, batch_fit_3ppe, emit_report, run_demo
+from .pipeline import batch_fit_2ppe, batch_fit_3ppe, emit_report, fit_table, run_demo
 from . import presets
 
 __version__ = "0.1.0"

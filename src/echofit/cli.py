@@ -16,18 +16,19 @@ import yaml
 
 from . import models
 from .catalog import CATALOG, gradient_check
-from .fitting import FitConfig, multi_start_fit
-from .guesses import initial_guess
+from .fitting import FitConfig
 from .params import FieldModelParams, MimsParams, SpectralDiffusionParams, \
     TempModelParams, ThreeLevelParams
 from .pipeline import (
     DEFAULT_2PPE_WINDOW,
+    REPORT_FMT,
     batch_fit_2ppe,
     batch_fit_3ppe,
     emit_report,
+    fit_table,
     run_demo,
 )
-from .presets import TEMP_009T, get_preset
+from .presets import TEMP_009T, THREE_LEVEL_7MK_009T, get_preset
 from .synth import Modulation, SynthSpec, synth_scan, synth_trace
 from .trace import load_table, load_trace, write_table, write_trace
 
@@ -35,7 +36,7 @@ GRAD_TOL = 1e-5
 
 
 def _fmt(v):
-    return f"{v:.6g}" if np.isfinite(v) else str(v)
+    return REPORT_FMT % v
 
 
 def _print_config(args):
@@ -110,6 +111,14 @@ def _preset_params(args, model_id):
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _delay(args, name):
+    """The delay flag ``name``; a ValueError names it when it is not given."""
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"eval {args.model} needs --{name.replace('_', '-')}")
+    return value
+
+
 def cmd_eval(args):
     model_id = args.model
     params, fixed = _preset_params(args, model_id)
@@ -122,17 +131,19 @@ def cmd_eval(args):
         print(f"gamma_eff_khz = {_fmt(models.temp_linewidth(p, args.T))}")
     elif model_id == "mims":
         p = MimsParams(**params)
-        print(f"intensity = {_fmt(models.mims_intensity(p, args.t12_us))}")
+        print(f"intensity = {_fmt(models.mims_intensity(p, _delay(args, 't12_us')))}")
     elif model_id == "sd":
         p = SpectralDiffusionParams(**params)
-        v = models.sd_linewidth(p, args.t12_us or 0.0, args.t23_us)
+        v = models.sd_linewidth(p, args.t12_us or 0.0, _delay(args, "t23_us"))
         print(f"gamma_eff_khz = {_fmt(v)}")
     elif model_id == "sech2":
         v = models.sech2_sd_amplitude(params["gamma_max_khz"], params["g"],
                                       args.B, args.T)
         print(f"gamma_sd_khz = {_fmt(v)}")
     elif model_id == "echo3":
-        t1 = args.t1_ms if args.t1_ms is not None else fixed.get("t1_ms", 9.0)
+        t12, t23 = _delay(args, "t12_us"), _delay(args, "t23_us")
+        t1 = (args.t1_ms if args.t1_ms is not None
+              else fixed.get("t1_ms", THREE_LEVEL_7MK_009T.t1_ms))
         tz = args.tz_s if args.tz_s is not None else fixed.get("tz_s", 1.0)
         t0 = args.t0_us if args.t0_us is not None else fixed.get("t0_us", 50.0)
         tl = ThreeLevelParams(i0=params.get("i0", 1.0), t1_ms=t1, tz_s=tz,
@@ -141,7 +152,7 @@ def cmd_eval(args):
             gamma0_khz=params["gamma0_khz"], gamma_sd_khz=params["gamma_sd_khz"],
             r_sd_khz=params["r_sd_khz"], gamma_tls_khz=params["gamma_tls_khz"],
             t0_us=t0)
-        v = models.stimulated_echo_intensity(tl, sd, args.t12_us, args.t23_us)
+        v = models.stimulated_echo_intensity(tl, sd, t12, t23)
         print(f"intensity = {_fmt(v)}")
     else:
         raise ValueError(f"eval does not support model {model_id!r}")
@@ -232,14 +243,8 @@ def cmd_fit_3ppe(args):
 
 def cmd_scan_field(args):
     if args.table:
-        table = load_table(args.table)
-        sigma = table.stderr if np.all(table.stderr > 0) else None
-        guess = initial_guess("field", table.condition, table.value,
-                              {"temp_k": args.T})
         cfg = FitConfig(restarts=args.restarts, seed=args.seed)
-        res = multi_start_fit("field", table.condition, table.value,
-                              guess.params, sigma=sigma, cfg=cfg,
-                              fixed={"temp_k": args.T})
+        res = fit_table("field", load_table(args.table), cfg, {"temp_k": args.T})
         _print_fit(res)
         p = FieldModelParams(**res.params)
     else:
@@ -248,7 +253,7 @@ def cmd_scan_field(args):
         scan = synth_scan("field", params, (0.0, args.b_max, args.points, "linear"),
                           fixed={"temp_k": args.T})
         if args.out:
-            write_table(scan, args.out, fmt="%.6g")
+            write_table(scan, args.out, fmt=REPORT_FMT)
             print(f"wrote scan table to {args.out}")
     b_star, gamma_star, boundary = models.field_linewidth_minimum(
         p, args.T, args.b_max)
@@ -260,20 +265,15 @@ def cmd_scan_field(args):
 
 def cmd_scan_temp(args):
     if args.table:
-        table = load_table(args.table)
-        sigma = table.stderr if np.all(table.stderr > 0) else None
-        guess = initial_guess("temp", table.condition, table.value)
         cfg = FitConfig(restarts=args.restarts, seed=args.seed)
-        res = multi_start_fit("temp", table.condition, table.value,
-                              guess.params, sigma=sigma, cfg=cfg)
-        _print_fit(res)
+        _print_fit(fit_table("temp", load_table(args.table), cfg))
         return 0
     params = _parse_kv(args.params) if args.params else TEMP_009T.to_dict()
     scan = synth_scan("temp", params, (args.t_min, args.t_max, args.points, "log"))
     for c, v in zip(scan.condition, scan.value):
         print(f"{_fmt(c)} {_fmt(v)}")
     if args.out:
-        write_table(scan, args.out, fmt="%.6g")
+        write_table(scan, args.out, fmt=REPORT_FMT)
         print(f"wrote scan table to {args.out}")
     return 0
 
@@ -353,7 +353,7 @@ def build_parser():
 
     p = sub.add_parser("fit-3ppe", help="jointly fit waiting-time traces per condition")
     p.add_argument("traces", nargs="+")
-    p.add_argument("--t1-ms", type=float, default=9.0)
+    p.add_argument("--t1-ms", type=float, default=THREE_LEVEL_7MK_009T.t1_ms)
     p.add_argument("--tz-s", type=float, default=None)
     p.add_argument("--free-t1", action="store_true")
     p.add_argument("--config", default=None, help="YAML with t1_ms/tz_s/tz_table/restarts/seed")

@@ -21,8 +21,9 @@ counts are never padded into one batch: padding changes how BLAS
 accumulates the sums, and so the last bits of the results.
 
 A problem fails once, with one FitError (or ValueError) that names why:
-bad data, too few points in the window, a bad fixed value, or a model
-that is not finite at every start.
+bad data, too few points in the window, an init or fixed value that is
+missing or not a finite number (one rule checks both), or a model that
+is not finite at every start.
 
 The engine computes each iteration only what changed.  The model's
 data-only terms are prepared once per batch (``ModelSpec.prepare``), and
@@ -200,16 +201,18 @@ def _prepare(spec, x, y, sigma, cfg):
     return x, y, w, space
 
 
-def _check_fixed(spec, fixed):
-    fixed = dict(fixed or {})
-    missing = [n for n in spec.fixed_names if n not in fixed]
+def _numbers(spec, kind, names, values):
+    """The ``kind`` ("init" or "fixed") values ``names`` of the mapping
+    ``values`` as floats; a FitError names one missing or not finite."""
+    values = values or {}
+    missing = [n for n in names if n not in values]
     if missing:
-        raise FitError(f"model {spec.model_id!r} needs fixed values for {missing}")
-    for name in spec.fixed_names:
-        value = fixed[name]
+        raise FitError(f"model {spec.model_id!r} needs {kind} values for {missing}")
+    for name in names:
+        value = values[name]
         if not (isinstance(value, Real) and math.isfinite(value)):
-            raise FitError(f"fixed value {name} must be a finite number, got {value!r}")
-    return fixed
+            raise FitError(f"{kind} value {name} must be a finite number, got {value!r}")
+    return np.array([values[n] for n in names], dtype=float)
 
 
 def _problem(spec, x, y, sigma, cfg):
@@ -555,21 +558,16 @@ def _jitter_factors(spec, cfg):
 
 
 def _starts(spec, init, factors):
-    """``init`` as given, then one jittered copy per row of ``factors``
-    (box-bounded parameters are jittered inside their box)."""
-    trials = [dict(init)]
-    for row in factors:
-        trial = dict(init)
-        for ps, f in zip(spec.params, row):
-            v = trial[ps.name]
-            if ps.transform == "log":
-                trial[ps.name] = v * f
-            else:
-                width = ps.hi - ps.lo
-                trial[ps.name] = min(ps.lo + (v - ps.lo) * f,
-                                     ps.hi - 1e-6 * width)
-        trials.append(trial)
-    return trials
+    """The (restarts, p) starts: the init vector as given, then one
+    jittered copy per row of ``factors`` (box-bounded parameters are
+    jittered inside their box)."""
+    factors = np.array(factors, dtype=float).reshape(-1, init.size)
+    with np.errstate(over="ignore"):    # an overflowed start is failed as not finite
+        jittered = init * factors
+    for j, lo, hi in spec.boxes:
+        jittered[:, j] = np.minimum(lo + (init[j] - lo) * factors[:, j],
+                                    hi - 1e-6 * (hi - lo))
+    return np.vstack([init, jittered])
 
 
 def multi_start_batch(model_id, problems, *, cfg=None):
@@ -579,25 +577,26 @@ def multi_start_batch(model_id, problems, *, cfg=None):
     Each problem carries its own fixed values (None when the model has
     none), so problems of one model at different conditions share a batch.
     Returns one entry per problem: its FitResult, or the FitError (or
-    ValueError) that fitting it alone would raise.  A problem that fails
-    leaves the other entries unchanged.
+    ValueError) that fitting it alone would raise, a bad init or fixed
+    value included.  A problem that fails leaves the other entries
+    unchanged.
     """
     spec = get_model(model_id)
     cfg = cfg or FitConfig()
     factors = _jitter_factors(spec, cfg)
     out, rows, owner = [], [], []
     for x, y, init, sigma, fixed in problems:
-        trials = _starts(spec, init, factors)
         try:
-            fixed = _check_fixed(spec, fixed)
+            _numbers(spec, "fixed", spec.fixed_names, fixed)
+            init = _numbers(spec, "init", spec.param_names, init)
             data = _problem(spec, x, y, sigma, cfg)
-            theta0 = [[float(t[ps.name]) for ps in spec.params] for t in trials]
         except ValueError as exc:
             out.append(exc)
             continue
         out.append(None)
-        rows.extend(data + (t0, fixed) for t0 in theta0)
-        owner.extend([len(out) - 1] * len(theta0))
+        fixed = dict(fixed or {})
+        rows.extend(data + (t0, fixed) for t0 in _starts(spec, init, factors))
+        owner.extend([len(out) - 1] * cfg.restarts)
 
     fitted = _fit_rows(spec, rows, cfg)
     by_problem = {}

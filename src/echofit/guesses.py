@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import MU_B_OVER_K_B
+from .presets import THREE_LEVEL_7MK_009T
 
 # sech^2(k) = 1/2 at k = ln(1 + sqrt(2)).
 _SECH2_HALF_ARG = float(np.log(1.0 + np.sqrt(2.0)))
@@ -160,9 +161,9 @@ def echo3(x, y, fixed):
 
 
 def echo3_free_t1(x, y, fixed):
-    """The echo3 guess with T1 started at 9 ms."""
+    """The echo3 guess with T1 started at the reference 9 ms."""
     g = echo3(x, y, fixed)
-    return replace(g, params={**g.params, "t1_ms": 9.0})
+    return replace(g, params={**g.params, "t1_ms": THREE_LEVEL_7MK_009T.t1_ms})
 
 
 def initial_guess(model_id, x, y, fixed=None):

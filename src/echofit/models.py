@@ -44,6 +44,8 @@ FOUR_PI = 4.0 * np.pi
 # the population factor is evaluated by its analytic limit instead.
 DEGENERATE_LIFETIME_RTOL = 1e-9
 
+_MINIMUM_GRID = 2048  # coarse-grid points of field_linewidth_minimum
+
 
 # Scalar operands of the fitted kernels, as 0-d float64 arrays: a Python
 # float operand costs NumPy a scalar promotion on every call, which about
@@ -174,10 +176,10 @@ def field_linewidth(p: FieldModelParams, b_t, temp_k):
     )
 
 
-def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t, n_grid=2048):
+def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t):
     """Global minimum of the field model on [0, b_max_t].
 
-    Coarse grid scan (n_grid points, at least 2000) followed by bisection
+    Coarse grid scan (``_MINIMUM_GRID`` points) followed by bisection
     on the field derivative until |dGamma/dB| < 1e-9 kHz/T.  Returns
     ``(b_star_t, gamma_star_khz, boundary)`` where ``boundary`` is None for
     an interior minimum and "low"/"high" when the minimizer sits at 0 or
@@ -187,24 +189,23 @@ def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t, n_grid=2048):
         raise ValueError("temp_k must be > 0")
     if b_max_t <= 0:
         raise ValueError("b_max_t must be > 0")
-    n_grid = max(int(n_grid), 2000)
     c = MU_B_OVER_K_B / temp_k
 
     def dgamma(b):
         return (-p.alpha1_khz * p.g1 * c * _cexp(-p.g1 * c * b)
                 + p.alpha2_khz * p.g2 * c * _cexp(-p.g2 * c * b))
 
-    grid = np.linspace(0.0, b_max_t, n_grid)
+    grid = np.linspace(0.0, b_max_t, _MINIMUM_GRID)
     vals = _field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2,
                   *_field_terms(temp_k, grid))
     k = int(np.argmin(vals))
     if k == 0 and dgamma(0.0) >= 0.0:
         return 0.0, float(vals[0]), "low"
-    if k == n_grid - 1 and dgamma(b_max_t) <= 0.0:
+    if k == _MINIMUM_GRID - 1 and dgamma(b_max_t) <= 0.0:
         return float(b_max_t), float(vals[-1]), "high"
 
     lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, n_grid - 1)]
+    hi = grid[min(k + 1, _MINIMUM_GRID - 1)]
     dlo, dhi = dgamma(lo), dgamma(hi)
     if dlo > 0.0 or dhi < 0.0:
         # Derivative does not bracket a root here; the coarse minimum was a

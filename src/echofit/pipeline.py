@@ -1,8 +1,9 @@
-"""Batch fitting across measurement conditions and report emission.
+"""Batch fitting across measurement conditions, table fits and reports.
 
 The batch runners never abort on a single bad trace: the failing row is
 kept, flagged, with NaN values, so table lengths always match the input
 and the remaining rows are bit-identical to a run without the bad trace.
+The demo and the CLI fit every linewidth table through ``fit_table``.
 """
 
 import os
@@ -14,19 +15,19 @@ from . import models
 from .fitting import FitConfig, FitError, multi_start_batch, multi_start_fit, window_mask
 from .guesses import initial_guess
 from .params import FieldModelParams
-from .presets import (
-    FIELD_7MK,
-    SD_7MK_009T,
-    SD_7MK_009T_SIGMA,
-    T12_SET_US,
-    THREE_LEVEL_7MK_009T,
-)
+from .presets import FIELD_7MK, PRESETS, SD_7MK_009T_SIGMA, T12_SET_US, THREE_LEVEL_7MK_009T
 from .synth import SynthSpec, synth_trace
 from .trace import ScanTable, write_table
 
 # Default 2ppe fit window in microseconds; skips the modulated early part
 # of the decay.
 DEFAULT_2PPE_WINDOW = (0.25, None)
+
+# Number format of report tables and summaries, and of the CLI's output.
+REPORT_FMT = "%.6g"
+
+# The reference condition the demo's waiting-time scans are made at.
+_DEMO_3PPE = PRESETS["3ppe-7mK-0.09T"]
 
 
 def _condition_axis(traces):
@@ -47,8 +48,8 @@ def _fit_scan(model_id, axis, rows, readout, cfg):
     :func:`fitting.multi_start_batch` call.
 
     ``rows`` are ``(condition, problem)``, problem being ``(x, y, fixed,
-    flags)`` or the error that stopped its preparation.  Each problem is
-    guessed on the samples its fit sees, so its result equals
+    flags)`` or the error that stopped its preparation; x and y hold only
+    the samples the fit sees.  Each problem's result equals
     ``initial_guess`` plus ``multi_start_fit`` on it alone.  ``readout``
     maps each quantity to a function giving a FitResult's ``(value,
     stderr)``.  A failed row keeps its place, NaN and ``failed:``-flagged.
@@ -58,9 +59,8 @@ def _fit_scan(model_id, axis, rows, readout, cfg):
         guess = problem
         if not isinstance(problem, Exception):
             x, y, fixed, _ = problem
-            seen = window_mask(x, cfg.window) if x.ndim == 1 else slice(None)
             try:
-                guess = initial_guess(model_id, x[seen], y[seen], fixed)
+                guess = initial_guess(model_id, x, y, fixed)
                 problems.append((x, y, guess.params, None, fixed))
             except ValueError as exc:
                 guess = exc
@@ -102,9 +102,10 @@ def _gamma_eff(res):
 def batch_fit_2ppe(traces, cfg=None, normalize=False):
     """Per-trace stretched-exponential fits over a condition scan.
 
-    Every trace is guessed first; then all traces' restarts are fitted in
-    lockstep (:func:`fitting.multi_start_batch`), each trace's result equal
-    to ``multi_start_fit`` on that trace alone.
+    Each trace is cut to its samples inside ``cfg.window`` (normalized to
+    their maximum if ``normalize``) and guessed; then all traces' restarts
+    are fitted in lockstep (:func:`fitting.multi_start_batch`), each
+    trace's result equal to ``multi_start_fit`` on that trace alone.
 
     Returns ``(tables, fits)`` where tables maps quantity id (gamma_eff,
     i0, x) to a ScanTable and fits is the per-trace FitResult list (None
@@ -122,12 +123,12 @@ def batch_fit_2ppe(traces, cfg=None, normalize=False):
 
     rows = []
     for tr in traces:
-        x, y = tr.time_us, tr.intensity
-        mask = window_mask(x, cfg.window)
-        if normalize and (not np.any(mask) or np.max(y[mask]) <= 0):
+        mask = window_mask(tr.time_us, cfg.window)
+        x, y = tr.time_us[mask], tr.intensity[mask]
+        if normalize and (not y.size or np.max(y) <= 0):
             problem = FitError("no positive in-window intensity to normalize by")
         else:
-            problem = (x, y / np.max(y[mask]) if normalize else y, {}, ())
+            problem = (x, y / np.max(y) if normalize else y, {}, ())
         rows.append((_condition_value(tr, axis), problem))
     readout = {"gamma_eff": _gamma_eff, "i0": _param("i0"), "x": _param("x")}
     return _fit_scan("mims", axis, rows, readout, cfg)
@@ -161,7 +162,7 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
 
     All traces of a condition share the model parameters across their
     fixed t12 values; the reference timescale t0 is the smallest waiting
-    time of the condition.  T1 is fixed (default 9 ms) unless
+    time of the condition.  T1 is fixed (default the reference 9 ms) unless
     fixed["free_t1"] is true; the sublevel lifetime comes from
     fixed["tz_s"] or a per-condition fixed["tz_table"] (a list of
     mappings with temperature_k, field_t and tz_s), defaulting to 1 s
@@ -180,7 +181,7 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
     if bad:
         raise ValueError(f"batch_fit_3ppe expects 3ppe-vs-t23 traces, got {bad[0]!r}")
     cfg = cfg or FitConfig(restarts=4)
-    fixed = dict(fixed or {})
+    fixed = {"t1_ms": THREE_LEVEL_7MK_009T.t1_ms, **(fixed or {})}
     table = fixed.get("tz_table", [])
     if (not isinstance(table, (list, tuple))
             or not all(isinstance(row, Mapping) for row in table)):
@@ -196,7 +197,7 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
     rows = []
     for (temp_k, field_t) in sorted(groups):
         members = groups[(temp_k, field_t)]
-        condition = temp_k if axis == "temperature" else field_t
+        condition = _condition_value(members[0], axis)
         try:
             x = np.concatenate([
                 np.column_stack([np.full(tr.n_points, tr.t12_us), tr.time_us])
@@ -206,7 +207,7 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
             tz_s, assumed = _resolve_tz(fixed, temp_k, field_t)
             fit_fixed = {"tz_s": tz_s, "t0_us": t0_us}
             if not fixed.get("free_t1"):
-                fit_fixed["t1_ms"] = _number(fixed.get("t1_ms", 9.0), "t1_ms")
+                fit_fixed["t1_ms"] = _number(fixed["t1_ms"], "t1_ms")
         except ValueError as exc:
             rows.append((condition, exc))
             continue
@@ -217,7 +218,17 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
     return _fit_scan(model_id, axis, rows, readout, cfg)
 
 
-def emit_report(tables, fits, destination, extra_lines=(), fmt="%.6g"):
+def fit_table(model_id, table, cfg, fixed=None):
+    """``initial_guess`` and ``multi_start_fit`` of the law ``model_id`` on a
+    ScanTable's (condition, value), weighted by its stderr when every entry
+    is > 0 (else linewidth fits use relative residuals)."""
+    sigma = table.stderr if np.all(table.stderr > 0) else None
+    guess = initial_guess(model_id, table.condition, table.value, fixed)
+    return multi_start_fit(model_id, table.condition, table.value, guess.params,
+                           sigma=sigma, cfg=cfg, fixed=fixed)
+
+
+def emit_report(tables, fits, destination, extra_lines=()):
     """Write one table file per quantity of ``tables``, a mapping of
     quantity id to ScanTable, plus a human-readable summary.
 
@@ -233,7 +244,7 @@ def emit_report(tables, fits, destination, extra_lines=(), fmt="%.6g"):
     paths = []
     for qid, table in items:
         path = os.path.join(destination, f"{qid}_vs_{table.condition_axis}.txt")
-        write_table(table, path, fmt=fmt)
+        write_table(table, path, fmt=REPORT_FMT)
         paths.append(path)
 
     lines = list(extra_lines)
@@ -247,14 +258,14 @@ def emit_report(tables, fits, destination, extra_lines=(), fmt="%.6g"):
             continue
         lines.append(
             f"fit[{k}]: model={res.model_id} converged={res.converged} "
-            f"iterations={res.n_iterations} sse={fmt % res.sse} dof={res.dof} "
+            f"iterations={res.n_iterations} sse={REPORT_FMT % res.sse} dof={res.dof} "
             f"restarts_agreeing={res.n_restarts_agreeing}")
         for name in res.param_names:
             err = res.stderr[name]
-            err_s = fmt % err if np.isfinite(err) else "unbounded"
-            lines.append(f"    {name} = {fmt % res.params[name]} +- {err_s}")
+            err_s = REPORT_FMT % err if np.isfinite(err) else "unbounded"
+            lines.append(f"    {name} = {REPORT_FMT % res.params[name]} +- {err_s}")
         if res.fixed:
-            fixed_s = " ".join(f"{k2}={fmt % v}" for k2, v in sorted(res.fixed.items()))
+            fixed_s = " ".join(f"{k2}={REPORT_FMT % v}" for k2, v in sorted(res.fixed.items()))
             lines.append(f"    fixed: {fixed_s}")
         if res.flags:
             lines.append(f"    flags: {';'.join(res.flags)}")
@@ -269,8 +280,8 @@ def emit_report(tables, fits, destination, extra_lines=(), fmt="%.6g"):
             b_star, gamma_star, boundary = models.field_linewidth_minimum(
                 p, res.fixed["temp_k"], b_max)
             where = f" (at {boundary} boundary)" if boundary else ""
-            lines.append(f"field minimum: B* = {fmt % b_star} T, "
-                         f"gamma* = {fmt % gamma_star} kHz{where}")
+            lines.append(f"field minimum: B* = {REPORT_FMT % b_star} T, "
+                         f"gamma* = {REPORT_FMT % gamma_star} kHz{where}")
 
     summary = os.path.join(destination, "summary.txt")
     with open(summary, "w") as fh:
@@ -315,14 +326,7 @@ def _demo_2ppe_traces(seed):
 
 
 def _demo_3ppe_traces(seed):
-    truth = {
-        "i0": THREE_LEVEL_7MK_009T.i0,
-        "beta": THREE_LEVEL_7MK_009T.beta,
-        "gamma0_khz": SD_7MK_009T.gamma0_khz,
-        "gamma_sd_khz": SD_7MK_009T.gamma_sd_khz,
-        "r_sd_khz": SD_7MK_009T.r_sd_khz,
-        "gamma_tls_khz": SD_7MK_009T.gamma_tls_khz,
-    }
+    truth = dict(_DEMO_3PPE["params"])
     traces = []
     for j, t12 in enumerate(T12_SET_US):
         spec = SynthSpec(
@@ -333,16 +337,13 @@ def _demo_3ppe_traces(seed):
             seed=seed * 77 + j,
             temperature_k=DEMO_TEMP_K,
             field_t=0.09,
-            fixed={"t1_ms": THREE_LEVEL_7MK_009T.t1_ms,
-                   "tz_s": THREE_LEVEL_7MK_009T.tz_s,
-                   "t0_us": SD_7MK_009T.t0_us,
-                   "t12_us": t12},
+            fixed={**_DEMO_3PPE["fixed"], "t12_us": t12},
         )
         traces.append(synth_trace(spec))
     return traces, truth
 
 
-def run_demo(destination, seed=1, fmt="%.6g"):
+def run_demo(destination, seed=1):
     """Synthesize the reference-parameter datasets, run both batch fits and
     emit the full report.
 
@@ -352,36 +353,30 @@ def run_demo(destination, seed=1, fmt="%.6g"):
     checks = []
 
     # Field scan: per-field decay fits, then the linewidth model on top.
-    traces2 = _demo_2ppe_traces(seed)
     cfg2 = FitConfig(window=DEFAULT_2PPE_WINDOW, restarts=4, seed=seed)
-    tables2, fits2 = batch_fit_2ppe(traces2, cfg=cfg2)
+    tables2, fits2 = batch_fit_2ppe(_demo_2ppe_traces(seed), cfg=cfg2)
 
     gamma_tab = tables2["gamma_eff"]
-    cfg_field = FitConfig(restarts=8, seed=seed + 1)
-    guess = initial_guess("field", gamma_tab.condition, gamma_tab.value,
+    fit_field = fit_table("field", gamma_tab, FitConfig(restarts=8, seed=seed + 1),
                           {"temp_k": DEMO_TEMP_K})
-    fit_field = multi_start_fit("field", gamma_tab.condition, gamma_tab.value,
-                                guess.params, sigma=gamma_tab.stderr,
-                                cfg=cfg_field, fixed={"temp_k": DEMO_TEMP_K})
 
     zero_field = models.field_linewidth(FIELD_7MK, 0.0, DEMO_TEMP_K)
     checks.append(("zero-field-linewidth",
                    abs(zero_field - 40.02) < 1e-9,
-                   f"reference evaluation at B=0 gives {fmt % zero_field} kHz"))
+                   f"reference evaluation at B=0 gives {REPORT_FMT % zero_field} kHz"))
 
     nearest = int(np.argmin(np.abs(gamma_tab.condition - 0.14)))
     argmin_fit = int(np.nanargmin(gamma_tab.value))
     checks.append(("scan-minimum-position",
                    argmin_fit == nearest,
-                   f"fitted linewidth minimum at B = {fmt % gamma_tab.condition[argmin_fit]} T"))
+                   "fitted linewidth minimum at B = "
+                   f"{REPORT_FMT % gamma_tab.condition[argmin_fit]} T"))
 
     # Waiting-time scans at one condition, fitted jointly across t12.
     traces3, truth3 = _demo_3ppe_traces(seed)
     cfg3 = FitConfig(restarts=4, seed=seed + 13)
     tables3, fits3 = batch_fit_3ppe(
-        traces3, cfg=cfg3,
-        fixed={"t1_ms": THREE_LEVEL_7MK_009T.t1_ms,
-               "tz_s": THREE_LEVEL_7MK_009T.tz_s})
+        traces3, cfg=cfg3, fixed={k: _DEMO_3PPE["fixed"][k] for k in ("t1_ms", "tz_s")})
 
     recovery_lines = ["recovery at 7 mK / 0.09 T (3 t12 traces, 3% noise):"]
     res3 = fits3[0]
@@ -392,9 +387,10 @@ def run_demo(destination, seed=1, fmt="%.6g"):
             ok = delta <= 3.0 * sig
             recovered_ok &= ok
             recovery_lines.append(
-                f"    {name}: truth {fmt % truth3[name]}, fitted "
-                f"{fmt % res3.params[name]} +- {fmt % res3.stderr[name]}, "
-                f"|delta| = {fmt % delta} ({'within' if ok else 'OUTSIDE'} 3x band {fmt % (3 * sig)})")
+                f"    {name}: truth {REPORT_FMT % truth3[name]}, fitted "
+                f"{REPORT_FMT % res3.params[name]} +- {REPORT_FMT % res3.stderr[name]}, "
+                f"|delta| = {REPORT_FMT % delta} ({'within' if ok else 'OUTSIDE'} "
+                f"3x band {REPORT_FMT % (3 * sig)})")
     checks.append(("3ppe-recovery", recovered_ok,
                    "all shared parameters within 3x reference bands"))
 
@@ -407,8 +403,9 @@ def run_demo(destination, seed=1, fmt="%.6g"):
         "2ppe noise: 2% multiplicative, window 0.25 us",
         f"t23 scans: t12 = {list(T12_SET_US)} us, 250 points in [50, 7500] us, 3% noise",
         "",
-        f"zero-field reference linewidth: {fmt % zero_field} kHz",
-        f"fitted field-model minimum: B* = {fmt % b_star} T, gamma* = {fmt % gamma_star} kHz",
+        f"zero-field reference linewidth: {REPORT_FMT % zero_field} kHz",
+        f"fitted field-model minimum: B* = {REPORT_FMT % b_star} T, "
+        f"gamma* = {REPORT_FMT % gamma_star} kHz",
         "",
     ]
     head.extend(recovery_lines)
@@ -419,5 +416,5 @@ def run_demo(destination, seed=1, fmt="%.6g"):
     tables = dict(tables2)
     tables.update(tables3)
     fits = list(fits2) + [fit_field] + list(fits3)
-    paths = emit_report(tables, fits, destination, extra_lines=head, fmt=fmt)
+    paths = emit_report(tables, fits, destination, extra_lines=head)
     return paths, checks

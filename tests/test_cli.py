@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from echofit.cli import main
+from echofit.fitting import FitConfig, multi_start_fit
+from echofit.guesses import initial_guess
 from echofit.trace import load_table, load_trace
 
 
@@ -177,3 +179,76 @@ def test_fit_batch_with_a_too_short_trace_fails_its_row_and_exits_1(tmp_path, ca
     assert tbl.flag[1] == f"failed: {why}"
     assert np.isnan(tbl.value[1]) and np.isfinite(tbl.value[0])
     assert "fit[1]: FAILED" in (out_dir / "summary.txt").read_text().splitlines()
+
+
+def _fit_lines(res):
+    """The parameter lines the CLI prints for ``res``."""
+    return [f"  {name} = {res.params[name]:.6g} +- {res.stderr[name]:.6g}"
+            for name in res.param_names]
+
+
+def test_scan_field_table_fits_a_fit_2ppe_report_weighted_by_its_stderr(tmp_path, capsys):
+    traces = [_synth(tmp_path, f"b{k}.txt", "--model", "mims", "--params",
+                     f"i0=1,tm_us={tm},x=1.3", "--grid", "0.25:200:50:log",
+                     "--noise", "mult:0.02", "--seed", str(k), "--field-T", str(b))
+              for k, (b, tm) in enumerate(zip((0.0, 0.02, 0.06, 0.14, 0.35, 0.9, 2.0),
+                                              (8.0, 14.0, 30.0, 40.0, 30.0, 20.0, 16.0)))]
+    out_dir = tmp_path / "report"
+    assert main(["fit-2ppe", *traces, "--out", str(out_dir)]) == 0
+    path = out_dir / "gamma_eff_vs_field.txt"
+    capsys.readouterr()
+    rc = main(["scan-field", "--table", str(path), "--restarts", "3", "--seed", "2",
+               "--T", "0.007"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    table = load_table(path)
+    assert np.all(table.stderr > 0)
+    fixed = {"temp_k": 0.007}
+    guess = initial_guess("field", table.condition, table.value, fixed)
+    res = multi_start_fit("field", table.condition, table.value, guess.params,
+                          sigma=table.stderr, cfg=FitConfig(restarts=3, seed=2),
+                          fixed=fixed)
+    for line in _fit_lines(res):
+        assert line in out.splitlines()
+    assert "minimum: B* = " in out
+
+
+def test_scan_temp_table_fits_a_scan_temp_table_unweighted(tmp_path, capsys):
+    # a noiseless scan table has zero stderr, so the fit is unweighted
+    path = tmp_path / "temp.txt"
+    assert main(["scan-temp", "--points", "12", "--out", str(path)]) == 0
+    capsys.readouterr()
+    rc = main(["scan-temp", "--table", str(path), "--restarts", "2", "--seed", "4"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    table = load_table(path)
+    assert np.all(table.stderr == 0)
+    guess = initial_guess("temp", table.condition, table.value)
+    res = multi_start_fit("temp", table.condition, table.value, guess.params,
+                          cfg=FitConfig(restarts=2, seed=4))
+    for line in _fit_lines(res):
+        assert line in out.splitlines()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["eval", "mims", "--params", "i0=1,tm_us=40,x=1.3"], "--t12-us"),
+    (["eval", "sd", "--preset", "3ppe-7mK-0.09T"], "--t23-us"),
+    (["eval", "echo3", "--preset", "3ppe-7mK-0.09T", "--t23-us", "100"], "--t12-us"),
+    (["eval", "echo3", "--preset", "3ppe-7mK-0.09T", "--t12-us", "0.3"], "--t23-us"),
+])
+def test_eval_without_a_delay_names_the_missing_flag(argv, flag, capsys):
+    # it used to print nan and exit 0
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "nan" not in out
+    assert f"error: eval {argv[1]} needs {flag}" in err
+
+
+def test_eval_sd_defaults_t12_to_zero(capsys):
+    rc = main(["eval", "sd", "--preset", "3ppe-7mK-0.09T", "--t23-us", "300"])
+    with_zero = capsys.readouterr().out.splitlines()[-1]
+    main(["eval", "sd", "--preset", "3ppe-7mK-0.09T", "--t23-us", "300", "--t12-us", "0"])
+    assert rc == 0
+    assert with_zero == capsys.readouterr().out.splitlines()[-1]
+    assert with_zero.startswith("gamma_eff_khz = ") and "nan" not in with_zero

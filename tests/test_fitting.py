@@ -400,7 +400,9 @@ def _assert_best_of_single_starts(res, model_id, x, y, init, cfg, fixed):
     turn match the 2-D NumPy loop."""
     spec = CATALOG[model_id]
     singles = []
+    init = np.array([init[n] for n in spec.param_names], dtype=float)
     for start in _starts(spec, init, _jitter_factors(spec, cfg)):
+        start = dict(zip(spec.param_names, start.tolist()))
         try:
             single = fit(model_id, x, y, start, cfg=cfg, fixed=fixed)
         except FitError:
@@ -753,6 +755,29 @@ def test_bad_fixed_value_fails_only_its_problem():
         assert f"fixed value temp_k must be a finite number, got {shown}" in str(res)
     with pytest.raises(FitError, match="fixed value temp_k must be a finite number, got inf"):
         fit("field", x, y, init, fixed={"temp_k": np.inf})
+
+
+def test_bad_init_fails_only_its_problem():
+    # a missing key used to escape the batch as KeyError, a None as
+    # TypeError, and a string, with more than one start, as TypeError
+    x, y, init, fixed = _invariant_problem("mims", 4)
+    cfg = FitConfig(restarts=3, seed=5)
+    missing = {k: v for k, v in init.items() if k != "x"}
+    bad = [(missing, "model 'mims' needs init values for ['x']"),
+           ({**init, "tm_us": None}, "init value tm_us must be a finite number, got None"),
+           ({**init, "i0": "1"}, "init value i0 must be a finite number, got '1'"),
+           ({**init, "x": np.nan}, "init value x must be a finite number, got nan")]
+    results = multi_start_batch("mims", [(x, y, b, None, fixed) for b, _ in bad[:2]]
+                                + [(x, y, init, None, fixed)]
+                                + [(x, y, b, None, fixed) for b, _ in bad[2:]], cfg=cfg)
+    good = results.pop(2)
+    _assert_same_fit(good, multi_start_fit("mims", x, y, init, cfg=cfg, fixed=fixed))
+    for res, (b, text) in zip(results, bad):
+        assert isinstance(res, FitError)
+        assert str(res) == text
+        with pytest.raises(FitError) as exc:
+            fit("mims", x, y, b, fixed=fixed)
+        assert str(exc.value) == text
 
 
 def _damped_reference(a, lam, g):
