@@ -6,7 +6,9 @@ both quenching terms are active: the fast-decaying term wants more field,
 the slow-rising term wants less.  Both exponents scale with B/T, so the
 minimum position grows linearly with temperature while the minimum
 linewidth stays put.  This script tabulates B*(T) and gamma*(T) for the
-millikelvin reference parameters and verifies the linear scaling.
+millikelvin reference parameters.  The closed-form B* is proportional
+to T, so B*/T is constant by construction; its printed spread is
+rounding only.
 """
 
 import argparse

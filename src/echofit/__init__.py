@@ -16,7 +16,6 @@ from .models import (
     gamma_eff_from_tm,
     mims_intensity,
     sd_linewidth,
-    sd_linewidth_t23,
     sech2_sd_amplitude,
     stimulated_echo_intensity,
     temp_linewidth,
@@ -24,7 +23,7 @@ from .models import (
     tm_from_gamma_eff,
 )
 from .catalog import CATALOG, get_model, gradient_check
-from .fitting import FitConfig, FitError, FitResult, fit, multi_start_fit, uncertainties
+from .fitting import FitConfig, FitError, FitResult, fit, multi_start_fit
 from .guesses import GuessResult, initial_guess
 from .synth import Modulation, SynthSpec, synth_scan, synth_trace
 from .trace import EchoTrace, ScanTable, load_table, load_trace, write_table, write_trace

@@ -12,18 +12,20 @@ points, one stacked J^T r and J^T J and one stacked solve per iteration,
 whatever B is.  Each row keeps its own damping, stop reason and SSE
 trace, and its result is bit-identical to fitting that row alone.
 Every fit goes through ``multi_start_batch`` (used by both ``pipeline``
-batch runners), which puts every start of every problem into one batch
-per in-window point count, each problem's fixed values (T1, T_Z, t0,
-temperature) stacked as (B, 1) columns, so problems at different
-conditions share a batch.  ``multi_start_fit`` is one problem, and
-``fit`` is ``multi_start_fit`` with one start.  Rows of different point
-counts are never padded into one batch: padding changes how BLAS
-accumulates the sums, and so the last bits of the results.
+batch runners), which groups the problems by in-window point count and
+fits each group as one batch: every problem is checked and prepared
+once, and its starts are a block of consecutive rows, with its fixed
+values (T1, T_Z, t0, temperature) repeated down (B, 1) columns, so
+problems at different conditions share a batch.  ``multi_start_fit``
+is one problem, and ``fit`` is ``multi_start_fit`` with one start.
+Rows of different point counts are never padded into one batch: padding
+changes how BLAS accumulates the sums, and so the last bits of the
+results.
 
 A problem fails once, with one FitError (or ValueError) that names why:
 bad data, too few points in the window, an init or fixed value that is
-missing or not a finite number (one rule checks both), or a model that
-is not finite at every start.
+missing or not a finite number (one rule checks both; an int beyond the
+float range is not one), or a model that is not finite at every start.
 
 The engine computes each iteration only what changed.  The model's
 data-only terms are prepared once per batch (``ModelSpec.prepare``), and
@@ -132,11 +134,6 @@ class FitResult:
         return np.array([self.params[n] for n in self.param_names])
 
 
-def uncertainties(fit: FitResult):
-    """Per-parameter one-sigma standard errors of a fit."""
-    return dict(fit.stderr)
-
-
 def _resolve_space(spec, cfg):
     if cfg.residual_space != "auto":
         return cfg.residual_space
@@ -210,7 +207,11 @@ def _numbers(spec, kind, names, values):
         raise FitError(f"model {spec.model_id!r} needs {kind} values for {missing}")
     for name in names:
         value = values[name]
-        if not (isinstance(value, Real) and math.isfinite(value)):
+        try:
+            finite = isinstance(value, Real) and math.isfinite(value)
+        except OverflowError:   # an int (or Fraction) beyond the float range
+            finite = False
+        if not finite:
             raise FitError(f"{kind} value {name} must be a finite number, got {value!r}")
     return np.array([values[n] for n in names], dtype=float)
 
@@ -436,31 +437,6 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
     return out
 
 
-def _fit_rows(spec, rows, cfg):
-    """Run ``(x, target, w, theta0, fixed)`` rows through the engine, one
-    lockstep batch per point count, each prepared once with its rows'
-    fixed values stacked as (B, 1) columns; returns their ``_Row`` or
-    None."""
-    space = _resolve_space(spec, cfg)
-    out = [None] * len(rows)
-    groups = {}
-    for i, row in enumerate(rows):
-        groups.setdefault(row[1].size, []).append(i)
-    for members in groups.values():
-        x, target, w, theta0 = (np.stack([rows[i][k] for i in members])
-                                for k in range(4))
-        fixed = {name: np.array([[rows[i][4][name]] for i in members], dtype=float)
-                 for name in spec.fixed_names}
-        # Unit weights, as in every log-space fit without sigma, are left
-        # out of the loop: 1.0 * a == a, bit for bit.
-        if np.all(w == 1.0):
-            w = None
-        done = _lm(spec, spec.prepare(x, fixed), target, w, space, theta0, cfg)
-        for i, row in zip(members, done):
-            out[i] = row
-    return out
-
-
 def _result(spec, row, n, fixed, agreeing):
     p = len(spec.params)
     dof = n - p
@@ -576,6 +552,8 @@ def multi_start_batch(model_id, problems, *, cfg=None):
 
     Each problem carries its own fixed values (None when the model has
     none), so problems of one model at different conditions share a batch.
+    Problems are grouped by in-window point count, and each group is one
+    lockstep batch in which a problem's starts are consecutive rows.
     Returns one entry per problem: its FitResult, or the FitError (or
     ValueError) that fitting it alone would raise, a bad init or fixed
     value included.  A problem that fails leaves the other entries
@@ -583,33 +561,41 @@ def multi_start_batch(model_id, problems, *, cfg=None):
     """
     spec = get_model(model_id)
     cfg = cfg or FitConfig()
+    space = _resolve_space(spec, cfg)
     factors = _jitter_factors(spec, cfg)
-    out, rows, owner = [], [], []
+    out, groups = [], {}
     for x, y, init, sigma, fixed in problems:
         try:
-            _numbers(spec, "fixed", spec.fixed_names, fixed)
+            values = _numbers(spec, "fixed", spec.fixed_names, fixed)
             init = _numbers(spec, "init", spec.param_names, init)
             data = _problem(spec, x, y, sigma, cfg)
         except ValueError as exc:
             out.append(exc)
             continue
+        groups.setdefault(data[1].size, []).append(
+            (len(out), data, _starts(spec, init, factors), values, dict(fixed or {})))
         out.append(None)
-        fixed = dict(fixed or {})
-        rows.extend(data + (t0, fixed) for t0 in _starts(spec, init, factors))
-        owner.extend([len(out) - 1] * cfg.restarts)
 
-    fitted = _fit_rows(spec, rows, cfg)
-    by_problem = {}
-    for i, data, row in zip(owner, rows, fitted):
-        by_problem.setdefault(i, (data[1].size, data[4], []))[2].append(row)
-    for i, (n, fixed, done) in by_problem.items():
-        results = [row for row in done if row is not None]
-        if not results:
-            out[i] = FitError("model is not finite at the initial parameters")
-            continue
-        best = min(results, key=lambda row: row.sse)
-        agree = sum(1 for row in results if row.sse <= best.sse * 1.01 + 1e-300)
-        out[i] = _result(spec, best, n, fixed, agree)
+    r = cfg.restarts
+    for n, members in groups.items():
+        index, data, starts, values, fixed = zip(*members)
+        x, target, w = (np.repeat(np.stack(a), r, axis=0) for a in zip(*data))
+        values = np.repeat(np.array(values), r, axis=0)
+        columns = {name: values[:, j:j + 1] for j, name in enumerate(spec.fixed_names)}
+        # Unit weights, as in every log-space fit without sigma, are left
+        # out of the loop: 1.0 * a == a, bit for bit.
+        if np.all(w == 1.0):
+            w = None
+        rows = _lm(spec, spec.prepare(x, columns), target, w, space,
+                   np.concatenate(starts), cfg)
+        for k, i in enumerate(index):
+            results = [row for row in rows[k * r:(k + 1) * r] if row is not None]
+            if not results:
+                out[i] = FitError("model is not finite at the initial parameters")
+                continue
+            best = min(results, key=lambda row: row.sse)
+            agree = sum(1 for row in results if row.sse <= best.sse * 1.01 + 1e-300)
+            out[i] = _result(spec, best, n, fixed[k], agree)
     return out
 
 

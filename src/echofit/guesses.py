@@ -21,7 +21,6 @@ _SECH2_HALF_ARG = float(np.log(1.0 + np.sqrt(2.0)))
 class GuessResult:
     params: dict
     degenerate: bool = False
-    note: str = ""
 
 
 def _positive(v, fallback):
@@ -34,7 +33,6 @@ def mims(t_us, y, fixed):
     below = np.nonzero(yn < np.exp(-2.0))[0]
     spread = (np.max(y) - np.min(y)) / max(abs(np.max(y)), 1e-300)
     degenerate = False
-    note = ""
     if below.size:
         k = below[0]
         if k == 0:
@@ -49,10 +47,8 @@ def mims(t_us, y, fixed):
         tm = -4.0 * t_us[-1] / np.log(yn[-1])
     else:
         tm = 10.0 * max(t_us[-1], 1.0)
-        degenerate = True
-        note = "no decay visible; phase-memory time unconstrained"
-    return GuessResult({"i0": y0, "tm_us": float(tm), "x": 1.0},
-                       degenerate, note)
+        degenerate = True   # no decay visible: T_M is unconstrained
+    return GuessResult({"i0": y0, "tm_us": float(tm), "x": 1.0}, degenerate)
 
 
 def field(b_t, y, fixed):
@@ -72,13 +68,11 @@ def field(b_t, y, fixed):
     g2 = np.log(2.0) / (c * max(b_half2, 1e-12))
     g2 = min(g2, 0.9 * g1)
 
-    degenerate = span < 1e-9 * max(abs(np.max(y)), 1.0)
+    degenerate = span < 1e-9 * max(abs(np.max(y)), 1.0)   # a flat linewidth curve
     return GuessResult(
         {"gamma0_khz": gamma0, "alpha1_khz": alpha1, "alpha2_khz": alpha2,
          "g1": float(g1), "g2": float(max(g2, 1e-6))},
-        degenerate,
-        "flat linewidth curve" if degenerate else "",
-    )
+        degenerate)
 
 
 def temp(temp_k, y, fixed):
@@ -125,9 +119,8 @@ def echo3(x, y, fixed):
     t12 = x[:, 0]
     t23 = x[:, 1]
     uniq = np.unique(t12)
+    # A single t12 value cannot separate dephasing from population decay.
     degenerate = uniq.size < 2
-    note = "single t12 value: dephasing and population terms degenerate" \
-        if degenerate else ""
     t0_us = fixed.get("t0_us", float(np.min(t23)))
     if degenerate:
         gamma = np.full(t23.shape, 10.0)
@@ -157,7 +150,7 @@ def echo3(x, y, fixed):
         "r_sd_khz": r_sd,
         "gamma_tls_khz": gamma_tls,
     }
-    return GuessResult(params, degenerate, note)
+    return GuessResult(params, degenerate)
 
 
 def echo3_free_t1(x, y, fixed):

@@ -25,6 +25,10 @@ keep the value kernel's own expression: sech2's argument is
 ``g * mu * b / two_t``, not the gradient's ``g * cb``, and echo3 takes
 its values on the delays as given, not on the round-tripped ones its
 Jacobian uses.
+
+The optimum of the field law, :func:`field_linewidth_minimum`, is the
+closed-form zero of its field derivative, or an end point of the field
+range where that zero is not an interior minimum.
 """
 
 import numpy as np
@@ -43,8 +47,6 @@ FOUR_PI = 4.0 * np.pi
 # Relative T_Z vs T_1 separation below which the removable singularity of
 # the population factor is evaluated by its analytic limit instead.
 DEGENERATE_LIFETIME_RTOL = 1e-9
-
-_MINIMUM_GRID = 2048  # coarse-grid points of field_linewidth_minimum
 
 
 # Scalar operands of the fitted kernels, as 0-d float64 arrays: a Python
@@ -177,13 +179,16 @@ def field_linewidth(p: FieldModelParams, b_t, temp_k):
 
 
 def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t):
-    """Global minimum of the field model on [0, b_max_t].
+    """Global minimum of the field model on [0, b_max_t], in closed form.
 
-    Coarse grid scan (``_MINIMUM_GRID`` points) followed by bisection
-    on the field derivative until |dGamma/dB| < 1e-9 kHz/T.  Returns
-    ``(b_star_t, gamma_star_khz, boundary)`` where ``boundary`` is None for
-    an interior minimum and "low"/"high" when the minimizer sits at 0 or
-    b_max_t.
+    With c = mu_B/(k_B T), dGamma/dB = c*(alpha2*g2*e^(-g2*c*B) -
+    alpha1*g1*e^(-g1*c*B)) vanishes only at
+    B* = ln(alpha1*g1/(alpha2*g2)) / ((g1 - g2)*c), a minimum when
+    g1 > g2 that lies above 0 when alpha1*g1 > alpha2*g2 > 0.  Otherwise,
+    or when B* >= b_max_t, the minimizer is the lower end point ("low"
+    on a tie).  Returns ``(b_star_t, gamma_star_khz, boundary)`` where
+    ``boundary`` is None for an interior minimum and "low"/"high" when
+    the minimizer sits at 0 or b_max_t.
     """
     if temp_k <= 0:
         raise ValueError("temp_k must be > 0")
@@ -191,41 +196,18 @@ def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t):
         raise ValueError("b_max_t must be > 0")
     c = MU_B_OVER_K_B / temp_k
 
-    def dgamma(b):
-        return (-p.alpha1_khz * p.g1 * c * _cexp(-p.g1 * c * b)
-                + p.alpha2_khz * p.g2 * c * _cexp(-p.g2 * c * b))
+    def gamma(b):
+        return float(_field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2, c, b))
 
-    grid = np.linspace(0.0, b_max_t, _MINIMUM_GRID)
-    vals = _field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2,
-                  *_field_terms(temp_k, grid))
-    k = int(np.argmin(vals))
-    if k == 0 and dgamma(0.0) >= 0.0:
-        return 0.0, float(vals[0]), "low"
-    if k == _MINIMUM_GRID - 1 and dgamma(b_max_t) <= 0.0:
-        return float(b_max_t), float(vals[-1]), "high"
-
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, _MINIMUM_GRID - 1)]
-    dlo, dhi = dgamma(lo), dgamma(hi)
-    if dlo > 0.0 or dhi < 0.0:
-        # Derivative does not bracket a root here; the coarse minimum was a
-        # grid artifact and the true minimizer is at a boundary.
-        if vals[0] <= vals[-1]:
-            return 0.0, float(vals[0]), "low"
-        return float(b_max_t), float(vals[-1]), "high"
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        dmid = dgamma(mid)
-        if abs(dmid) < 1e-9:
-            break
-        if dmid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    b_star = 0.5 * (lo + hi)
-    gamma_star = _field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2,
-                        *_field_terms(temp_k, b_star))
-    return float(b_star), float(gamma_star), None
+    falling, rising = p.alpha1_khz * p.g1, p.alpha2_khz * p.g2
+    if p.g1 > p.g2 and falling > rising > 0:
+        b_star = np.log(falling / rising) / ((p.g1 - p.g2) * c)
+        if b_star < b_max_t:
+            return float(b_star), gamma(b_star), None
+    g_low, g_high = gamma(0.0), gamma(b_max_t)
+    if g_low <= g_high:
+        return 0.0, g_low, "low"
+    return float(b_max_t), g_high, "high"
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +299,6 @@ def sd_linewidth(p: SpectralDiffusionParams, t12_us, t23_us):
               *_sd_terms(p.t0_us, t12, t23))
     ref = t23_us if np.ndim(t23_us) >= np.ndim(t12_us) else t12_us
     return _maybe_scalar(out, ref)
-
-
-def sd_linewidth_t23(p: SpectralDiffusionParams, t23_us):
-    """Waiting-time-only form of :func:`sd_linewidth` (t12 = 0)."""
-    return sd_linewidth(p, 0.0, t23_us)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ The demo and the CLI fit every linewidth table through ``fit_table``.
 
 import os
 from collections.abc import Mapping
+from dataclasses import replace
 
 import numpy as np
 
@@ -219,13 +220,20 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
 
 
 def fit_table(model_id, table, cfg, fixed=None):
-    """``initial_guess`` and ``multi_start_fit`` of the law ``model_id`` on a
-    ScanTable's (condition, value), weighted by its stderr when every entry
-    is > 0 (else linewidth fits use relative residuals)."""
-    sigma = table.stderr if np.all(table.stderr > 0) else None
-    guess = initial_guess(model_id, table.condition, table.value, fixed)
-    return multi_start_fit(model_id, table.condition, table.value, guess.params,
-                           sigma=sigma, cfg=cfg, fixed=fixed)
+    """``initial_guess`` and ``multi_start_fit`` of the law ``model_id`` on
+    the rows of a ScanTable whose value is finite, weighted by their
+    stderr when every such entry is > 0 (else linewidth fits use relative
+    residuals).  The other rows, such as a batch's ``failed:`` rows, are
+    left out, and the fit's flags then end with ``rows-dropped:<k>``."""
+    keep = np.isfinite(table.value)
+    x, y, stderr = table.condition[keep], table.value[keep], table.stderr[keep]
+    sigma = stderr if np.all(stderr > 0) else None
+    guess = initial_guess(model_id, x, y, fixed)
+    res = multi_start_fit(model_id, x, y, guess.params, sigma=sigma, cfg=cfg, fixed=fixed)
+    dropped = keep.size - np.count_nonzero(keep)
+    if dropped:
+        res = replace(res, flags=res.flags + (f"rows-dropped:{dropped}",))
+    return res
 
 
 def emit_report(tables, fits, destination, extra_lines=()):

@@ -135,8 +135,6 @@ def synth_trace(spec: SynthSpec) -> EchoTrace:
         field_t=spec.field_t,
         t12_us=t12_fixed,
         provenance=provenance,
-        meta={"true_params": dict(spec.true_params), "seed": spec.seed,
-              "noise": spec.noise, "fixed": dict(spec.fixed)},
     )
 
 

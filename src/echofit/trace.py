@@ -8,7 +8,7 @@ time-unit header is a hard error; units are never guessed.
 
 import csv
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class EchoTrace:
     field_t: float
     t12_us: float = None
     provenance: str = ""
-    meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.sequence not in SEQUENCES:

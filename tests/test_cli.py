@@ -11,7 +11,8 @@ import pytest
 from echofit.cli import main
 from echofit.fitting import FitConfig, multi_start_fit
 from echofit.guesses import initial_guess
-from echofit.trace import load_table, load_trace
+from echofit.pipeline import fit_table
+from echofit.trace import ScanTable, load_table, load_trace
 
 
 def test_eval_field_preset_zero_field(capsys):
@@ -187,12 +188,19 @@ def _fit_lines(res):
             for name in res.param_names]
 
 
+def _field_scan_traces(tmp_path, short=None):
+    """Seven synthesized 2ppe traces over a field scan; the one at index
+    ``short`` has 3 points, too few to fit."""
+    return [_synth(tmp_path, f"b{k}.txt", "--model", "mims", "--params",
+                   f"i0=1,tm_us={tm},x=1.3",
+                   "--grid", "0.25:200:3:log" if k == short else "0.25:200:50:log",
+                   "--noise", "mult:0.02", "--seed", str(k), "--field-T", str(b))
+            for k, (b, tm) in enumerate(zip((0.0, 0.02, 0.06, 0.14, 0.35, 0.9, 2.0),
+                                            (8.0, 14.0, 30.0, 40.0, 30.0, 20.0, 16.0)))]
+
+
 def test_scan_field_table_fits_a_fit_2ppe_report_weighted_by_its_stderr(tmp_path, capsys):
-    traces = [_synth(tmp_path, f"b{k}.txt", "--model", "mims", "--params",
-                     f"i0=1,tm_us={tm},x=1.3", "--grid", "0.25:200:50:log",
-                     "--noise", "mult:0.02", "--seed", str(k), "--field-T", str(b))
-              for k, (b, tm) in enumerate(zip((0.0, 0.02, 0.06, 0.14, 0.35, 0.9, 2.0),
-                                              (8.0, 14.0, 30.0, 40.0, 30.0, 20.0, 16.0)))]
+    traces = _field_scan_traces(tmp_path)
     out_dir = tmp_path / "report"
     assert main(["fit-2ppe", *traces, "--out", str(out_dir)]) == 0
     path = out_dir / "gamma_eff_vs_field.txt"
@@ -211,6 +219,31 @@ def test_scan_field_table_fits_a_fit_2ppe_report_weighted_by_its_stderr(tmp_path
     for line in _fit_lines(res):
         assert line in out.splitlines()
     assert "minimum: B* = " in out
+
+
+def test_scan_field_table_leaves_out_a_failed_row(tmp_path, capsys):
+    # the 2 T trace has 3 points, so its report row is failed: and NaN;
+    # the table fit used to refuse the whole table over it
+    traces = _field_scan_traces(tmp_path, short=6)
+    out_dir = tmp_path / "report"
+    assert main(["fit-2ppe", *traces, "--out", str(out_dir)]) == 1
+    path = out_dir / "gamma_eff_vs_field.txt"
+    table = load_table(path)
+    assert table.flag[6] == "failed: need at least 4 points inside the window, got 3"
+    capsys.readouterr()
+    rc = main(["scan-field", "--table", str(path), "--restarts", "3", "--seed", "2",
+               "--T", "0.007"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    good = ScanTable(table.condition_axis, table.quantity_id, table.condition[:6],
+                     table.value[:6], table.stderr[:6], table.flag[:6])
+    res = fit_table("field", good, FitConfig(restarts=3, seed=2), {"temp_k": 0.007})
+    assert "rows-dropped" not in ";".join(res.flags)
+    start = out.index(f"model field: converged={res.converged} iterations={res.n_iterations} "
+                      f"sse={res.sse:.6g} dof={res.dof}")
+    end = start + 1 + len(res.param_names)
+    assert out[start + 1:end] == _fit_lines(res)
+    assert out[end] == f"  flags: {';'.join(res.flags + ('rows-dropped:1',))}"
 
 
 def test_scan_temp_table_fits_a_scan_temp_table_unweighted(tmp_path, capsys):

@@ -193,6 +193,63 @@ def test_field_minimum_boundary_flags():
     assert boundary == "high" and b == 2.0
 
 
+def test_field_minimum_passes_over_a_stationary_maximum():
+    # g1 < g2 with alpha1*g1 < alpha2*g2: the one stationary point, at the
+    # same closed form, is a maximum, so the minimum is the lower end point
+    p = FieldModelParams(gamma0_khz=5.0, alpha1_khz=10.0, alpha2_khz=4.0, g1=0.01, g2=0.35)
+    c = MU_B_OVER_K_B / 0.007
+    b_stat = np.log(p.alpha1_khz * p.g1 / (p.alpha2_khz * p.g2)) / ((p.g1 - p.g2) * c)
+    assert 0.0 < b_stat < 0.2
+    for b_max, b_want, want in ((0.2, 0.0, "low"), (2.0, 2.0, "high")):
+        g_want = models.field_linewidth(p, b_want, 0.007)
+        assert models.field_linewidth(p, b_stat, 0.007) > g_want
+        assert models.field_linewidth_minimum(p, 0.007, b_max) == (b_want, g_want, want)
+
+
+def test_field_minimum_at_or_beyond_b_max_is_the_high_end():
+    c = MU_B_OVER_K_B / 0.007
+    p = FIELD_7MK
+    b_star = np.log(p.alpha1_khz * p.g1 / (p.alpha2_khz * p.g2)) / ((p.g1 - p.g2) * c)
+    for b_max in (0.1, b_star):
+        assert models.field_linewidth_minimum(p, 0.007, b_max) == \
+            (b_max, models.field_linewidth(p, b_max, 0.007), "high")
+
+
+@pytest.mark.parametrize("alpha1, g1, alpha2, g2, b_want, want", [
+    (1.0, 0.35, 10.0, 0.1, 0.0, "low"),     # alpha1*g1 < alpha2*g2
+    (2.0, 0.5, 4.0, 0.25, 0.0, "low"),      # alpha1*g1 = alpha2*g2: dGamma/dB(0) = 0
+    # g1 = g2: Gamma = gamma0 + alpha2 + (alpha1 - alpha2) e^(-g c B) is
+    # monotone, and the sign of alpha1 - alpha2 picks the end
+    (10.0, 0.2, 4.0, 0.2, 2.0, "high"),
+    (4.0, 0.2, 10.0, 0.2, 0.0, "low"),
+])
+def test_field_minimum_without_an_interior_minimum_is_an_end_point(alpha1, g1, alpha2, g2,
+                                                                   b_want, want):
+    p = FieldModelParams(gamma0_khz=5.0, alpha1_khz=alpha1, alpha2_khz=alpha2, g1=g1, g2=g2)
+    assert models.field_linewidth_minimum(p, 0.007, 2.0) == \
+        (b_want, models.field_linewidth(p, b_want, 0.007), want)
+
+
+@given(st.tuples(*[st.floats(0.0, 50.0)] * 3), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+       st.floats(0.005, 1.0), st.floats(0.01, 20.0))
+@settings(max_examples=200, deadline=None)
+def test_field_minimum_is_the_lowest_point_and_stationary(amplitudes, g1, g2, temp_k, b_max):
+    p = FieldModelParams(*amplitudes, g1=g1, g2=g2)
+    b, g, boundary = models.field_linewidth_minimum(p, temp_k, b_max)
+    assert g == models.field_linewidth(p, b, temp_k)
+    assert b == {"low": 0.0, "high": b_max}.get(boundary, b)
+    # The law's rounding error scales with its terms, not with their sum:
+    # 1 - e^(-g2*c*B) keeps no digit of a rise far below the float epsilon.
+    dense = models.field_linewidth(p, np.linspace(0.0, b_max, 4001), temp_k)
+    assert g <= dense.min() + 1e-12 * sum(amplitudes)
+    if boundary is None:
+        assert 0.0 < b < b_max
+        c = MU_B_OVER_K_B / temp_k
+        falling = p.alpha1_khz * p.g1 * np.exp(-p.g1 * c * b)
+        rising = p.alpha2_khz * p.g2 * np.exp(-p.g2 * c * b)
+        assert abs(falling - rising) <= 1e-9 * falling
+
+
 # ---------------------------------------------------------------------------
 # Temperature law
 # ---------------------------------------------------------------------------
@@ -249,13 +306,6 @@ def test_sd_t12_term_is_linear(t12, t23):
          - models.sd_linewidth(SD_7MK_009T, 0.0, t23))
     want = 0.5 * SD_7MK_009T.gamma_sd_khz * SD_7MK_009T.r_sd_khz * t12 * 1e-3
     assert d == pytest.approx(want, abs=1e-12)
-
-
-def test_sd_t23_shorthand():
-    t23 = np.array([50.0, 300.0, 5000.0])
-    np.testing.assert_array_equal(
-        models.sd_linewidth_t23(SD_7MK_009T, t23),
-        models.sd_linewidth(SD_7MK_009T, 0.0, t23))
 
 
 @given(st.floats(50.0, 7400.0))
