@@ -20,6 +20,7 @@ from .fitting import FitConfig
 from .params import FieldModelParams, MimsParams, SpectralDiffusionParams, \
     TempModelParams, ThreeLevelParams
 from .pipeline import (
+    ASSUMED_TZ_S,
     DEFAULT_2PPE_WINDOW,
     REPORT_FMT,
     batch_fit_2ppe,
@@ -144,7 +145,7 @@ def cmd_eval(args):
         t12, t23 = _delay(args, "t12_us"), _delay(args, "t23_us")
         t1 = (args.t1_ms if args.t1_ms is not None
               else fixed.get("t1_ms", THREE_LEVEL_7MK_009T.t1_ms))
-        tz = args.tz_s if args.tz_s is not None else fixed.get("tz_s", 1.0)
+        tz = args.tz_s if args.tz_s is not None else fixed.get("tz_s", ASSUMED_TZ_S)
         t0 = args.t0_us if args.t0_us is not None else fixed.get("t0_us", 50.0)
         tl = ThreeLevelParams(i0=params.get("i0", 1.0), t1_ms=t1, tz_s=tz,
                               beta=params["beta"])

@@ -32,7 +32,10 @@ data-only terms are prepared once per batch (``ModelSpec.prepare``), and
 the engine's arrays hold the live rows only: accepted rows take their
 trial values and Jacobians in place, the rest of the step (stop tests,
 damping) runs on whole arrays, and rows are gathered only when some
-stop, at which point they are written out and dropped.
+stop, at which point they are written out and dropped.  Each row
+carries one Jacobian, the weighted one in natural coordinates, which the
+covariance takes; the internal-coordinate Jacobian the step takes is
+formed from it once per iteration, for the live rows.
 
 On arrays this small an iteration costs NumPy calls, not arithmetic, so
 the engine keeps the count of calls down without changing a bit.  Its
@@ -46,7 +49,7 @@ checks they do not need.
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -99,6 +102,15 @@ class FitConfig:
     window: tuple = None            # (t_min, t_max) in the x unit, or None
 
     def __post_init__(self):
+        # A value read from a file may be of any type.  Python counts a bool
+        # as an int, but no bool is a count, a seed or a tolerance.
+        for names, kind, what in ((("max_iterations", "restarts", "seed"), Integral, "an int"),
+                                  (("tol_sse_rel", "tol_grad", "tol_step"), Real,
+                                   "a real number")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.tol_sse_rel <= 0 or self.tol_grad <= 0 or self.tol_step <= 0:
@@ -198,13 +210,13 @@ def _prepare(spec, x, y, sigma, cfg):
     return x, y, w, space
 
 
-def _numbers(spec, kind, names, values):
+def _numbers(model_id, kind, names, values):
     """The ``kind`` ("init" or "fixed") values ``names`` of the mapping
     ``values`` as floats; a FitError names one missing or not finite."""
     values = values or {}
     missing = [n for n in names if n not in values]
     if missing:
-        raise FitError(f"model {spec.model_id!r} needs {kind} values for {missing}")
+        raise FitError(f"model {model_id!r} needs {kind} values for {missing}")
     for name in names:
         value = values[name]
         try:
@@ -227,11 +239,11 @@ def _problem(spec, x, y, sigma, cfg):
 
 
 def _evaluate(spec, theta, terms, target, w, space):
-    """Weighted residuals, model values and Jacobians (in natural and in
-    internal coordinates) of every row from one ``jac_fn`` call.  ``w``
-    None stands for unit weights.  A row whose model is not finite (or,
-    in log space, not positive) gets a non-finite residual, and so a
-    non-finite SSE, which the engine never accepts."""
+    """Weighted residuals, model values and weighted Jacobian in natural
+    coordinates of every row from one ``jac_fn`` call.  ``w`` None stands
+    for unit weights.  A row whose model is not finite (or, in log space,
+    not positive) gets a non-finite residual, and so a non-finite SSE,
+    which the engine never accepts."""
     m, jn = spec.jac_fn(theta, terms)
     if space == "log-intensity":
         r = np.log(m) - target
@@ -241,7 +253,7 @@ def _evaluate(spec, theta, terms, target, w, space):
     if w is not None:
         r = w * r
         jn = w[..., None] * jn
-    return r, m, jn, jn * dnatural_dinternal(spec, theta)[:, None, :]
+    return r, m, jn
 
 
 def _finite_rows(m, space):
@@ -316,18 +328,17 @@ class _Live:
     r: np.ndarray
     sse: np.ndarray
     jn: np.ndarray          # weighted Jacobian in natural coordinates
-    j: np.ndarray           # weighted Jacobian in internal coordinates
     lam: np.ndarray = None
 
     def take(self, keep):
         """The rows where the mask ``keep`` holds, gathered once."""
         idx = np.flatnonzero(keep)
         arrays = (self.rows, self.target, self.w, self.u, self.theta, self.r,
-                  self.sse, self.jn, self.j, self.lam)
-        rows, target, w, u, theta, r, sse, jn, j, lam = (
+                  self.sse, self.jn, self.lam)
+        rows, target, w, u, theta, r, sse, jn, lam = (
             None if a is None else a.take(idx, axis=0) for a in arrays)
         return _Live(rows, _take(self.terms, idx, keep.size), target, w, u, theta,
-                     r, sse, jn, j, lam)
+                     r, sse, jn, lam)
 
 
 # Non-finite trial rows are rejected and non-finite starts fail, so their
@@ -349,7 +360,7 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
                                    (cfg.tol_grad, cfg.tol_step, cfg.tol_sse_rel))
     u = to_internal(spec, theta0)
     theta = to_natural(spec, u)
-    r, _, jn, j = _evaluate(spec, theta, terms, target, w, space)
+    r, _, jn = _evaluate(spec, theta, terms, target, w, space)
     sse = np.vecdot(r, r)
     # A start whose model is not finite has a non-finite SSE.
     ok = np.isfinite(sse)
@@ -358,11 +369,9 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
     n_ok = np.count_nonzero(ok)
     if not n_ok:
         return out
-    live = _Live(np.arange(len(traces)), terms, target, w, u, theta, r, sse, jn, j)
+    live = _Live(np.arange(len(traces)), terms, target, w, u, theta, r, sse, jn)
     if n_ok < ok.size:
         live = live.take(ok)
-    diag_max = (live.j * live.j).sum(axis=1).max(axis=1)
-    live.lam = np.where(diag_max > 0, _LAMBDA_START * diag_max, _LAMBDA_START)
 
     def stop(done, converged, it):
         """Write out the rows where ``done`` holds; returns the rest, or
@@ -375,11 +384,15 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
         return live.take(~done) if len(stopped) < done.size else None
 
     for it in range(1, cfg.max_iterations + 1):
-        # Both operands view one buffer, so NumPy computes J^T J exactly as
-        # j.T @ j does for a single matrix.
-        jt = live.j.transpose(0, 2, 1)
+        # Internal-coordinate Jacobian.  Both operands of J^T J view it, so
+        # NumPy computes J^T J exactly as j.T @ j does for a single matrix.
+        j = live.jn * dnatural_dinternal(spec, live.theta)[:, None, :]
+        if it == 1:
+            diag_max = (j * j).sum(axis=1).max(axis=1)
+            live.lam = np.where(diag_max > 0, _LAMBDA_START * diag_max, _LAMBDA_START)
+        jt = j.transpose(0, 2, 1)
         g = np.matmul(jt, live.r[:, :, None])[:, :, 0]
-        step = _damped_solve(np.matmul(jt, live.j), live.lam, g)
+        step = _damped_solve(np.matmul(jt, j), live.lam, g)
         # A vanishing gradient, or a damped step shrunk to nothing: at large
         # damping a rejected descent step implies a numerically zero
         # gradient.
@@ -392,8 +405,8 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
             step = step[~done]
         u_try = live.u + step
         theta_try = to_natural(spec, u_try)
-        r_try, m_try, jn_try, j_try = _evaluate(spec, theta_try, live.terms,
-                                                live.target, live.w, space)
+        r_try, m_try, jn_try = _evaluate(spec, theta_try, live.terms, live.target,
+                                         live.w, space)
         sse_try = np.vecdot(r_try, r_try)
         # A trial whose model is not finite has a non-finite SSE, so it is
         # never better.
@@ -403,8 +416,8 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
         n_better = np.count_nonzero(better)
         if n_better == better.size:
             live.lam = np.maximum(live.lam / _LAMBDA_DOWN, _LAMBDA_MIN)
-            live.u, live.theta, live.r, live.sse = u_try, theta_try, r_try, sse_try
-            live.jn, live.j = jn_try, j_try
+            live.u, live.theta, live.r, live.sse, live.jn = (u_try, theta_try, r_try,
+                                                             sse_try, jn_try)
             for i, s in zip(live.rows.tolist(), sse_try.tolist()):
                 traces[i].append(s)
             done = converged
@@ -413,10 +426,9 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
                                 np.minimum(live.lam * _LAMBDA_UP, _LAMBDA_MAX))
             if n_better:
                 rows = better[:, None]
-                cells = better[:, None, None]
                 for mine, trial, where in ((live.u, u_try, rows), (live.theta, theta_try, rows),
                                            (live.r, r_try, rows), (live.sse, sse_try, better),
-                                           (live.jn, jn_try, cells), (live.j, j_try, cells)):
+                                           (live.jn, jn_try, better[:, None, None])):
                     np.copyto(mine, trial, where=where)
                 for i, s in zip(live.rows[better].tolist(), sse_try[better].tolist()):
                     traces[i].append(s)
@@ -566,8 +578,8 @@ def multi_start_batch(model_id, problems, *, cfg=None):
     out, groups = [], {}
     for x, y, init, sigma, fixed in problems:
         try:
-            values = _numbers(spec, "fixed", spec.fixed_names, fixed)
-            init = _numbers(spec, "init", spec.param_names, init)
+            values = _numbers(model_id, "fixed", spec.fixed_names, fixed)
+            init = _numbers(model_id, "init", spec.param_names, init)
             data = _problem(spec, x, y, sigma, cfg)
         except ValueError as exc:
             out.append(exc)

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import models
-from .fitting import FitConfig, FitError, multi_start_batch, multi_start_fit, window_mask
+from .fitting import FitConfig, FitError, _numbers, multi_start_batch, multi_start_fit, window_mask
 from .guesses import initial_guess
 from .params import FieldModelParams
 from .presets import FIELD_7MK, PRESETS, SD_7MK_009T_SIGMA, T12_SET_US, THREE_LEVEL_7MK_009T
@@ -26,6 +26,9 @@ DEFAULT_2PPE_WINDOW = (0.25, None)
 
 # Number format of report tables and summaries, and of the CLI's output.
 REPORT_FMT = "%.6g"
+
+# Sublevel lifetime T_Z in seconds taken where no value is given.
+ASSUMED_TZ_S = 1.0
 
 # The reference condition the demo's waiting-time scans are made at.
 _DEMO_3PPE = PRESETS["3ppe-7mK-0.09T"]
@@ -135,27 +138,16 @@ def batch_fit_2ppe(traces, cfg=None, normalize=False):
     return _fit_scan("mims", axis, rows, readout, cfg)
 
 
-def _number(value, name):
-    """``value`` as a float; a ValueError naming ``name`` when it is not a
-    number (a YAML key left empty gives None)."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
-
-
-def _resolve_tz(fixed, temperature_k, field_t):
-    # A key missing from a table entry reads as None, and so fails the
-    # condition like an empty one.
+def _resolve_tz(model_id, fixed, temperature_k, field_t):
+    # T_Z as given, and whether it is assumed.  The engine's number rule
+    # checks each tz_table key when the lookup reaches it.
     for row in fixed.get("tz_table", ()):
-        if (np.isclose(_number(row.get("temperature_k"), "tz_table temperature_k"),
-                       temperature_k, rtol=1e-9)
-                and np.isclose(_number(row.get("field_t"), "tz_table field_t"),
-                               field_t, rtol=1e-9)):
-            return _number(row.get("tz_s"), "tz_table tz_s"), False
+        if all(np.isclose(_numbers(model_id, "tz_table", (key,), row)[0], value, rtol=1e-9)
+               for key, value in (("temperature_k", temperature_k), ("field_t", field_t))):
+            return row.get("tz_s"), False
     if "tz_s" in fixed:
-        return _number(fixed["tz_s"], "tz_s"), False
-    return 1.0, True
+        return fixed["tz_s"], False
+    return ASSUMED_TZ_S, True
 
 
 def batch_fit_3ppe(traces, cfg=None, fixed=None):
@@ -164,13 +156,15 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
     All traces of a condition share the model parameters across their
     fixed t12 values; the reference timescale t0 is the smallest waiting
     time of the condition.  T1 is fixed (default the reference 9 ms) unless
-    fixed["free_t1"] is true; the sublevel lifetime comes from
-    fixed["tz_s"] or a per-condition fixed["tz_table"] (a list of
-    mappings with temperature_k, field_t and tz_s), defaulting to 1 s
-    with an "tz-assumed" flag.  Every condition is guessed first; then
-    all conditions' restarts are fitted in lockstep, each with its own
-    fixed values, and each condition's result equals ``multi_start_fit``
-    on that condition alone.
+    fixed["free_t1"] is True (it must be a bool; absent means False); the
+    sublevel lifetime comes from fixed["tz_s"] or a per-condition
+    fixed["tz_table"] (a list of mappings with temperature_k, field_t and
+    tz_s), defaulting to ``ASSUMED_TZ_S`` with a "tz-assumed" flag.  The
+    T1 and T_Z values go to the engine as given, so one number rule
+    checks them, and a bad one fails only its own condition.  Every
+    condition is guessed first; then all conditions' restarts are fitted
+    in lockstep, each with its own fixed values, and each condition's
+    result equals ``multi_start_fit`` on that condition alone.
 
     Returns ``(tables, fits)`` with one table per fitted quantity
     (gamma0, gamma_tls, gamma_sd, r_sd, beta), one row per condition.
@@ -188,8 +182,11 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
             or not all(isinstance(row, Mapping) for row in table)):
         raise ValueError("tz_table must be a list of mappings with temperature_k, "
                          "field_t and tz_s")
+    free_t1 = fixed.get("free_t1", False)
+    if not isinstance(free_t1, bool):
+        raise ValueError(f"free_t1 must be true or false, got {free_t1!r}")
     axis = _condition_axis(traces)
-    model_id = "echo3-free-t1" if fixed.get("free_t1") else "echo3"
+    model_id = "echo3-free-t1" if free_t1 else "echo3"
 
     groups = {}
     for tr in traces:
@@ -205,10 +202,10 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
                 for tr in members])
             y = np.concatenate([tr.intensity for tr in members])
             t0_us = float(x[:, 1].min())
-            tz_s, assumed = _resolve_tz(fixed, temp_k, field_t)
+            tz_s, assumed = _resolve_tz(model_id, fixed, temp_k, field_t)
             fit_fixed = {"tz_s": tz_s, "t0_us": t0_us}
-            if not fixed.get("free_t1"):
-                fit_fixed["t1_ms"] = _number(fixed["t1_ms"], "t1_ms")
+            if not free_t1:
+                fit_fixed["t1_ms"] = fixed["t1_ms"]
         except ValueError as exc:
             rows.append((condition, exc))
             continue

@@ -144,6 +144,26 @@ def test_fit_3ppe_with_config_yaml(tmp_path, capsys):
     assert abs(tbl.value[0] - 7.96) < 3 * 0.48
 
 
+@pytest.mark.parametrize("config, why", [
+    ('free_t1: "no"\n', "free_t1 must be true or false, got 'no'"),
+    ("free_t1:\n", "free_t1 must be true or false, got None"),
+    ("free_t1: 1\n", "free_t1 must be true or false, got 1"),
+    ("restarts: 2.5\n", "restarts must be an int, got 2.5"),
+    ('max_iterations: "20"\n', "max_iterations must be an int, got '20'"),
+    ("seed:\n", "seed must be an int, got None"),
+])
+def test_fit_3ppe_config_value_of_the_wrong_type_is_named(tmp_path, capsys, config, why):
+    # free_t1: "no" used to fit with T1 free; the others used to fail as
+    # bare TypeErrors, or (an empty seed) to fit from a fresh seed each run
+    trace = _synth(tmp_path, "t12.txt", "--model", "echo3", "--preset", "3ppe-7mK-0.09T",
+                   "--grid", "50:7500:40:log", "--t12-us", "0.33")
+    cfg = tmp_path / "fit.yaml"
+    cfg.write_text(config)
+    capsys.readouterr()
+    assert main(["fit-3ppe", trace, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {why}\n"
+
+
 def _synth(tmp_path, name, *args):
     path = tmp_path / name
     assert main(["synth", *args, "--out", str(path)]) == 0

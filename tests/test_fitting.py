@@ -2,6 +2,8 @@
 window semantics, convergence bookkeeping and initial guesses.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,9 +269,24 @@ def test_config_validation():
     for kwargs, why in (({"tol_grad": 0.0}, "convergence thresholds must be > 0"),
                         ({"tol_step": -1e-12}, "convergence thresholds must be > 0"),
                         ({"tol_sse_rel": 0.0}, "convergence thresholds must be > 0"),
-                        ({"restarts": 0}, "restarts must be >= 1")):
-        with pytest.raises(ValueError, match=f"^{why}$"):
+                        ({"restarts": 0}, "restarts must be >= 1"),
+                        # values of the wrong type, as a YAML config can
+                        # give: each used to fail later as a bare TypeError
+                        # or to be taken as it came
+                        ({"restarts": 2.5}, "restarts must be an int, got 2.5"),
+                        ({"restarts": True}, "restarts must be an int, got True"),
+                        ({"max_iterations": "20"}, "max_iterations must be an int, got '20'"),
+                        ({"seed": 1.5}, "seed must be an int, got 1.5"),
+                        ({"seed": None}, "seed must be an int, got None"),
+                        ({"tol_grad": "1e-10"}, "tol_grad must be a real number, got '1e-10'"),
+                        ({"tol_step": None}, "tol_step must be a real number, got None"),
+                        ({"tol_sse_rel": False},
+                         "tol_sse_rel must be a real number, got False")):
+        with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
             FitConfig(**kwargs)
+    # a negative seed is a valid int; it is drawn from only with restarts > 1
+    assert FitConfig(seed=-1).seed == -1
+    assert FitConfig(restarts=np.int64(3), tol_grad=np.float64(1e-9)).restarts == 3
 
 
 @pytest.mark.parametrize("model_id, x, y, sigma, why", [

@@ -289,7 +289,7 @@ def test_3ppe_bad_tz_table_entry_fails_only_its_condition(bad):
                                           fixed={"t1_ms": 9.0, "tz_table": good})
     assert fits[1] is None
     for q in tables:
-        assert tables[q].flag[1] == ("failed: tz_table tz_s must be a number, got "
+        assert tables[q].flag[1] == ("failed: fixed value tz_s must be a finite number, got "
                                      f"{bad.get('tz_s')!r}")
         assert tables[q].flag[0] == tables_ref[q].flag[0]
         assert tables[q].value[:1].tobytes() == tables_ref[q].value[:1].tobytes()
@@ -298,12 +298,56 @@ def test_3ppe_bad_tz_table_entry_fails_only_its_condition(bad):
         fits_ref[0].params, fits_ref[0].stderr, fits_ref[0].sse_trace, fits_ref[0].fixed)
 
 
-@pytest.mark.parametrize("fixed", [{"t1_ms": None, "tz_s": 2.0}, {"t1_ms": 9.0, "tz_s": None}])
+@pytest.mark.parametrize("fixed", [{"t1_ms": None, "tz_s": 2.0}, {"t1_ms": 9.0, "tz_s": None},
+                                   {"t1_ms": 9.0, "tz_s": "2"}, {"t1_ms": "9", "tz_s": 2.0}])
 def test_3ppe_non_numeric_fixed_value_fails_every_row(fixed):
-    tables, fits = batch_fit_3ppe(_3ppe_traces(seed=412, n=40), fixed=fixed)
-    name = "t1_ms" if fixed["t1_ms"] is None else "tz_s"
-    assert fits == [None]
-    assert tables["beta"].flag == [f"failed: {name} must be a number, got None"]
+    # a string used to be fitted as float(value); the engine's number rule
+    # refuses it like any other value that is not a number
+    ((name, value),) = [(k, v) for k, v in fixed.items() if not isinstance(v, float)]
+    tables, fits = batch_fit_3ppe(_3ppe_traces(seed=412, n=40)
+                                  + _3ppe_traces(seed=413, field_t=0.3, n=40), fixed=fixed)
+    assert fits == [None, None]
+    why = f"failed: fixed value {name} must be a finite number, got {value!r}"
+    for q in tables:
+        assert tables[q].flag == [why, why]
+
+
+@pytest.mark.parametrize("entry, why", [
+    ({"temperature_k": None, "field_t": 0.3},
+     "tz_table value temperature_k must be a finite number, got None"),
+    ({"temperature_k": 0.007, "field_t": None},
+     "tz_table value field_t must be a finite number, got None"),
+    ({"field_t": 0.3}, "model 'echo3' needs tz_table values for ['temperature_k']"),
+    ({"temperature_k": 0.5, "field_t": None}, None),
+])
+def test_3ppe_tz_table_key_that_is_not_a_number_fails_the_conditions_reaching_it(entry, why):
+    # the 0.09 T condition matches the first entry and never reaches the
+    # second; a key is checked only when the lookup reaches it, so a None
+    # field_t behind a temperature that does not match fails nothing
+    traces = _3ppe_traces(seed=410, n=40) + _3ppe_traces(seed=411, field_t=0.3, n=40)
+    good = [{"temperature_k": 0.007, "field_t": 0.09, "tz_s": 2.0},
+            {"temperature_k": 0.007, "field_t": 0.3, "tz_s": 0.5}]
+    cfg = FitConfig(restarts=2, seed=3)
+    tables, fits = batch_fit_3ppe(traces, cfg=cfg, fixed={
+        "t1_ms": 9.0, "tz_table": [good[0], dict(entry, tz_s=0.5), good[1]]})
+    tables_ref, fits_ref = batch_fit_3ppe(traces, cfg=cfg,
+                                          fixed={"t1_ms": 9.0, "tz_table": good})
+    kept = 1 if why else 2
+    assert fits[kept:] == [None] * (2 - kept)
+    for q in tables:
+        assert tables[q].flag == tables_ref[q].flag[:kept] + [f"failed: {why}"] * (2 - kept)
+        assert tables[q].value[:kept].tobytes() == tables_ref[q].value[:kept].tobytes()
+    for res, ref in zip(fits[:kept], fits_ref):
+        assert (res.params, res.stderr, res.sse_trace, res.fixed) == (
+            ref.params, ref.stderr, ref.sse_trace, ref.fixed)
+
+
+@pytest.mark.parametrize("free_t1", ["no", None, 1])
+def test_3ppe_free_t1_that_is_not_a_bool_is_refused(free_t1):
+    # a YAML free_t1: "no" used to be truthy and fitted echo3-free-t1
+    with pytest.raises(ValueError, match=f"^free_t1 must be true or false, got {free_t1!r}$"):
+        batch_fit_3ppe(_3ppe_traces(seed=412, n=40),
+                       fixed={"t1_ms": 9.0, "tz_s": 2.0, "free_t1": free_t1})
 
 
 @pytest.mark.parametrize("table", [
