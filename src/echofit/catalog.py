@@ -62,7 +62,7 @@ class ParamSpec:
 @dataclass(frozen=True)
 class ModelSpec:
     model_id: str
-    kind: str  # "decay" fits intensities, "linewidth" fits rates
+    space: str  # residuals: "log-intensity" for decays, "linear" for rates
     params: tuple
     fixed_names: tuple
     prepare: Callable  # (x, fixed) -> tuple of terms
@@ -125,7 +125,7 @@ def dnatural_dinternal(spec: ModelSpec, theta):
 # Model catalog
 # ---------------------------------------------------------------------------
 
-def _spec(model_id, kind, params, fixed_names, x_columns, terms, value, grad, guess):
+def _spec(model_id, space, params, fixed_names, x_columns, terms, value, grad, guess):
     """A ModelSpec whose ``prepare`` calls ``terms(*fixed values in
     fixed_names order, *x columns)`` and whose eval_fn/jac_fn call the
     kernels ``value``/``grad`` as kernel(*theta, *terms).  A (B, p) theta
@@ -140,7 +140,7 @@ def _spec(model_id, kind, params, fixed_names, x_columns, terms, value, grad, gu
             return kernel(*params, *prepared)
         return call
 
-    return ModelSpec(model_id=model_id, kind=kind, params=params,
+    return ModelSpec(model_id=model_id, space=space, params=params,
                      fixed_names=fixed_names, prepare=prepare, eval_fn=bind(value),
                      jac_fn=bind(grad), x_columns=x_columns, guess=guess)
 
@@ -161,7 +161,7 @@ _ECHO3_PARAMS = (
 CATALOG = {
     "mims": _spec(
         model_id="mims",
-        kind="decay",
+        space="log-intensity",
         params=(
             ParamSpec("i0", _LOG),
             ParamSpec("tm_us", _LOG),
@@ -176,7 +176,7 @@ CATALOG = {
     ),
     "field": _spec(
         model_id="field",
-        kind="linewidth",
+        space="linear",
         params=(
             ParamSpec("gamma0_khz", _LOG),
             ParamSpec("alpha1_khz", _LOG),
@@ -193,7 +193,7 @@ CATALOG = {
     ),
     "temp": _spec(
         model_id="temp",
-        kind="linewidth",
+        space="linear",
         params=(
             ParamSpec("floor_khz", _LOG),
             ParamSpec("amp_khz", _LOG),
@@ -208,7 +208,7 @@ CATALOG = {
     ),
     "sech2": _spec(
         model_id="sech2",
-        kind="linewidth",
+        space="linear",
         params=(
             ParamSpec("gamma_max_khz", _LOG),
             ParamSpec("g", _LOG),
@@ -222,7 +222,7 @@ CATALOG = {
     ),
     "sd": _spec(
         model_id="sd",
-        kind="linewidth",
+        space="linear",
         params=_SD_PARAMS,
         fixed_names=("t0_us",),
         x_columns=2,
@@ -233,7 +233,7 @@ CATALOG = {
     ),
     "echo3": _spec(
         model_id="echo3",
-        kind="decay",
+        space="log-intensity",
         params=_ECHO3_PARAMS,
         fixed_names=("t1_ms", "tz_s", "t0_us"),
         x_columns=2,
@@ -246,7 +246,7 @@ CATALOG = {
     # free parameter.
     "echo3-free-t1": _spec(
         model_id="echo3-free-t1",
-        kind="decay",
+        space="log-intensity",
         params=_ECHO3_PARAMS + (ParamSpec("t1_ms", _LOG),),
         fixed_names=("tz_s", "t0_us"),
         x_columns=2,

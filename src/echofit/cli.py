@@ -35,6 +35,10 @@ from .trace import load_table, load_trace, write_table, write_trace
 
 GRAD_TOL = 1e-5
 
+# The keys a fit-3ppe --config file may set: fixed values, then fit settings.
+_FIXED_KEYS = ("t1_ms", "tz_s", "tz_table", "free_t1")
+_FIT_KEYS = ("restarts", "seed", "max_iterations")
+
 
 def _fmt(v):
     return REPORT_FMT % v
@@ -226,11 +230,19 @@ def cmd_fit_3ppe(args):
     cfg_kwargs = {"restarts": args.restarts, "seed": args.seed}
     if args.config:
         with open(args.config) as fh:
-            conf = yaml.safe_load(fh) or {}
-        for key in ("t1_ms", "tz_s", "tz_table", "free_t1"):
+            conf = yaml.safe_load(fh)
+        conf = {} if conf is None else conf
+        if not isinstance(conf, dict):
+            raise ValueError("--config needs a mapping of keys to values, "
+                             f"got a {type(conf).__name__}")
+        unknown = [key for key in conf if key not in _FIXED_KEYS + _FIT_KEYS]
+        if unknown:
+            raise ValueError(f"unknown --config keys {unknown}; "
+                             f"known: {', '.join(_FIXED_KEYS + _FIT_KEYS)}")
+        for key in _FIXED_KEYS:
             if key in conf:
                 fixed[key] = conf[key]
-        for key in ("restarts", "seed", "max_iterations"):
+        for key in _FIT_KEYS:
             if key in conf:
                 cfg_kwargs[key] = conf[key]
         # the config file overrides flag values, so re-print what is
@@ -357,7 +369,8 @@ def build_parser():
     p.add_argument("--t1-ms", type=float, default=THREE_LEVEL_7MK_009T.t1_ms)
     p.add_argument("--tz-s", type=float, default=None)
     p.add_argument("--free-t1", action="store_true")
-    p.add_argument("--config", default=None, help="YAML with t1_ms/tz_s/tz_table/restarts/seed")
+    p.add_argument("--config", default=None,
+                   help="YAML mapping of " + "/".join(_FIXED_KEYS + _FIT_KEYS))
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=os.environ.get("ECHOFIT_OUTDIR"))

@@ -22,6 +22,13 @@ Rows of different point counts are never padded into one batch: padding
 changes how BLAS accumulates the sums, and so the last bits of the
 results.
 
+A caller sets four things (``FitConfig``).  A row stops when its largest
+gradient entry is below 1e-10, its damped step at most 1e-12 * (1 + max
+|u|) in internal coordinates u, or an accepted step lowers the SSE by at
+most 1e-12 of the new SSE.  Each model names its residual space
+(``ModelSpec.space``): log intensity, unweighted without sigma, or
+linear, relative (1 / |y|) without sigma.
+
 A problem fails once, with one FitError (or ValueError) that names why:
 bad data, too few points in the window, an init or fixed value that is
 missing or not a finite number (one rule checks both; an int beyond the
@@ -71,6 +78,11 @@ _LAMBDA_DOWN = np.array(3.0)
 _LAMBDA_MIN = np.array(1e-15)
 _LAMBDA_MAX = np.array(1e12)
 
+# Stop tolerances, as the module docstring states them.
+_TOL_GRAD = np.array(1e-10)
+_TOL_STEP = np.array(1e-12)
+_TOL_SSE_REL = np.array(1e-12)
+
 # Singular values below this fraction of the largest are treated as zero;
 # parameters loading on such directions get unbounded errors.
 _SVD_RCOND = 1e-12
@@ -82,43 +94,27 @@ class FitError(ValueError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings shared by all fits.
+    """What a caller sets: the iteration cap, the count of seeded starts,
+    their seed, and a window on a one-axis model's time axis (masked
+    points have no influence on the result at all).  The stop tolerances
+    are engine constants, and the residual space is the model's."""
 
-    residual_space "auto" resolves to log-intensity for decay models and
-    linear for linewidth models.  Without a per-point sigma, residuals are
-    unweighted in log space and relative (sigma proportional to observed)
-    in linear space.  The window, when set, masks the independent time
-    axis of 1-D traces; masked points have no influence on the result at
-    all.
-    """
-
-    residual_space: str = "auto"    # "linear" | "log-intensity" | "auto"
     max_iterations: int = 200
-    tol_sse_rel: float = 1e-12
-    tol_grad: float = 1e-10
-    tol_step: float = 1e-12
     restarts: int = 1
     seed: int = 0
     window: tuple = None            # (t_min, t_max) in the x unit, or None
 
     def __post_init__(self):
         # A value read from a file may be of any type.  Python counts a bool
-        # as an int, but no bool is a count, a seed or a tolerance.
-        for names, kind, what in ((("max_iterations", "restarts", "seed"), Integral, "an int"),
-                                  (("tol_sse_rel", "tol_grad", "tol_step"), Real,
-                                   "a real number")):
-            for name in names:
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ValueError(f"{name} must be {what}, got {value!r}")
+        # as an int, but no bool is a count or a seed.
+        for name in ("max_iterations", "restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tol_sse_rel <= 0 or self.tol_grad <= 0 or self.tol_step <= 0:
-            raise ValueError("convergence thresholds must be > 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.residual_space not in ("auto", "linear", "log-intensity"):
-            raise ValueError(f"unknown residual_space {self.residual_space!r}")
         if self.window is not None:
             lo, hi = self.window
             if hi is not None and lo is not None and hi <= lo:
@@ -144,12 +140,6 @@ class FitResult:
 
     def param_vector(self):
         return np.array([self.params[n] for n in self.param_names])
-
-
-def _resolve_space(spec, cfg):
-    if cfg.residual_space != "auto":
-        return cfg.residual_space
-    return "log-intensity" if spec.kind == "decay" else "linear"
 
 
 def window_mask(x, window):
@@ -189,25 +179,25 @@ def _prepare(spec, x, y, sigma, cfg):
         if not np.all(sigma > 0):
             raise FitError("sigma values must be > 0")
 
-    if cfg.window is not None and spec.x_columns == 1:
+    if cfg.window is not None:
         mask = window_mask(x, cfg.window)
         x = x[mask]
         y = y[mask]
         if sigma is not None:
             sigma = sigma[mask]
 
-    space = _resolve_space(spec, cfg)
-    if space == "log-intensity" and np.any(y <= 0):
-        raise FitError("log-intensity residuals need strictly positive data; "
-                       "use residual_space='linear'")
+    linear = spec.space == "linear"
+    if not linear and np.any(y <= 0):
+        raise FitError(f"model {spec.model_id!r} fits log intensities, "
+                       "which need strictly positive data")
 
     if sigma is not None:
-        w = 1.0 / sigma if space == "linear" else y / sigma
-    elif space == "linear":
+        w = 1.0 / sigma if linear else y / sigma
+    elif linear:
         w = 1.0 / np.maximum(np.abs(y), 1e-30)
     else:
         w = np.ones(y.shape)
-    return x, y, w, space
+    return x, y, w
 
 
 def _numbers(model_id, kind, names, values):
@@ -231,21 +221,21 @@ def _numbers(model_id, kind, names, values):
 def _problem(spec, x, y, sigma, cfg):
     """Prepared data ``(x, target, w)`` of one fit, where target is y in the
     residual space; raises FitError when it cannot be fitted."""
-    x, y, w, space = _prepare(spec, x, y, sigma, cfg)
+    x, y, w = _prepare(spec, x, y, sigma, cfg)
     p = len(spec.params)
     if y.size < p + 1:
         raise FitError(f"need at least {p + 1} points inside the window, got {y.size}")
-    return x, np.log(y) if space == "log-intensity" else y, w
+    return x, y if spec.space == "linear" else np.log(y), w
 
 
-def _evaluate(spec, theta, terms, target, w, space):
+def _evaluate(spec, theta, terms, target, w):
     """Weighted residuals, model values and weighted Jacobian in natural
     coordinates of every row from one ``jac_fn`` call.  ``w`` None stands
     for unit weights.  A row whose model is not finite (or, in log space,
     not positive) gets a non-finite residual, and so a non-finite SSE,
     which the engine never accepts."""
     m, jn = spec.jac_fn(theta, terms)
-    if space == "log-intensity":
+    if spec.space == "log-intensity":
         r = np.log(m) - target
         jn = jn / m[..., None]
     else:
@@ -256,10 +246,10 @@ def _evaluate(spec, theta, terms, target, w, space):
     return r, m, jn
 
 
-def _finite_rows(m, space):
+def _finite_rows(spec, m):
     """Rows whose model values are all finite and, in log space, positive."""
     finite = np.isfinite(m)
-    if space == "log-intensity":
+    if spec.space == "log-intensity":
         finite &= m > 0
     return np.logical_and.reduce(finite, axis=-1)
 
@@ -344,7 +334,7 @@ class _Live:
 # Non-finite trial rows are rejected and non-finite starts fail, so their
 # overflows, NaNs and logs of zero are expected and kept quiet.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _lm(spec, terms, target, w, space, theta0, cfg):
+def _lm(spec, terms, target, w, theta0, max_iterations):
     """Levenberg-Marquardt on B rows of equal point count, in lockstep.
 
     ``terms`` are the model's terms prepared from the (B, n) x rows (or
@@ -356,11 +346,9 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
     out and gathered away.  Returns a ``_Row`` per row, or None for a row
     whose model or SSE is not finite at its start.
     """
-    tol_grad, tol_step, tol_sse = (np.array(t) for t in
-                                   (cfg.tol_grad, cfg.tol_step, cfg.tol_sse_rel))
     u = to_internal(spec, theta0)
     theta = to_natural(spec, u)
-    r, _, jn = _evaluate(spec, theta, terms, target, w, space)
+    r, _, jn = _evaluate(spec, theta, terms, target, w)
     sse = np.vecdot(r, r)
     # A start whose model is not finite has a non-finite SSE.
     ok = np.isfinite(sse)
@@ -383,7 +371,7 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
                           traces[i], it, bool(converged[k]))
         return live.take(~done) if len(stopped) < done.size else None
 
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, max_iterations + 1):
         # Internal-coordinate Jacobian.  Both operands of J^T J view it, so
         # NumPy computes J^T J exactly as j.T @ j does for a single matrix.
         j = live.jn * dnatural_dinternal(spec, live.theta)[:, None, :]
@@ -396,8 +384,8 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
         # A vanishing gradient, or a damped step shrunk to nothing: at large
         # damping a rejected descent step implies a numerically zero
         # gradient.
-        done = ((_max_abs(g) < tol_grad)
-                | (_max_abs(step) <= tol_step * (_ONE + _max_abs(live.u))))
+        done = ((_max_abs(g) < _TOL_GRAD)
+                | (_max_abs(step) <= _TOL_STEP * (_ONE + _max_abs(live.u))))
         if np.count_nonzero(done):
             live = stop(done, done, it)
             if live is None:
@@ -406,12 +394,12 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
         u_try = live.u + step
         theta_try = to_natural(spec, u_try)
         r_try, m_try, jn_try = _evaluate(spec, theta_try, live.terms, live.target,
-                                         live.w, space)
+                                         live.w)
         sse_try = np.vecdot(r_try, r_try)
         # A trial whose model is not finite has a non-finite SSE, so it is
         # never better.
         better = sse_try < live.sse
-        converged = live.sse - sse_try <= tol_sse * np.maximum(sse_try, _TINY)
+        converged = live.sse - sse_try <= _TOL_SSE_REL * np.maximum(sse_try, _TINY)
 
         n_better = np.count_nonzero(better)
         if n_better == better.size:
@@ -438,14 +426,14 @@ def _lm(spec, terms, target, w, space, theta0, cfg):
             # damping.
             saturated = ~better & (live.lam >= _LAMBDA_MAX)
             if np.count_nonzero(saturated):
-                saturated &= _finite_rows(m_try, space)
+                saturated &= _finite_rows(spec, m_try)
             done = saturated | converged
         if np.count_nonzero(done):
             live = stop(done, converged, it)
             if live is None:
                 return out
     stop(np.ones(live.rows.size, dtype=bool), np.zeros(live.rows.size, dtype=bool),
-         cfg.max_iterations)
+         max_iterations)
     return out
 
 
@@ -540,6 +528,8 @@ def _jitter_factors(spec, cfg):
     the first; a single start draws none."""
     if cfg.restarts == 1:
         return []
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0 with restarts > 1, got {cfg.seed}")
     rng = np.random.default_rng(cfg.seed)
     draws = rng.uniform(np.log(0.5), np.log(1.5), size=(cfg.restarts - 1, len(spec.params)))
     return np.exp(draws).tolist()
@@ -569,11 +559,14 @@ def multi_start_batch(model_id, problems, *, cfg=None):
     Returns one entry per problem: its FitResult, or the FitError (or
     ValueError) that fitting it alone would raise, a bad init or fixed
     value included.  A problem that fails leaves the other entries
-    unchanged.
+    unchanged.  An unknown model id, a window on a two-column model and a
+    negative seed with restarts > 1 raise a ValueError before any fit.
     """
     spec = get_model(model_id)
     cfg = cfg or FitConfig()
-    space = _resolve_space(spec, cfg)
+    if cfg.window is not None and spec.x_columns != 1:
+        raise ValueError(f"window {cfg.window} applies to one-axis models only, not to "
+                         f"{model_id!r}, which fits (t12_us, t23_us) pairs")
     factors = _jitter_factors(spec, cfg)
     out, groups = [], {}
     for x, y, init, sigma, fixed in problems:
@@ -598,8 +591,8 @@ def multi_start_batch(model_id, problems, *, cfg=None):
         # out of the loop: 1.0 * a == a, bit for bit.
         if np.all(w == 1.0):
             w = None
-        rows = _lm(spec, spec.prepare(x, columns), target, w, space,
-                   np.concatenate(starts), cfg)
+        rows = _lm(spec, spec.prepare(x, columns), target, w, np.concatenate(starts),
+                   cfg.max_iterations)
         for k, i in enumerate(index):
             results = [row for row in rows[k * r:(k + 1) * r] if row is not None]
             if not results:

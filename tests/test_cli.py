@@ -151,10 +151,16 @@ def test_fit_3ppe_with_config_yaml(tmp_path, capsys):
     ("restarts: 2.5\n", "restarts must be an int, got 2.5"),
     ('max_iterations: "20"\n', "max_iterations must be an int, got '20'"),
     ("seed:\n", "seed must be an int, got None"),
+    ("restart: 1\nmax_iteration: 2\ntol_grad: 0.5\nseed: 3\n",
+     "unknown --config keys ['restart', 'max_iteration', 'tol_grad']; known: t1_ms, tz_s, "
+     "tz_table, free_t1, restarts, seed, max_iterations"),
+    ("- restarts: 1\n- seed: 2\n", "--config needs a mapping of keys to values, got a list"),
 ])
 def test_fit_3ppe_config_value_of_the_wrong_type_is_named(tmp_path, capsys, config, why):
     # free_t1: "no" used to fit with T1 free; the others used to fail as
-    # bare TypeErrors, or (an empty seed) to fit from a fresh seed each run
+    # bare TypeErrors, or (an empty seed) to fit from a fresh seed each run;
+    # unknown keys, typos and the stop tolerance alike, used to be printed
+    # as in effect and then ignored
     trace = _synth(tmp_path, "t12.txt", "--model", "echo3", "--preset", "3ppe-7mK-0.09T",
                    "--grid", "50:7500:40:log", "--t12-us", "0.33")
     cfg = tmp_path / "fit.yaml"
@@ -162,6 +168,14 @@ def test_fit_3ppe_config_value_of_the_wrong_type_is_named(tmp_path, capsys, conf
     capsys.readouterr()
     assert main(["fit-3ppe", trace, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {why}\n"
+
+
+def test_fit_2ppe_negative_seed_is_named(tmp_path, capsys):
+    trace = _synth(tmp_path, "t.txt", "--model", "mims", "--params", "i0=1,tm_us=40,x=1.3",
+                   "--grid", "0.25:30:50:log")
+    capsys.readouterr()
+    assert main(["fit-2ppe", trace, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0 with restarts > 1, got -1\n"
 
 
 def _synth(tmp_path, name, *args):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echofit import models
+from echofit import fitting, models
 from echofit.catalog import CATALOG, dnatural_dinternal, to_internal, to_natural
 from echofit.fitting import (
     FitConfig,
@@ -261,15 +261,10 @@ def test_non_finite_input_is_named(array, why):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        FitConfig(residual_space="sqrt")
-    with pytest.raises(ValueError):
         FitConfig(max_iterations=0)
     with pytest.raises(ValueError):
         FitConfig(window=(2.0, 1.0))
-    for kwargs, why in (({"tol_grad": 0.0}, "convergence thresholds must be > 0"),
-                        ({"tol_step": -1e-12}, "convergence thresholds must be > 0"),
-                        ({"tol_sse_rel": 0.0}, "convergence thresholds must be > 0"),
-                        ({"restarts": 0}, "restarts must be >= 1"),
+    for kwargs, why in (({"restarts": 0}, "restarts must be >= 1"),
                         # values of the wrong type, as a YAML config can
                         # give: each used to fail later as a bare TypeError
                         # or to be taken as it came
@@ -277,16 +272,25 @@ def test_config_validation():
                         ({"restarts": True}, "restarts must be an int, got True"),
                         ({"max_iterations": "20"}, "max_iterations must be an int, got '20'"),
                         ({"seed": 1.5}, "seed must be an int, got 1.5"),
-                        ({"seed": None}, "seed must be an int, got None"),
-                        ({"tol_grad": "1e-10"}, "tol_grad must be a real number, got '1e-10'"),
-                        ({"tol_step": None}, "tol_step must be a real number, got None"),
-                        ({"tol_sse_rel": False},
-                         "tol_sse_rel must be a real number, got False")):
+                        ({"seed": None}, "seed must be an int, got None")):
         with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
             FitConfig(**kwargs)
     # a negative seed is a valid int; it is drawn from only with restarts > 1
     assert FitConfig(seed=-1).seed == -1
-    assert FitConfig(restarts=np.int64(3), tol_grad=np.float64(1e-9)).restarts == 3
+    assert FitConfig(restarts=np.int64(3)).restarts == 3
+
+
+def test_negative_seed_is_refused_where_starts_are_drawn():
+    # numpy's generator refuses a negative seed without naming it; the
+    # engine names it before it fits anything, and only when it draws the
+    # jittered starts (a single start takes any int seed)
+    t, y = _mims_data()
+    with pytest.raises(ValueError, match=r"^seed must be >= 0 with restarts > 1, got -1$"):
+        multi_start_fit("mims", t, y, MIMS_TRUTH, cfg=FitConfig(restarts=2, seed=-1))
+    with pytest.raises(ValueError, match=r"^seed must be >= 0 with restarts > 1, got -3$"):
+        multi_start_batch("mims", [], cfg=FitConfig(restarts=4, seed=-3))
+    assert multi_start_fit("mims", t, y, MIMS_TRUTH,
+                           cfg=FitConfig(restarts=1, seed=-7)).converged
 
 
 @pytest.mark.parametrize("model_id, x, y, sigma, why", [
@@ -384,7 +388,8 @@ def _plain_lm(model_id, x, y, init, cfg, fixed):
     Returns (params, sse_trace, n_iterations, stop reason), the reason one
     of "grad", "step", "sse", "saturated" or "max-iterations"."""
     spec = CATALOG[model_id]
-    x, y, w, space = _prepare(spec, x, y, None, cfg)
+    x, y, w = _prepare(spec, x, y, None, cfg)
+    space = spec.space
     terms = spec.prepare(x, fixed)
 
     def residuals(theta):
@@ -409,11 +414,11 @@ def _plain_lm(model_id, x, y, init, cfg, fixed):
     reason = "max-iterations"
     for it in range(1, cfg.max_iterations + 1):
         g = j.T @ r
-        if np.abs(g).max() < cfg.tol_grad:
+        if np.abs(g).max() < fitting._TOL_GRAD:
             reason = "grad"
             break
         step = np.linalg.solve(j.T @ j + lam * np.eye(u.size), -g)
-        if np.abs(step).max() <= cfg.tol_step * (1.0 + np.abs(u).max()):
+        if np.abs(step).max() <= fitting._TOL_STEP * (1.0 + np.abs(u).max()):
             reason = "step"
             break
         theta_try = to_natural(spec, u + step)
@@ -425,7 +430,7 @@ def _plain_lm(model_id, x, y, init, cfg, fixed):
             trace.append(sse)
             j = jacobian(theta, m)
             lam = max(lam / 3.0, 1e-15)
-            if drop <= cfg.tol_sse_rel * sse:
+            if drop <= fitting._TOL_SSE_REL * sse:
                 reason = "sse"
                 break
         else:
@@ -478,26 +483,34 @@ def _scaled(params, factor):
 FAR_MIMS_START = {"i0": 2.0, "tm_us": 10.0, "x": 0.8}
 
 
+def _set_tolerances(monkeypatch, **tolerances):
+    """Replace the engine's stop tolerances (``grad``, ``step``,
+    ``sse_rel``) for one test, as the 0-d arrays the engine keeps."""
+    for name, value in tolerances.items():
+        monkeypatch.setattr(fitting, f"_TOL_{name.upper()}", np.array(value))
+
+
 def _stop_cases():
-    """(name, x, y, init, cfg, stop reason, iteration) of single mims fits
-    that end in each stop branch of the engine."""
+    """(name, x, y, init, cfg, stop tolerances, stop reason, iteration) of
+    single mims fits that end in each stop branch of the engine."""
     t0, y0 = _mims_data()
     t, y, opt = _noisy_mims_optimum()
     return [
-        ("start at the noiseless truth", t0, y0, MIMS_TRUTH, FitConfig(), "grad", 1),
+        ("start at the noiseless truth", t0, y0, MIMS_TRUTH, FitConfig(), {}, "grad", 1),
         ("step shrinks below tol_step", t, y, _scaled(opt, 1 + 1e-4),
-         FitConfig(tol_step=1e-6), "step", 3),
-        ("sse drop below tol_sse_rel", t, y, FAR_MIMS_START, FitConfig(), "sse", 6),
-        ("max_iterations=3", t, y, FAR_MIMS_START, FitConfig(max_iterations=3),
+         FitConfig(), {"step": 1e-6}, "step", 3),
+        ("sse drop below tol_sse_rel", t, y, FAR_MIMS_START, FitConfig(), {}, "sse", 6),
+        ("max_iterations=3", t, y, FAR_MIMS_START, FitConfig(max_iterations=3), {},
          "max-iterations", 3),
-        ("damping saturates at the optimum", t, y, opt,
-         FitConfig(tol_grad=1e-300, tol_step=1e-300, tol_sse_rel=1e-300), "saturated", 34),
+        ("damping saturates at the optimum", t, y, opt, FitConfig(),
+         {"grad": 1e-300, "step": 1e-300, "sse_rel": 1e-300}, "saturated", 34),
     ]
 
 
 @pytest.mark.parametrize("case", range(5))
-def test_each_stop_branch_equals_the_plain_loop(case):
-    name, x, y, init, cfg, reason, iterations = _stop_cases()[case]
+def test_each_stop_branch_equals_the_plain_loop(case, monkeypatch):
+    name, x, y, init, cfg, tolerances, reason, iterations = _stop_cases()[case]
+    _set_tolerances(monkeypatch, **tolerances)
     params, trace, it, plain_reason = _plain_lm("mims", x, y, init, cfg, {})
     assert (plain_reason, it) == (reason, iterations), name
     res = fit("mims", x, y, init, cfg=cfg)
@@ -506,12 +519,13 @@ def test_each_stop_branch_equals_the_plain_loop(case):
     assert ("not-converged" in res.flags) == (reason not in _CONVERGED)
 
 
-def test_rows_stopping_by_different_branches_in_one_iteration():
+def test_rows_stopping_by_different_branches_in_one_iteration(monkeypatch):
     # the grad-tol and step-tol tests share one write-out, and the sse-tol
     # test has its own, all in iteration 1; a far start keeps stepping
     t0, y0 = _mims_data()
     t, y, opt = _noisy_mims_optimum()
-    cfg = FitConfig(tol_step=1e-6, tol_sse_rel=1e-4)
+    _set_tolerances(monkeypatch, step=1e-6, sse_rel=1e-4)
+    cfg = FitConfig()
     problems = [(t0, y0, MIMS_TRUTH, None, None),
                 (t, y, _scaled(opt, 1 + 1e-8), None, None),
                 (t, y, _scaled(opt, 1 + 1e-5), None, None),
@@ -572,6 +586,25 @@ def test_free_t1_batch_fit_chooses_the_degenerate_branch_per_row(tz_s):
     fixed = {"tz_s": tz_s, "t0_us": float(x[:, 1].min())}
     init = initial_guess("echo3-free-t1", x, y, fixed).params
     _assert_best_of_single_starts(fits[0], "echo3-free-t1", x, y, init, cfg, fixed)
+
+
+def test_window_on_a_two_column_model_is_refused_before_fitting(monkeypatch):
+    # a window masks one time axis; on (t12, t23) pairs it used to be
+    # dropped without a word, and all 750 points fitted
+    def no_fit(*args):
+        raise AssertionError("fitted")
+    monkeypatch.setattr(fitting, "_lm", no_fit)
+    traces, x, y = _demo_3ppe_problem()
+    fixed = {"t1_ms": THREE_LEVEL_7MK_009T.t1_ms,
+             "tz_s": THREE_LEVEL_7MK_009T.tz_s, "t0_us": float(x[:, 1].min())}
+    init = initial_guess("echo3", x, y, fixed).params
+    cfg = FitConfig(restarts=1, window=(1000.0, None))
+    why = ("window (1000.0, None) applies to one-axis models only, not to 'echo3', "
+           "which fits (t12_us, t23_us) pairs")
+    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+        multi_start_fit("echo3", x, y, init, cfg=cfg, fixed=fixed)
+    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+        batch_fit_3ppe(traces, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -671,50 +704,57 @@ def test_echo3_guess_needs_two_t12_groups():
 # non-finite starts, jitter draws, batches and a differential check
 # ---------------------------------------------------------------------------
 
+def _temp_data():
+    """Noiseless temperature-law linewidths, 7.6 to 28 kHz."""
+    t = build_grid((0.007, 0.55, 25, "log"))
+    return t, models.temp_linewidth(TEMP_009T, t)
+
+
 def test_start_with_overflowing_sse_is_not_fitted():
-    # i0 near the float maximum: the linear residuals are finite but their
-    # squares overflow, so every start counts as not finite
-    t, y = _mims_data()
-    init = {"i0": 1.2e308, "tm_us": 40.0, "x": 1.3}
-    cfg = FitConfig(restarts=6, residual_space="linear")
+    # a floor near the float maximum: the relative residuals are finite but
+    # their squares overflow, so every start counts as not finite
+    t, y = _temp_data()
+    init = {"floor_khz": 1.2e308, "amp_khz": 45.0, "exponent_n": 1.34}
+    cfg = FitConfig(restarts=6)
     with np.errstate(over="ignore"):
         with pytest.raises(FitError, match="^model is not finite at the initial parameters$"):
-            multi_start_fit("mims", t, y, init, cfg=cfg)
+            multi_start_fit("temp", t, y, init, cfg=cfg)
         with pytest.raises(FitError, match="model is not finite"):
-            fit("mims", t, y, init, cfg=cfg)
+            fit("temp", t, y, init, cfg=cfg)
 
 
 @pytest.mark.filterwarnings("error")
 def test_overflowing_start_fails_without_warnings():
     # the engine rejects or fails non-finite rows itself, so the overflows
     # on the way there are not reported as warnings
-    t, y = _mims_data()
-    init = {"i0": 1.2e308, "tm_us": 40, "x": 1.3}
-    cfg = FitConfig(restarts=6, residual_space="linear")
+    t, y = _temp_data()
+    init = {"floor_khz": 1.2e308, "amp_khz": 45, "exponent_n": 1.34}
+    cfg = FitConfig(restarts=6)
     with pytest.raises(FitError) as exc:
-        multi_start_fit("mims", t, y, init, cfg=cfg)
+        multi_start_fit("temp", t, y, init, cfg=cfg)
     assert str(exc.value) == "model is not finite at the initial parameters"
 
 
 def test_only_the_finite_starts_of_a_start_set_are_fitted():
-    # i0 near the square root of the float maximum: the linear SSE of the
-    # first and last start overflows and those of the middle two do not;
-    # the best finite start wins as if fitted alone
-    t, y = _mims_data()
-    init = {"i0": 10 ** 153.3, "tm_us": 40.0, "x": 1.3}
-    cfg = FitConfig(restarts=4, seed=0, residual_space="linear")
-    spec = CATALOG["mims"]
+    # a floor near the square root of the float maximum: seed 12 jitters it
+    # by 0.66, 0.61 and 1.04, so the relative SSE of the first and last
+    # start overflows and those of the middle two do not; the best finite
+    # start wins as if fitted alone
+    t, y = _temp_data()
+    init = {"floor_khz": 10 ** 154.5, "amp_khz": 45.0, "exponent_n": 1.34}
+    cfg = FitConfig(restarts=4, seed=12)
+    spec = CATALOG["temp"]
     lone = []
     for start in _starts(spec, np.array([init[n] for n in spec.param_names]),
                          _jitter_factors(spec, cfg)):
         try:
-            lone.append(fit("mims", t, y, dict(zip(spec.param_names, start.tolist())),
+            lone.append(fit("temp", t, y, dict(zip(spec.param_names, start.tolist())),
                             cfg=cfg))
         except FitError as exc:
             assert str(exc) == "model is not finite at the initial parameters"
             lone.append(None)
     assert [r is not None for r in lone] == [False, True, True, False]
-    res = multi_start_fit("mims", t, y, init, cfg=cfg)
+    res = multi_start_fit("temp", t, y, init, cfg=cfg)
     best = min((r for r in lone if r is not None), key=lambda r: r.sse)
     assert (res.params, res.sse, res.n_iterations, res.sse_trace, res.flags) == \
         (best.params, best.sse, best.n_iterations, best.sse_trace, best.flags)
@@ -981,7 +1021,7 @@ def test_fit_agrees_with_scipy_levenberg_marquardt(model_id):
     init = _jitter(truth, np.random.default_rng(3), frac=0.2)
     res = fit(model_id, x, y, init, fixed=fixed)
 
-    log_space = spec.kind == "decay"
+    log_space = spec.space == "log-intensity"
     w = np.ones_like(y) if log_space else 1.0 / np.abs(y)
 
     def residuals(u):

@@ -145,8 +145,7 @@ def test_lockstep_batch_rows_equal_their_lone_fits():
         assert res.flags == alone.flags
         np.testing.assert_array_equal(res.covariance, alone.covariance)
     assert fits[-1] is None
-    why = ("log-intensity residuals need strictly positive data; "
-           "use residual_space='linear'")
+    why = "model 'mims' fits log intensities, which need strictly positive data"
     assert tables["x"].flag[-1] == f"failed: {why}"
 
 
