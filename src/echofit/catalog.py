@@ -6,16 +6,16 @@ space; this module owns the mapping between that space and the natural,
 unit-carrying parameters.  Positive-only parameters use a log transform,
 box-bounded ones a logit transform, so bounds hold by construction.
 
-Every model has three functions in :mod:`echofit.models`: a terms
+Every model has two functions in :mod:`echofit.models`: a terms
 function, which takes the fixed quantities in ``fixed_names`` order and
-then the x column(s), and a value kernel and gradient, which take the
-free parameters in ``params`` order and then the terms.  A spec binds
-them directly, with no per-model adapter: ``prepare(x, fixed)`` returns
-the terms, ``eval_fn(theta, terms)`` the values and ``jac_fn(theta,
-terms)`` the pair ``(values, Jacobian)``, whose values are byte-equal to
-``eval_fn``'s, so an LM step needs one kernel call.  The terms are the
-subexpressions that depend on x and the fixed quantities alone, so a fit
-prepares them once and every LM iteration reuses them.  Each term is an
+then the x column(s), and one kernel, which takes the free parameters in
+``params`` order and then the terms and returns ``(values, Jacobian)``.
+A spec binds them directly, with no per-model adapter: ``prepare(x,
+fixed)`` returns the terms, ``jac_fn(theta, terms)`` the kernel's pair,
+so an LM step needs one kernel call, and ``eval_fn(theta, terms)`` the
+kernel's values alone.  The terms are the subexpressions that depend on
+x and the fixed quantities alone, so a fit prepares them once and every
+LM iteration reuses them.  Each term is an
 exact leading subexpression of the formula it stands in (``2.0 * t12``
 of ``2.0 * t12 / tm``, but not ``c * b`` of ``-g1 * c * b``, which is
 evaluated as ``(-g1 * c) * b``), so the values and Jacobians keep every
@@ -25,8 +25,8 @@ shared by every row.
 
 A fixed quantity that a derived spec frees (``echo3-free-t1``) can no
 longer be folded into the terms, so the derived spec has its own terms
-function and kernels; they form the affected terms on every call and
-share the rest with the base model.
+function and kernel; the kernel forms the affected terms on every call
+and shares the rest with the base model.
 
 ``eval_fn``, ``jac_fn`` and the transforms also take a stack of B
 problems: a (B, p) theta, with terms prepared from x as (B, n) rows (or
@@ -66,9 +66,9 @@ class ModelSpec:
     params: tuple
     fixed_names: tuple
     prepare: Callable  # (x, fixed) -> tuple of terms
-    eval_fn: Callable  # (theta, terms) -> (n,), or (B, n) for a (B, p) theta
-    jac_fn: Callable   # (theta, terms) -> (values, Jacobian): eval_fn's
-                       # values, bytes and all, and (n, p), or (B, n, p)
+    eval_fn: Callable  # (theta, terms) -> jac_fn's values alone
+    jac_fn: Callable   # (theta, terms) -> (values, Jacobian): (n,) and
+                       # (n, p), or (B, n) and (B, n, p) for a (B, p) theta
     x_columns: int     # 1 for a single axis, 2 for (t12_us, t23_us) pairs
     guess: Callable    # (x, y, fixed) -> guesses.GuessResult
 
@@ -125,24 +125,27 @@ def dnatural_dinternal(spec: ModelSpec, theta):
 # Model catalog
 # ---------------------------------------------------------------------------
 
-def _spec(model_id, space, params, fixed_names, x_columns, terms, value, grad, guess):
+def _spec(model_id, space, params, fixed_names, x_columns, terms, kernel, guess):
     """A ModelSpec whose ``prepare`` calls ``terms(*fixed values in
-    fixed_names order, *x columns)`` and whose eval_fn/jac_fn call the
-    kernels ``value``/``grad`` as kernel(*theta, *terms).  A (B, p) theta
-    is passed as p columns of shape (B, 1)."""
+    fixed_names order, *x columns)`` and whose jac_fn calls
+    ``kernel(*theta, *terms)``; eval_fn keeps the kernel's values.  A
+    (B, p) theta is passed as p columns of shape (B, 1)."""
     def prepare(x, fixed):
         xs = (x,) if x_columns == 1 else np.moveaxis(x, -1, 0)
         return terms(*[fixed[k] for k in fixed_names], *xs)
 
-    def bind(kernel):
-        def call(theta, prepared):
-            params = theta.T[:, :, None] if np.ndim(theta) == 2 else theta
-            return kernel(*params, *prepared)
-        return call
+    def jac_fn(theta, prepared):
+        params = theta.T[:, :, None] if np.ndim(theta) == 2 else theta
+        return kernel(*params, *prepared)
+
+    def eval_fn(theta, prepared):
+        # The kernel's own binding, not spec.jac_fn, which a tracer may
+        # wrap: an evaluation is not a Jacobian call.
+        return jac_fn(theta, prepared)[0]
 
     return ModelSpec(model_id=model_id, space=space, params=params,
-                     fixed_names=fixed_names, prepare=prepare, eval_fn=bind(value),
-                     jac_fn=bind(grad), x_columns=x_columns, guess=guess)
+                     fixed_names=fixed_names, prepare=prepare, eval_fn=eval_fn,
+                     jac_fn=jac_fn, x_columns=x_columns, guess=guess)
 
 
 _LOG = "log"
@@ -170,8 +173,7 @@ CATALOG = {
         fixed_names=(),
         x_columns=1,
         terms=models._mims_terms,
-        value=models._mims,
-        grad=models._mims_grad,
+        kernel=models._mims_grad,
         guess=guesses.mims,
     ),
     "field": _spec(
@@ -187,8 +189,7 @@ CATALOG = {
         fixed_names=("temp_k",),
         x_columns=1,
         terms=models._field_terms,
-        value=models._field,
-        grad=models._field_grad,
+        kernel=models._field_grad,
         guess=guesses.field,
     ),
     "temp": _spec(
@@ -202,8 +203,7 @@ CATALOG = {
         fixed_names=(),
         x_columns=1,
         terms=models._temp_terms,
-        value=models._temp,
-        grad=models._temp_grad,
+        kernel=models._temp_grad,
         guess=guesses.temp,
     ),
     "sech2": _spec(
@@ -216,8 +216,7 @@ CATALOG = {
         fixed_names=("temp_k",),
         x_columns=1,
         terms=models._sech2_terms,
-        value=models._sech2,
-        grad=models._sech2_grad,
+        kernel=models._sech2_grad,
         guess=guesses.sech2,
     ),
     "sd": _spec(
@@ -227,8 +226,7 @@ CATALOG = {
         fixed_names=("t0_us",),
         x_columns=2,
         terms=models._sd_terms,
-        value=models._sd,
-        grad=models._sd_grad,
+        kernel=models._sd_grad,
         guess=guesses.sd,
     ),
     "echo3": _spec(
@@ -238,8 +236,7 @@ CATALOG = {
         fixed_names=("t1_ms", "tz_s", "t0_us"),
         x_columns=2,
         terms=models._echo3_terms,
-        value=models._echo3,
-        grad=models._echo3_grad,
+        kernel=models._echo3_grad,
         guess=guesses.echo3,
     ),
     # echo3 with its first fixed quantity, t1_ms, promoted to the last
@@ -251,8 +248,7 @@ CATALOG = {
         fixed_names=("tz_s", "t0_us"),
         x_columns=2,
         terms=models._echo3_free_t1_terms,
-        value=models._echo3_free_t1,
-        grad=models._echo3_free_t1_grad,
+        kernel=models._echo3_free_t1_grad,
         guess=guesses.echo3_free_t1,
     ),
 }

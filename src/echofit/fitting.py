@@ -31,8 +31,9 @@ linear, relative (1 / |y|) without sigma.
 
 A problem fails once, with one FitError (or ValueError) that names why:
 bad data, too few points in the window, an init or fixed value that is
-missing or not a finite number (one rule checks both; an int beyond the
-float range is not one), or a model that is not finite at every start.
+missing or not a finite number (one rule checks both and the window's
+edges; a bool is not one, nor an int beyond the float range), or a model
+that is not finite at every start.
 
 The engine computes each iteration only what changed.  The model's
 data-only terms are prepared once per batch (``ModelSpec.prepare``), and
@@ -116,6 +117,10 @@ class FitConfig:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.window is not None:
+            if not (isinstance(self.window, (tuple, list)) and len(self.window) == 2
+                    and all(e is None or _finite(e) for e in self.window)):
+                raise ValueError("window must be None or a (lo, hi) pair whose edges "
+                                 f"are each None or a finite number, got {self.window!r}")
             lo, hi = self.window
             if hi is not None and lo is not None and hi <= lo:
                 raise ValueError("window upper edge must exceed lower edge")
@@ -200,6 +205,16 @@ def _prepare(spec, x, y, sigma, cfg):
     return x, y, w
 
 
+def _finite(value):
+    """Whether ``value`` is a finite real number.  A bool is not one, nor an
+    int beyond the float range."""
+    try:
+        return (isinstance(value, Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:   # an int (or Fraction) beyond the float range
+        return False
+
+
 def _numbers(model_id, kind, names, values):
     """The ``kind`` ("init" or "fixed") values ``names`` of the mapping
     ``values`` as floats; a FitError names one missing or not finite."""
@@ -209,11 +224,7 @@ def _numbers(model_id, kind, names, values):
         raise FitError(f"model {model_id!r} needs {kind} values for {missing}")
     for name in names:
         value = values[name]
-        try:
-            finite = isinstance(value, Real) and math.isfinite(value)
-        except OverflowError:   # an int (or Fraction) beyond the float range
-            finite = False
-        if not finite:
+        if not _finite(value):
             raise FitError(f"{kind} value {name} must be a finite number, got {value!r}")
     return np.array([values[n] for n in names], dtype=float)
 

@@ -27,6 +27,15 @@ def _positive(v, fallback):
     return float(v) if np.isfinite(v) and v > 0 else float(fallback)
 
 
+def _c_at_temp_k(model_id, fixed):
+    """mu_B / (k_B T) at the fixed ``temp_k``, which the engine's number
+    rule reads: a FitError names it when missing or not finite."""
+    # Imported here because fitting imports the catalog, which imports
+    # this module for its guesses.
+    from .fitting import _numbers
+    return MU_B_OVER_K_B / _numbers(model_id, "fixed", ("temp_k",), fixed)[0]
+
+
 def mims(t_us, y, fixed):
     y0 = _positive(y[0], max(np.max(y), 1e-12))
     yn = y / y0
@@ -52,7 +61,7 @@ def mims(t_us, y, fixed):
 
 
 def field(b_t, y, fixed):
-    c = MU_B_OVER_K_B / fixed.get("temp_k", 0.007)
+    c = _c_at_temp_k("field", fixed)
     span = max(np.max(y) - np.min(y), 1e-12)
     gamma0 = _positive(np.min(y), 1e-3)
     alpha1 = _positive(y[0] - gamma0, 0.1 * span)
@@ -83,7 +92,7 @@ def temp(temp_k, y, fixed):
 
 
 def sech2(b_t, y, fixed):
-    c = MU_B_OVER_K_B / fixed.get("temp_k", 0.007)
+    c = _c_at_temp_k("sech2", fixed)
     gmax = _positive(y[np.argmin(np.abs(b_t))], max(np.max(y), 1e-12))
     half = np.nonzero(y <= 0.5 * gmax)[0]
     b_half = b_t[half[0]] if half.size and b_t[half[0]] > 0 else np.max(b_t)

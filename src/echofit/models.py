@@ -8,23 +8,22 @@ without hidden conversion factors.
 The underscore-prefixed functions operate on plain floats/arrays and are
 bound directly by the fitting catalog.  Each model has a ``_<model>_terms``
 function that takes the fixed quantities, then the x column(s), and
-returns the kernels' data-only subexpressions; its value kernel and
-gradient take the free parameters followed by those terms.  A term is
-always a leading subexpression of the formula it stands in, so a fit
-computes it once and every evaluation keeps its last bits (see
-:mod:`echofit.catalog`).  The kernels also evaluate B problems at once:
-parameters as (B, 1) columns and terms of (B, n) rows give (B, n) values
-and (B, n, p) gradients, each row bit-equal to the call with that row's
-scalars.
+returns the kernel's data-only subexpressions, and one kernel,
+``_<model>_grad``, that takes the free parameters followed by those
+terms and returns ``(values, gradient)``.  A term is always a leading
+subexpression of the formula it stands in, so a fit computes it once and
+every evaluation keeps its last bits (see :mod:`echofit.catalog`).  The
+kernels also evaluate B problems at once: parameters as (B, 1) columns
+and terms of (B, n) rows give (B, n) values and (B, n, p) gradients, each
+row bit-equal to the call with that row's scalars.  On scalar terms a
+kernel keeps scalar arithmetic, so the public law functions, which take
+their values from it, give a scalar call the direct formula's bits.
 
-A gradient returns ``(values, gradient)``, with the values byte-equal to
-the value kernel's, so the fitter makes one call per step.  Most
-gradients form the values from the subexpressions they already hold.
-Where the gradient's arithmetic differs from the value's, the values
-keep the value kernel's own expression: sech2's argument is
-``g * mu * b / two_t``, not the gradient's ``g * cb``, and echo3 takes
-its values on the delays as given, not on the round-tripped ones its
-Jacobian uses.
+Most kernels form the values from the subexpressions the gradient
+already holds.  Two keep the direct formula where the gradient's
+arithmetic differs from it: sech2's argument is ``g * mu * b / two_t``,
+not the gradient's ``g * cb``, and echo3 takes its values on the delays
+as given, not on the round-tripped ones its Jacobian uses.
 
 The optimum of the field law, :func:`field_linewidth_minimum`, is the
 closed-form zero of its field derivative, or an end point of the field
@@ -89,19 +88,14 @@ def _mims_terms(t12_us):
     return (2.0 * np.asarray(t12_us, dtype=float),)
 
 
-def _mims(i0, tm_us, x, two_t12):
-    u = two_t12 / tm_us
-    return i0 * _cexp(_NEG_TWO * u ** x)
-
-
 def _mims_grad(i0, tm_us, x, two_t12):
-    u = np.atleast_1d(two_t12 / tm_us)
+    u = two_t12 / tm_us
     ux = u ** x
     intensity = i0 * _cexp(_NEG_TWO * ux)
     # d/dx of u^x is u^x*ln(u); the t12 = 0 sample contributes zero in the
     # limit, which u^x * ln(1) gives.
     ux_logu = ux * np.log(np.where(u > _ZERO, u, _ONE))
-    g = np.empty(u.shape + (3,))
+    g = np.empty(np.shape(u) + (3,))
     g[..., 0] = intensity / i0
     g[..., 1] = intensity * (_TWO * x / tm_us) * ux
     g[..., 2] = _NEG_TWO * intensity * ux_logu
@@ -115,7 +109,7 @@ def mims_intensity(p: MimsParams, t12_us):
     is strictly decreasing in ``t12``.
     """
     t = _asarray(t12_us, "t12_us", minimum=0.0)
-    return _maybe_scalar(_mims(p.i0, p.tm_us, p.x, *_mims_terms(t)), t12_us)
+    return _maybe_scalar(_mims_grad(p.i0, p.tm_us, p.x, *_mims_terms(t))[0], t12_us)
 
 
 def gamma_eff_from_tm(tm_us):
@@ -140,10 +134,6 @@ def tm_from_gamma_eff(gamma_khz):
 
 def _field_terms(temp_k, b_t):
     return MU_B_OVER_K_B / temp_k, np.asarray(b_t, dtype=float)
-
-
-def _field(gamma0, alpha1, alpha2, g1, g2, c, b):
-    return gamma0 + alpha1 * _cexp(-g1 * c * b) + alpha2 * (_ONE - _cexp(-g2 * c * b))
 
 
 def _field_grad(gamma0, alpha1, alpha2, g1, g2, c, b):
@@ -172,8 +162,8 @@ def field_linewidth(p: FieldModelParams, b_t, temp_k):
         raise ValueError("temp_k must be > 0")
     b = _asarray(b_t, "b_t", minimum=0.0)
     return _maybe_scalar(
-        _field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2,
-               *_field_terms(temp_k, b)),
+        _field_grad(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2,
+                    *_field_terms(temp_k, b))[0],
         b_t,
     )
 
@@ -197,7 +187,8 @@ def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t):
     c = MU_B_OVER_K_B / temp_k
 
     def gamma(b):
-        return float(_field(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2, c, b))
+        return float(_field_grad(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz,
+                                 p.g1, p.g2, c, b)[0])
 
     falling, rising = p.alpha1_khz * p.g1, p.alpha2_khz * p.g2
     if p.g1 > p.g2 and falling > rising > 0:
@@ -219,13 +210,9 @@ def _temp_terms(temp_k):
     return t, np.log(t)
 
 
-def _temp(floor, amp, n, t, log_t):
-    return floor + amp * t ** n
-
-
 def _temp_grad(floor, amp, n, t, log_t):
-    tn = np.atleast_1d(t ** n)
-    g = np.empty(tn.shape + (3,))
+    tn = t ** n
+    g = np.empty(np.shape(tn) + (3,))
     g[..., 0] = _ONE
     g[..., 1] = tn
     g[..., 2] = amp * tn * log_t
@@ -242,8 +229,8 @@ def temp_linewidth(p: TempModelParams, temp_k):
     t = np.asarray(temp_k, dtype=float)
     if np.any(t <= 0):
         raise ValueError("temp_k must be > 0")
-    return _maybe_scalar(_temp(p.floor_khz, p.amp_khz, p.exponent_n, *_temp_terms(t)),
-                         temp_k)
+    return _maybe_scalar(
+        _temp_grad(p.floor_khz, p.amp_khz, p.exponent_n, *_temp_terms(t))[0], temp_k)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +347,7 @@ def _echo3_columns(i0, pop, dpop_dbeta, gamma0, gamma_sd, r_sd, gamma_tls,
     """Values, the Jacobian with its first six columns filled, and the
     dephasing envelope the last column needs.  The Jacobian takes
     Gamma_eff on the round-tripped delays and the values on the delays as
-    given, as the value kernel does."""
+    given."""
     gamma, d_gamma_sd, d_r_sd = _sd_parts(gamma0, gamma_sd, r_sd, gamma_tls,
                                           t12_rt, t23_rt, log_rt)
     env = _cexp(m4pi_t12 * gamma)
@@ -389,13 +376,6 @@ def _echo3_terms(t1_ms, tz_s, t0_us, t12_us, t23_us):
     return (ea, a, b, 0.5 * a * b) + delays
 
 
-def _echo3(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, ea, a, b, dpop_dbeta,
-           m4pi_t12, t12_ms, t23_ms, log_t23, t12_rt, t23_rt, log_rt):
-    pop = _population(beta, ea, a, b)
-    gamma = _sd(gamma0, gamma_sd, r_sd, gamma_tls, t12_ms, t23_ms, log_t23)
-    return i0 * pop ** 2 * _cexp(m4pi_t12 * gamma)
-
-
 def _echo3_grad(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, ea, a, b, dpop_dbeta,
                 m4pi_t12, t12_ms, t23_ms, log_t23, t12_rt, t23_rt, log_rt):
     value, g, _ = _echo3_columns(i0, _population(beta, ea, a, b), dpop_dbeta,
@@ -411,13 +391,6 @@ def _echo3_free_t1_terms(tz_s, t0_us, t12_us, t23_us):
     delays = _echo3_delay_terms(t0_us, t12_us, t23_us)
     tz_ms = tz_s * 1e3
     return (tz_ms, _cexp(-delays[2] / tz_ms)) + delays
-
-
-def _echo3_free_t1(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, t1_ms, tz_ms, eb,
-                   m4pi_t12, t12_ms, t23_ms, log_t23, t12_rt, t23_rt, log_rt):
-    ea, a, b = _population_terms(t1_ms, tz_ms, t23_ms, eb)
-    return _echo3(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, ea, a, b, None,
-                  m4pi_t12, t12_ms, t23_ms, log_t23, t12_rt, t23_rt, log_rt)
 
 
 def _echo3_free_t1_grad(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, t1_ms, tz_ms, eb,
@@ -452,8 +425,9 @@ def stimulated_echo_intensity(tl: ThreeLevelParams, sd: SpectralDiffusionParams,
     if np.any(t23 < sd.t0_us):
         raise ValueError("t23_us must be >= t0_us")
     t12 = _asarray(t12_us, "t12_us", minimum=0.0)
-    out = _echo3(tl.i0, tl.beta, sd.gamma0_khz, sd.gamma_sd_khz, sd.r_sd_khz,
-                 sd.gamma_tls_khz, *_echo3_terms(tl.t1_ms, tl.tz_s, sd.t0_us, t12, t23))
+    out = _echo3_grad(tl.i0, tl.beta, sd.gamma0_khz, sd.gamma_sd_khz, sd.r_sd_khz,
+                      sd.gamma_tls_khz,
+                      *_echo3_terms(tl.t1_ms, tl.tz_s, sd.t0_us, t12, t23))[0]
     ref = t23_us if np.ndim(t23_us) >= np.ndim(t12_us) else t12_us
     return _maybe_scalar(out, ref)
 
@@ -468,20 +442,16 @@ def _sech2_terms(temp_k, b_t):
     return MU_B_OVER_K_B, b, two_t, MU_B_OVER_K_B * b / two_t
 
 
-def _sech2(gamma_max, g, mu, b, two_t, cb):
-    k = g * mu * b / two_t
-    return gamma_max / np.cosh(np.clip(k, _EXP_LO, _EXP_HI)) ** 2
-
-
 def _sech2_grad(gamma_max, g, mu, b, two_t, cb):
     k = np.clip(g * cb, _EXP_LO, _EXP_HI)
     sech2 = _ONE / np.cosh(k) ** 2
     grad = np.empty(np.shape(k) + (2,))
     grad[..., 0] = sech2
     grad[..., 1] = _NEG_TWO * gamma_max * sech2 * np.tanh(k) * cb
-    # g * cb is not g * mu * b / two_t to the last bit, so the value keeps
-    # the value kernel's own argument.
-    return _sech2(gamma_max, g, mu, b, two_t, cb), grad
+    # g * cb is not g * mu * b / two_t to the last bit, so the values keep
+    # the direct formula's argument.
+    value = gamma_max / np.cosh(np.clip(g * mu * b / two_t, _EXP_LO, _EXP_HI)) ** 2
+    return value, grad
 
 
 def sech2_sd_amplitude(gamma_max_khz, g, b_t, temp_k):
@@ -489,4 +459,4 @@ def sech2_sd_amplitude(gamma_max_khz, g, b_t, temp_k):
     if temp_k <= 0:
         raise ValueError("temp_k must be > 0")
     b = _asarray(b_t, "b_t")
-    return _maybe_scalar(_sech2(gamma_max_khz, g, *_sech2_terms(temp_k, b)), b_t)
+    return _maybe_scalar(_sech2_grad(gamma_max_khz, g, *_sech2_terms(temp_k, b))[0], b_t)

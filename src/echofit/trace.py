@@ -180,15 +180,17 @@ def write_table(table: ScanTable, path, fmt="%.17g"):
 
     Flags are free text; the csv module's minimal quoting encloses one that
     holds a comma, a double quote or a newline in quotes, so it reads back
-    intact.
+    intact.  It leaves a lone carriage return bare, which a reader takes
+    for a line end, so a row whose flag holds one is quoted whole.
     """
     with open(path, "w", newline="") as fh:
         fh.write(f"# condition-axis: {table.condition_axis}\n"
                  f"# quantity: {table.quantity_id}\n"
                  "# columns: condition,value,stderr,flag\n")
         rows = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         for c, v, s, f in zip(table.condition, table.value, table.stderr, table.flag):
-            rows.writerow((fmt % c, fmt % v, fmt % s, f))
+            (quoted if "\r" in f else rows).writerow((fmt % c, fmt % v, fmt % s, f))
 
 
 def load_table(path):

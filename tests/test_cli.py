@@ -71,6 +71,20 @@ def test_synth_then_fit_round_trip(tmp_path, capsys):
     assert abs(tm_fit - 40.0) / 40.0 < 0.02
 
 
+def test_fit_2ppe_nan_window_edge_is_refused(tmp_path, capsys):
+    # a NaN edge used to mask every point, and the row failed as
+    # "initial_guess needs at least 3 points"
+    trace_path = tmp_path / "decay.txt"
+    assert main(["synth", "--model", "mims", "--params", "i0=1,tm_us=40,x=1.3",
+                 "--grid", "0.25:30:50:log", "--out", str(trace_path)]) == 0
+    capsys.readouterr()
+    rc = main(["fit-2ppe", str(trace_path), "--window", "nan:"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("error: window must be None or a (lo, hi) pair whose edges are "
+                   "each None or a finite number, got (nan, None)\n")
+
+
 def test_synth_same_seed_same_file(tmp_path):
     args = ["synth", "--model", "mims", "--params", "i0=1,tm_us=40,x=1.3",
             "--grid", "0.25:30:20:log", "--noise", "mult:0.05", "--seed", "9"]

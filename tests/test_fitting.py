@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from echofit import fitting, models
@@ -278,6 +278,30 @@ def test_config_validation():
     # a negative seed is a valid int; it is drawn from only with restarts > 1
     assert FitConfig(seed=-1).seed == -1
     assert FitConfig(restarts=np.int64(3)).restarts == 3
+
+
+@pytest.mark.parametrize("window", [
+    5,                  # used to fail as a bare TypeError on unpacking
+    "0.25:",
+    (0.25,),
+    (0.25, None, 1.0),
+    (np.nan, 1.0),      # used to pass, and mask every point
+    (0.25, np.inf),
+    (True, None),       # a bool is not an edge
+    ("0.25", None),
+    (10 ** 400, None),  # an int beyond the float range
+])
+def test_window_is_none_or_a_pair_of_finite_edges(window):
+    why = ("window must be None or a (lo, hi) pair whose edges are each None "
+           f"or a finite number, got {window!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+        FitConfig(window=window)
+
+
+def test_window_accepts_open_and_finite_edges():
+    for window in (None, (None, None), (0.25, None), (None, 2), [0.1, 1.0],
+                   (np.float64(0.5), np.int64(3))):
+        assert FitConfig(window=window).window == window
 
 
 def test_negative_seed_is_refused_where_starts_are_drawn():
@@ -630,6 +654,23 @@ def test_field_guess_within_factor_three():
         assert v / 3 < g.params[k] < 3 * v, (k, g.params[k], v)
 
 
+@pytest.mark.parametrize("model_id", ["field", "sech2"])
+@pytest.mark.parametrize("fixed, why", [
+    (None, "model '{}' needs fixed values for ['temp_k']"),
+    ({}, "model '{}' needs fixed values for ['temp_k']"),
+    ({"temp_k": np.nan}, "fixed value temp_k must be a finite number, got nan"),
+    ({"temp_k": "cold"}, "fixed value temp_k must be a finite number, got 'cold'"),
+])
+def test_field_guesses_read_the_temperature_by_the_number_rule(model_id, fixed, why):
+    # the guesses used to start from a 7 mK curve when temp_k was missing,
+    # while the fit itself refused the scan
+    b = np.array([0.0, 0.02, 0.1, 0.3, 0.8, 1.6, 2.0])
+    y = models.field_linewidth(FIELD_7MK, b, 0.3)
+    with pytest.raises(FitError, match=f"^{re.escape(why.format(model_id))}$"):
+        initial_guess(model_id, b, y, fixed)
+    assert initial_guess(model_id, b, y, {"temp_k": 0.3}).params
+
+
 def test_guess_then_fit_converges_to_truth():
     b = np.array([0.0, 0.01, 0.02, 0.04, 0.07, 0.1, 0.14, 0.2, 0.3, 0.5,
                   0.8, 1.2, 1.6, 2.0])
@@ -868,6 +909,9 @@ def test_bad_fixed_value_fails_only_its_problem():
         assert f"fixed value temp_k must be a finite number, got {shown}" in str(res)
     with pytest.raises(FitError, match="fixed value temp_k must be a finite number, got inf"):
         fit("field", x, y, init, fixed={"temp_k": np.inf})
+    # a bool is not a number to the engine, as it is not an edge of a window
+    with pytest.raises(FitError, match="fixed value temp_k must be a finite number, got True"):
+        fit("field", x, y, init, fixed={"temp_k": True})
 
 
 def test_bad_init_fails_only_its_problem():
@@ -991,6 +1035,60 @@ def _invariant_problem(model_id, seed):
     y = spec.eval_fn(np.array([truth[n] for n in spec.param_names]), spec.prepare(x, fixed))
     y = y * (1.0 + 0.03 * rng.standard_normal(y.shape))
     return x, y, _jitter(truth, rng, frac=0.5), fixed
+
+
+def _assert_within(params, expected, rtol):
+    for k, v in expected.items():
+        assert abs(params[k] - v) <= rtol * abs(v), (k, params[k], v)
+
+
+def _converged_fit(model_id, x, y, init, fixed):
+    """The fit of one start, or None when it fails or does not converge
+    (then there is no minimum to compare)."""
+    try:
+        res = fit(model_id, x, y, init, fixed=fixed)
+    except FitError:
+        return None
+    return res if res.converged else None
+
+
+# Two fits of one problem stop where the SSE is flat to its rounding, so
+# they agree to about 1e-8 relative, not to 1e-9 (see the FOUND entry on
+# the fitter invariants in CHANGES.md); each invariant is checked at 1e-7
+# and, on a case pinned as an example, held as a strict xfail at 1e-9.
+_STOP_SPREAD = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="FOUND: converged fits of one problem agree to ~1e-8, not 1e-9")
+
+
+@pytest.mark.parametrize("rtol", [1e-7, pytest.param(1e-9, marks=_STOP_SPREAD)])
+@given(st.sampled_from(["mims", "field"]), st.integers(0, 2**16), st.integers(0, 2**16))
+@example("field", 116, 0)   # 8.8e-9 apart
+@settings(max_examples=40, deadline=None)
+def test_point_order_does_not_move_the_fit(rtol, model_id, data_seed, order_seed):
+    # not bit for bit: the sums over the points reorder
+    x, y, init, fixed = _invariant_problem(model_id, data_seed)
+    res = _converged_fit(model_id, x, y, init, fixed)
+    assume(res is not None)
+    order = np.random.default_rng(order_seed).permutation(x.size)
+    shuffled = fit(model_id, x[order], y[order], init, fixed=fixed)
+    assert shuffled.converged
+    _assert_within(shuffled.params, res.params, rtol)
+
+
+@pytest.mark.parametrize("rtol", [1e-7, pytest.param(1e-9, marks=_STOP_SPREAD)])
+@given(st.integers(0, 2**16), st.floats(1e-3, 1e3))
+@example(194, 1e3)          # 6.1e-9 apart in x
+@settings(max_examples=40, deadline=None)
+def test_scaling_a_decay_scales_only_its_i0(rtol, data_seed, c):
+    # in log-intensity space c * y shifts every residual's target by log c,
+    # which i0 -> c * i0 absorbs
+    x, y, init, _ = _invariant_problem("mims", data_seed)
+    res = _converged_fit("mims", x, y, init, {})
+    assume(res is not None)
+    scaled = fit("mims", x, c * y, {**init, "i0": c * init["i0"]})
+    assert scaled.converged
+    _assert_within(scaled.params, {**res.params, "i0": c * res.params["i0"]}, rtol)
 
 
 @given(st.sampled_from(["mims", "field"]), st.integers(0, 2**16), st.integers(1, 5),

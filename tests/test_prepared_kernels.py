@@ -1,12 +1,15 @@
-"""Prepared model terms against the direct formulas, bit for bit.
+"""Prepared model terms and the public laws against the direct formulas,
+bit for bit.
 
-The catalog evaluates every model from terms prepared once from x and the
-fixed quantities, and each gradient returns the values with the
-Jacobian.  The reference kernels below are the direct formulas that take
-the fixed quantities and the x columns on every call, kept here as the
-arithmetic the prepared path must reproduce exactly: a term that is not
-an exact leading subexpression of its formula changes last bits, and the
-LM iteration counts with them.
+Each model is a terms function, one kernel that returns ``(values,
+Jacobian)``, a guess and a ``_draw_inputs`` draw.  The catalog evaluates
+every model from terms prepared once from x and the fixed quantities,
+and the public law functions in :mod:`echofit.models` take their values
+from the same kernels.  The reference kernels below are the direct
+formulas that take the fixed quantities and the x columns on every call,
+kept here as the arithmetic both paths must reproduce exactly: a term
+that is not an exact leading subexpression of its formula changes last
+bits, and the LM iteration counts with them.
 """
 
 import functools
@@ -17,6 +20,13 @@ import pytest
 from echofit import models
 from echofit.catalog import CATALOG, _draw_inputs
 from echofit.constants import EXP_CLAMP, MU_B_OVER_K_B
+from echofit.params import (
+    FieldModelParams,
+    MimsParams,
+    SpectralDiffusionParams,
+    TempModelParams,
+    ThreeLevelParams,
+)
 
 FOUR_PI = 4.0 * np.pi
 MU = MU_B_OVER_K_B
@@ -218,3 +228,71 @@ def test_clamped_exp_equals_exp_of_clip():
     out = models._cexp(stack)
     assert type(out) is np.ndarray
     assert (out.shape, out.tobytes()) == (stack.shape, _cexp(stack).tobytes())
+
+
+def _x(rng, lo, hi, shape):
+    """A Python float for shape None, else an array of that shape."""
+    v = rng.uniform(lo, hi, shape)
+    return float(v) if shape is None else v
+
+
+def _law_pairs(rng, shape):
+    """(public law function, its result, the direct formula's result) for
+    every public law function on one random draw, x values of ``shape``."""
+    p = _draw_inputs("mims", rng)[0].tolist()
+    t12 = _x(rng, 0.0, 60.0, shape)
+    yield models.mims_intensity, models.mims_intensity(MimsParams(*p), t12), _mims(*p, t12)
+
+    theta, _, fixed = _draw_inputs("field", rng)
+    p, temp_k = theta.tolist(), fixed["temp_k"]
+    b = _x(rng, 0.0, 3.0, shape)
+    law = FieldModelParams(*p)
+    yield models.field_linewidth, models.field_linewidth(law, b, temp_k), _field(*p, temp_k, b)
+    b_star, gamma_star, _ = models.field_linewidth_minimum(law, temp_k, rng.uniform(0.01, 5.0))
+    yield models.field_linewidth_minimum, gamma_star, _field(*p, temp_k, b_star)
+
+    p = _draw_inputs("temp", rng)[0].tolist()
+    temp = _x(rng, 0.007, 0.6, shape)
+    yield models.temp_linewidth, models.temp_linewidth(TempModelParams(*p), temp), _temp(*p, temp)
+
+    theta, _, fixed = _draw_inputs("sech2", rng)
+    p, temp_k = theta.tolist(), fixed["temp_k"]
+    b = _x(rng, -2.0, 2.0, shape)
+    yield (models.sech2_sd_amplitude, models.sech2_sd_amplitude(*p, b, temp_k),
+           _sech2(*p, temp_k, b))
+
+    theta, _, fixed = _draw_inputs("echo3", rng)
+    p, t1_ms, tz_s, t0_us = theta.tolist(), fixed["t1_ms"], fixed["tz_s"], fixed["t0_us"]
+    if rng.uniform() < 0.25:
+        t1_ms = tz_s * 1e3   # on the removable T_Z = T_1 singularity
+    tl = ThreeLevelParams(i0=p[0], t1_ms=t1_ms, tz_s=tz_s, beta=p[1])
+    sd = SpectralDiffusionParams(*p[2:], t0_us=t0_us)
+    t12, t23 = _x(rng, 0.0, 2.0, shape), _x(rng, t0_us, 7500.0, shape)
+    yield (models.stimulated_echo_intensity, models.stimulated_echo_intensity(tl, sd, t12, t23),
+           _echo3(*p, t1_ms, tz_s, t0_us, t12, t23))
+    yield models.sd_linewidth, models.sd_linewidth(sd, t12, t23), _sd(*p[2:], t0_us, t12, t23)
+    t23_ms = _x(rng, 0.0, 7.5, shape)
+    yield (models.three_level_population_factor,
+           models.three_level_population_factor(tl, t23_ms),
+           _population(t1_ms, tz_s * 1e3, p[1], t23_ms)[4])
+
+
+@pytest.mark.parametrize("shape", [None, (), (17,), (3, 5)])
+def test_public_laws_equal_the_direct_formulas(shape):
+    # a scalar or 0-d input gives a Python float, an array input an array
+    # of its shape; both carry the direct formula's bits, so a scalar call
+    # keeps its scalar arithmetic (u ** x on a scalar and on an array can
+    # differ in the last bit)
+    rng = np.random.default_rng(43)
+    seen = set()
+    for _ in range(60):
+        for law, public, direct in _law_pairs(rng, shape):
+            seen.add(law.__name__)
+            direct = np.asarray(direct, dtype=float)
+            if law is models.field_linewidth_minimum or shape in (None, ()):
+                assert type(public) is float, law.__name__
+            else:
+                assert type(public) is np.ndarray, law.__name__
+            assert (np.shape(public), np.asarray(public).tobytes()) == \
+                (direct.shape, direct.tobytes()), law.__name__
+    assert len(seen) == 8
