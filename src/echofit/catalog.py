@@ -19,9 +19,7 @@ LM iteration reuses them.  Each term is an
 exact leading subexpression of the formula it stands in (``2.0 * t12``
 of ``2.0 * t12 / tm``, but not ``c * b`` of ``-g1 * c * b``, which is
 evaluated as ``(-g1 * c) * b``), so the values and Jacobians keep every
-bit of the direct formulas.  A term is either an array with one row per
-problem, shaped like x's rows, or a value of the fixed quantities alone,
-shared by every row.
+bit of the direct formulas.  Every term has one row per problem.
 
 A fixed quantity that a derived spec frees (``echo3-free-t1``) can no
 longer be folded into the terms, so the derived spec has its own terms

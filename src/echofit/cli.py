@@ -10,6 +10,7 @@ the default output directory.
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import yaml
@@ -52,15 +53,25 @@ def _print_config(args):
         print(f"# config {key} = {getattr(args, key)}")
 
 
+@contextmanager
+def _flag(flag, form, text):
+    """Turn a ValueError raised while parsing the text ``text`` of the flag
+    ``flag`` into one that names the flag, the ``form`` it takes and the
+    text."""
+    try:
+        yield
+    except ValueError:
+        raise ValueError(f"{flag} needs {form}, got {text!r}") from None
+
+
 def _parse_kv(text):
     out = {}
     if not text:
         return out
     for chunk in text.replace(",", " ").split():
-        if "=" not in chunk:
-            raise ValueError(f"expected key=value, got {chunk!r}")
-        k, _, v = chunk.partition("=")
-        out[k.strip()] = float(v)
+        with _flag("--params", "KEY=NUMBER pairs", chunk):
+            k, v = chunk.split("=")
+            out[k] = float(v)
     return out
 
 
@@ -70,23 +81,32 @@ def _parse_noise(text):
     kind, _, level = text.partition(":")
     table = {"mult": "multiplicative", "multiplicative": "multiplicative",
              "add": "additive", "additive": "additive"}
-    if kind not in table or not level:
-        raise ValueError(f"noise must be 'none', 'mult:SIGMA' or 'add:SIGMA', got {text!r}")
-    return (table[kind], float(level))
+    with _flag("--noise", "'none', 'mult:SIGMA' or 'add:SIGMA'", text):
+        if kind not in table:
+            raise ValueError
+        return (table[kind], float(level))
 
 
 def _parse_window(text):
+    """--window LO:HI, each edge empty (open) or a number; the default
+    2ppe window when the flag is not given."""
     if text is None:
-        return None
+        return DEFAULT_2PPE_WINDOW
     lo, _, hi = text.partition(":")
-    return (float(lo) if lo else None, float(hi) if hi else None)
+    with _flag("--window", "LO:HI in microseconds, each edge empty or a number", text):
+        return (float(lo) if lo else None, float(hi) if hi else None)
 
 
 def _parse_grid(text):
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise ValueError("grid must be LO:HI:COUNT:SPACING")
-    return (float(parts[0]), float(parts[1]), int(parts[2]), parts[3])
+    with _flag("--grid", "LO:HI:COUNT:SPACING with an integer COUNT", text):
+        lo, hi, count, spacing = text.split(":")
+        return (float(lo), float(hi), int(count), spacing)
+
+
+def _parse_modulation(text):
+    with _flag("--modulation", "DEPTH:FREQ_MHZ:DECAY_US, three numbers", text):
+        depth, freq, decay = (float(v) for v in text.split(":"))
+    return Modulation(depth, freq, decay)
 
 
 def _default_outdir():
@@ -168,10 +188,7 @@ def cmd_synth(args):
     params, fixed = _preset_params(args, args.model)
     if args.t12_us is not None:
         fixed["t12_us"] = args.t12_us
-    modulation = None
-    if args.modulation:
-        depth, freq, decay = (float(v) for v in args.modulation.split(":"))
-        modulation = Modulation(depth, freq, decay)
+    modulation = _parse_modulation(args.modulation) if args.modulation else None
     spec = SynthSpec(
         model_id=args.model,
         true_params=params,
@@ -216,9 +233,9 @@ def _report_fits(tables, fits, out):
 
 def cmd_fit_2ppe(args):
     traces = [load_trace(p) for p in args.traces]
-    cfg = FitConfig(window=_parse_window(args.window) or DEFAULT_2PPE_WINDOW,
-                    restarts=args.restarts, seed=args.seed)
-    tables, fits = batch_fit_2ppe(traces, cfg=cfg, normalize=args.normalize)
+    cfg = FitConfig(restarts=args.restarts, seed=args.seed)
+    tables, fits = batch_fit_2ppe(traces, cfg=cfg, window=_parse_window(args.window),
+                                  normalize=args.normalize)
     return _report_fits(tables, fits, args.out)
 
 

@@ -12,9 +12,9 @@ points, one stacked J^T r and J^T J and one stacked solve per iteration,
 whatever B is.  Each row keeps its own damping, stop reason and SSE
 trace, and its result is bit-identical to fitting that row alone.
 Every fit goes through ``multi_start_batch`` (used by both ``pipeline``
-batch runners), which groups the problems by in-window point count and
-fits each group as one batch: every problem is checked and prepared
-once, and its starts are a block of consecutive rows, with its fixed
+batch runners), which groups the problems by point count and fits each
+group as one batch: every problem is checked and prepared once, and its
+starts are a block of consecutive rows, with its fixed
 values (T1, T_Z, t0, temperature) repeated down (B, 1) columns, so
 problems at different conditions share a batch.  ``multi_start_fit``
 is one problem, and ``fit`` is ``multi_start_fit`` with one start.
@@ -22,18 +22,19 @@ Rows of different point counts are never padded into one batch: padding
 changes how BLAS accumulates the sums, and so the last bits of the
 results.
 
-A caller sets four things (``FitConfig``).  A row stops when its largest
-gradient entry is below 1e-10, its damped step at most 1e-12 * (1 + max
-|u|) in internal coordinates u, or an accepted step lowers the SSE by at
-most 1e-12 of the new SSE.  Each model names its residual space
+A caller sets three things (``FitConfig``), and cuts its arrays to the
+points it fits.  A row stops when its largest gradient entry is below
+1e-10, its damped step at most 1e-12 * (1 + max |u|) in internal
+coordinates u, or an accepted step lowers the SSE by at most 1e-12 of
+the new SSE.  Each model names its residual space
 (``ModelSpec.space``): log intensity, unweighted without sigma, or
 linear, relative (1 / |y|) without sigma.
 
 A problem fails once, with one FitError (or ValueError) that names why:
-bad data, too few points in the window, an init or fixed value that is
-missing or not a finite number (one rule checks both and the window's
-edges; a bool is not one, nor an int beyond the float range), or a model
-that is not finite at every start.
+bad data, too few points, an init or fixed value that is
+missing or not a finite number (one rule checks both; a bool is not
+one, nor an int beyond the float range), or a model that is not finite
+at every start.
 
 The engine computes each iteration only what changed.  The model's
 data-only terms are prepared once per batch (``ModelSpec.prepare``), and
@@ -95,15 +96,13 @@ class FitError(ValueError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """What a caller sets: the iteration cap, the count of seeded starts,
-    their seed, and a window on a one-axis model's time axis (masked
-    points have no influence on the result at all).  The stop tolerances
-    are engine constants, and the residual space is the model's."""
+    """What a caller sets: the iteration cap, the count of seeded starts
+    and their seed.  The stop tolerances are engine constants, and the
+    residual space is the model's."""
 
     max_iterations: int = 200
     restarts: int = 1
     seed: int = 0
-    window: tuple = None            # (t_min, t_max) in the x unit, or None
 
     def __post_init__(self):
         # A value read from a file may be of any type.  Python counts a bool
@@ -116,14 +115,6 @@ class FitConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.window is not None:
-            if not (isinstance(self.window, (tuple, list)) and len(self.window) == 2
-                    and all(e is None or _finite(e) for e in self.window)):
-                raise ValueError("window must be None or a (lo, hi) pair whose edges "
-                                 f"are each None or a finite number, got {self.window!r}")
-            lo, hi = self.window
-            if hi is not None and lo is not None and hi <= lo:
-                raise ValueError("window upper edge must exceed lower edge")
 
 
 @dataclass
@@ -147,20 +138,7 @@ class FitResult:
         return np.array([self.params[n] for n in self.param_names])
 
 
-def window_mask(x, window):
-    """Points of the 1-D axis ``x`` inside ``window``, a (lo, hi) pair whose
-    None edges are open; every point when ``window`` is None."""
-    mask = np.ones(x.shape, dtype=bool)
-    if window is not None:
-        lo, hi = window
-        if lo is not None:
-            mask &= x >= lo
-        if hi is not None:
-            mask &= x <= hi
-    return mask
-
-
-def _prepare(spec, x, y, sigma, cfg):
+def _prepare(spec, x, y, sigma):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if spec.x_columns == 2:
@@ -183,13 +161,6 @@ def _prepare(spec, x, y, sigma, cfg):
             raise FitError("sigma length disagrees with data")
         if not np.all(sigma > 0):
             raise FitError("sigma values must be > 0")
-
-    if cfg.window is not None:
-        mask = window_mask(x, cfg.window)
-        x = x[mask]
-        y = y[mask]
-        if sigma is not None:
-            sigma = sigma[mask]
 
     linear = spec.space == "linear"
     if not linear and np.any(y <= 0):
@@ -229,10 +200,10 @@ def _numbers(model_id, kind, names, values):
     return np.array([values[n] for n in names], dtype=float)
 
 
-def _problem(spec, x, y, sigma, cfg):
+def _problem(spec, x, y, sigma):
     """Prepared data ``(x, target, w)`` of one fit, where target is y in the
     residual space; raises FitError when it cannot be fitted."""
-    x, y, w = _prepare(spec, x, y, sigma, cfg)
+    x, y, w = _prepare(spec, x, y, sigma)
     p = len(spec.params)
     if y.size < p + 1:
         raise FitError(f"need at least {p + 1} points inside the window, got {y.size}")
@@ -268,14 +239,6 @@ def _finite_rows(spec, m):
 def _max_abs(a):
     """Largest magnitude in each row of a (B, p) array."""
     return np.maximum.reduce(np.abs(a), axis=1)
-
-
-def _take(terms, rows, n_rows):
-    """The prepared terms of the rows at the indices ``rows`` out of
-    ``n_rows``.  A term with one entry per row is gathered; the others,
-    values of the fixed quantities alone, are shared by every row."""
-    return tuple(t.take(rows, axis=0) if np.shape(t)[:1] == (n_rows,) else t
-                 for t in terms)
 
 
 def _damped_solve(a, lam, g):
@@ -338,8 +301,8 @@ class _Live:
                   self.sse, self.jn, self.lam)
         rows, target, w, u, theta, r, sse, jn, lam = (
             None if a is None else a.take(idx, axis=0) for a in arrays)
-        return _Live(rows, _take(self.terms, idx, keep.size), target, w, u, theta,
-                     r, sse, jn, lam)
+        return _Live(rows, tuple(t.take(idx, axis=0) for t in self.terms), target, w,
+                     u, theta, r, sse, jn, lam)
 
 
 # Non-finite trial rows are rejected and non-finite starts fail, so their
@@ -565,26 +528,23 @@ def multi_start_batch(model_id, problems, *, cfg=None):
 
     Each problem carries its own fixed values (None when the model has
     none), so problems of one model at different conditions share a batch.
-    Problems are grouped by in-window point count, and each group is one
+    Problems are grouped by point count, and each group is one
     lockstep batch in which a problem's starts are consecutive rows.
     Returns one entry per problem: its FitResult, or the FitError (or
     ValueError) that fitting it alone would raise, a bad init or fixed
     value included.  A problem that fails leaves the other entries
-    unchanged.  An unknown model id, a window on a two-column model and a
-    negative seed with restarts > 1 raise a ValueError before any fit.
+    unchanged.  An unknown model id and a negative seed with restarts > 1
+    raise a ValueError before any fit.
     """
     spec = get_model(model_id)
     cfg = cfg or FitConfig()
-    if cfg.window is not None and spec.x_columns != 1:
-        raise ValueError(f"window {cfg.window} applies to one-axis models only, not to "
-                         f"{model_id!r}, which fits (t12_us, t23_us) pairs")
     factors = _jitter_factors(spec, cfg)
     out, groups = [], {}
     for x, y, init, sigma, fixed in problems:
         try:
             values = _numbers(model_id, "fixed", spec.fixed_names, fixed)
             init = _numbers(model_id, "init", spec.param_names, init)
-            data = _problem(spec, x, y, sigma, cfg)
+            data = _problem(spec, x, y, sigma)
         except ValueError as exc:
             out.append(exc)
             continue

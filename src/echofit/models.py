@@ -439,10 +439,10 @@ def stimulated_echo_intensity(tl: ThreeLevelParams, sd: SpectralDiffusionParams,
 def _sech2_terms(temp_k, b_t):
     b = np.asarray(b_t, dtype=float)
     two_t = 2.0 * temp_k
-    return MU_B_OVER_K_B, b, two_t, MU_B_OVER_K_B * b / two_t
+    return b, two_t, MU_B_OVER_K_B * b / two_t
 
 
-def _sech2_grad(gamma_max, g, mu, b, two_t, cb):
+def _sech2_grad(gamma_max, g, b, two_t, cb):
     k = np.clip(g * cb, _EXP_LO, _EXP_HI)
     sech2 = _ONE / np.cosh(k) ** 2
     grad = np.empty(np.shape(k) + (2,))
@@ -450,7 +450,8 @@ def _sech2_grad(gamma_max, g, mu, b, two_t, cb):
     grad[..., 1] = _NEG_TWO * gamma_max * sech2 * np.tanh(k) * cb
     # g * cb is not g * mu * b / two_t to the last bit, so the values keep
     # the direct formula's argument.
-    value = gamma_max / np.cosh(np.clip(g * mu * b / two_t, _EXP_LO, _EXP_HI)) ** 2
+    value = gamma_max / np.cosh(np.clip(g * MU_B_OVER_K_B * b / two_t, _EXP_LO,
+                                        _EXP_HI)) ** 2
     return value, grad
 
 

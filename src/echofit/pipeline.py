@@ -13,7 +13,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import models
-from .fitting import FitConfig, FitError, _numbers, multi_start_batch, multi_start_fit, window_mask
+from .fitting import (FitConfig, FitError, _finite, _numbers, multi_start_batch,
+                      multi_start_fit)
 from .guesses import initial_guess
 from .params import FieldModelParams
 from .presets import FIELD_7MK, PRESETS, SD_7MK_009T_SIGMA, T12_SET_US, THREE_LEVEL_7MK_009T
@@ -103,31 +104,55 @@ def _gamma_eff(res):
     return models.gamma_eff_from_tm(tm), 1e3 * s_tm / (np.pi * tm ** 2)
 
 
-def batch_fit_2ppe(traces, cfg=None, normalize=False):
+def window_mask(x, window):
+    """Points of the 1-D axis ``x`` inside ``window``, a (lo, hi) pair whose
+    None edges are open; every point when ``window`` is None."""
+    mask = np.ones(x.shape, dtype=bool)
+    if window is not None:
+        lo, hi = window
+        if lo is not None:
+            mask &= x >= lo
+        if hi is not None:
+            mask &= x <= hi
+    return mask
+
+
+def batch_fit_2ppe(traces, cfg=None, window=DEFAULT_2PPE_WINDOW, normalize=False):
     """Per-trace stretched-exponential fits over a condition scan.
 
-    Each trace is cut to its samples inside ``cfg.window`` (normalized to
-    their maximum if ``normalize``) and guessed; then all traces' restarts
-    are fitted in lockstep (:func:`fitting.multi_start_batch`), each
-    trace's result equal to ``multi_start_fit`` on that trace alone.
+    ``window`` (microseconds, see :func:`window_mask`; its edges are each
+    None or a finite number) is checked before any fit.  Each trace is
+    cut to its samples inside it (normalized to their maximum if
+    ``normalize``) and guessed; then all traces' restarts are fitted in
+    lockstep (:func:`fitting.multi_start_batch`), each trace's result
+    equal to ``initial_guess`` plus ``multi_start_fit`` on its cut
+    samples alone.
 
     Returns ``(tables, fits)`` where tables maps quantity id (gamma_eff,
     i0, x) to a ScanTable and fits is the per-trace FitResult list (None
     for failed rows).  gamma_eff comes from the fitted phase-memory time
     with first-order error propagation.
     """
+    if window is not None:
+        if not (isinstance(window, (tuple, list)) and len(window) == 2
+                and all(e is None or _finite(e) for e in window)):
+            raise ValueError("window must be None or a (lo, hi) pair whose edges "
+                             f"are each None or a finite number, got {window!r}")
+        lo, hi = window
+        if hi is not None and lo is not None and hi <= lo:
+            raise ValueError("window upper edge must exceed lower edge")
     traces = list(traces)
     if not traces:
         raise ValueError("no traces given")
     bad = [tr.sequence for tr in traces if tr.sequence != "2ppe"]
     if bad:
         raise ValueError(f"batch_fit_2ppe expects 2ppe traces, got {bad[0]!r}")
-    cfg = cfg or FitConfig(window=DEFAULT_2PPE_WINDOW, restarts=4)
+    cfg = cfg or FitConfig(restarts=4)
     axis = _condition_axis(traces)
 
     rows = []
     for tr in traces:
-        mask = window_mask(tr.time_us, cfg.window)
+        mask = window_mask(tr.time_us, window)
         x, y = tr.time_us[mask], tr.intensity[mask]
         if normalize and (not y.size or np.max(y) <= 0):
             problem = FitError("no positive in-window intensity to normalize by")
@@ -358,8 +383,9 @@ def run_demo(destination, seed=1):
     checks = []
 
     # Field scan: per-field decay fits, then the linewidth model on top.
-    cfg2 = FitConfig(window=DEFAULT_2PPE_WINDOW, restarts=4, seed=seed)
-    tables2, fits2 = batch_fit_2ppe(_demo_2ppe_traces(seed), cfg=cfg2)
+    cfg2 = FitConfig(restarts=4, seed=seed)
+    tables2, fits2 = batch_fit_2ppe(_demo_2ppe_traces(seed), cfg=cfg2,
+                                    window=DEFAULT_2PPE_WINDOW)
 
     gamma_tab = tables2["gamma_eff"]
     fit_field = fit_table("field", gamma_tab, FitConfig(restarts=8, seed=seed + 1),

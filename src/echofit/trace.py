@@ -9,12 +9,18 @@ time-unit header is a hard error; units are never guessed.
 import csv
 import itertools
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 
 import numpy as np
 
 SEQUENCES = ("2ppe", "3ppe-vs-t23")
 
-_UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+# A time in each unit is its value in ms times 10 ** exponent.  Times change
+# unit by a shift of the decimal exponent of their shortest repr, not by a
+# float product, so every time reads back as the float it was written from.
+_UNIT_EXPONENT = {"ns": -6, "us": -3, "ms": 0, "s": 3}
+# Decimal arithmetic that neither rounds nor overflows an exponent shift.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 @dataclass
@@ -67,9 +73,9 @@ class EchoTrace:
 
 def write_trace(trace: EchoTrace, path, unit_time="us"):
     """Write a trace in the documented text format, full float precision."""
-    if unit_time not in _UNIT_TO_MS:
+    if unit_time not in _UNIT_EXPONENT:
         raise ValueError(f"unknown time unit {unit_time!r}")
-    scale = _UNIT_TO_MS[unit_time]
+    shift = -_UNIT_EXPONENT[unit_time]
     lines = [f"# unit-time: {unit_time}",
              f"# sequence: {trace.sequence}",
              f"# temperature_K: {trace.temperature_k:.17g}",
@@ -78,8 +84,8 @@ def write_trace(trace: EchoTrace, path, unit_time="us"):
         lines.append(f"# t12_us: {trace.t12_us:.17g}")
     if trace.provenance:
         lines.append(f"# provenance: {trace.provenance}")
-    for t, v in zip(trace.time_ms, trace.intensity):
-        lines.append(f"{t / scale:.17g} {v:.17g}")
+    for t, v in zip(trace.time_ms.tolist(), trace.intensity):
+        lines.append(f"{Decimal(repr(t)).scaleb(shift, _EXACT):g} {v:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -104,23 +110,26 @@ def load_trace(path):
             if len(parts) != 2:
                 raise ValueError(f"{path}:{ln}: expected two columns, got {len(parts)}")
             try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
+                time = Decimal(parts[0], _EXACT)
+                if time.is_snan():      # Decimal reads it, but it is no number
+                    raise ValueError
+                rows.append((time, float(parts[1])))
+            except (ValueError, InvalidOperation):
                 raise ValueError(f"{path}:{ln}: non-numeric data {line!r}") from None
 
     if "unit-time" not in headers:
         raise ValueError(f"{path}: missing required '# unit-time:' header")
     unit = headers["unit-time"]
-    if unit not in _UNIT_TO_MS:
+    if unit not in _UNIT_EXPONENT:
         raise ValueError(f"{path}: unknown time unit {unit!r}")
     for req in ("sequence", "temperature_K", "field_T"):
         if req not in headers:
             raise ValueError(f"{path}: missing required '# {req}:' header")
-    data = np.array(rows, dtype=float).reshape(-1, 2)
+    shift = _UNIT_EXPONENT[unit]
     return EchoTrace(
         sequence=headers["sequence"],
-        time_ms=data[:, 0] * _UNIT_TO_MS[unit],
-        intensity=data[:, 1],
+        time_ms=[float(t.scaleb(shift, _EXACT)) for t, _ in rows],
+        intensity=[v for _, v in rows],
         temperature_k=float(headers["temperature_K"]),
         field_t=float(headers["field_T"]),
         t12_us=float(headers["t12_us"]) if "t12_us" in headers else None,
@@ -218,15 +227,20 @@ def load_table(path):
         for parts in reader:
             if len(parts) < 2 and not "".join(parts).strip():
                 continue  # blank line
+            ln = n_head + reader.line_num
             if len(parts) != 4:
-                raise ValueError(f"{path}:{n_head + reader.line_num}: expected 4 columns")
-            rows.append(parts)
+                raise ValueError(f"{path}:{ln}: expected 4 columns")
+            try:
+                rows.append((float(parts[0]), float(parts[1]), float(parts[2]), parts[3]))
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: non-numeric data "
+                                 f"{','.join(parts[:3])!r}") from None
     for req in ("condition-axis", "quantity"):
         if req not in headers:
             raise ValueError(f"{path}: missing required '# {req}:' header")
-    cond = np.array([float(r[0]) for r in rows])
-    val = np.array([float(r[1]) for r in rows])
-    err = np.array([float(r[2]) for r in rows])
+    cond = np.array([r[0] for r in rows])
+    val = np.array([r[1] for r in rows])
+    err = np.array([r[2] for r in rows])
     flags = [r[3] for r in rows]
     return ScanTable(headers["condition-axis"], headers["quantity"],
                      cond, val, err, flags)

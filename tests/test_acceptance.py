@@ -19,7 +19,7 @@ from echofit.constants import MU_B_OVER_K_B
 from echofit.fitting import FitConfig, fit, multi_start_fit
 from echofit.guesses import initial_guess
 from echofit.params import SpectralDiffusionParams, ThreeLevelParams
-from echofit.pipeline import DEMO_FIELD_GRID_T, batch_fit_3ppe, run_demo
+from echofit.pipeline import DEMO_FIELD_GRID_T, batch_fit_3ppe, run_demo, window_mask
 from echofit.presets import (
     FIELD_7MK,
     FIELD_7MK_SIGMA,
@@ -93,6 +93,12 @@ def test_criterion_05_gradient_suite():
                     f"{len(worst)} models x 100 draws, {elapsed:.1f} s"), worst
 
 
+def _in_window(tr):
+    """A trace's samples inside the 0.25 us fit window."""
+    keep = window_mask(tr.time_us, (0.25, None))
+    return tr.time_us[keep], tr.intensity[keep]
+
+
 def _mims_fits(n_trials=200, sigma=0.02):
     results = []
     for k in range(n_trials):
@@ -100,9 +106,8 @@ def _mims_fits(n_trials=200, sigma=0.02):
             "mims", MIMS_TRUTH, (0.25, 30.0, 50, "log"),
             ("multiplicative", sigma), seed=1000 + k))
         guess = initial_guess("mims", tr.time_us, tr.intensity)
-        res = multi_start_fit(
-            "mims", tr.time_us, tr.intensity, guess.params,
-            cfg=FitConfig(window=(0.25, None), restarts=2, seed=k))
+        res = multi_start_fit("mims", *_in_window(tr), guess.params,
+                              cfg=FitConfig(restarts=2, seed=k))
         results.append(res)
     return results
 
@@ -115,8 +120,7 @@ def test_criterion_06_mims_round_trip():
 
     clean = synth_trace(SynthSpec("mims", MIMS_TRUTH, (0.25, 30.0, 50, "log")))
     g = initial_guess("mims", clean.time_us, clean.intensity)
-    exact = fit("mims", clean.time_us, clean.intensity, g.params,
-                cfg=FitConfig(window=(0.25, None)))
+    exact = fit("mims", *_in_window(clean), g.params)
     rel = max(abs(exact.params[k] - v) / v for k, v in MIMS_TRUTH.items())
     elapsed = time.time() - t0
     ok = tm_err < 0.02 and x_err < 0.05 and rel <= 1e-6 and elapsed < 30.0

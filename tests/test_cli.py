@@ -85,6 +85,30 @@ def test_fit_2ppe_nan_window_edge_is_refused(tmp_path, capsys):
                    "each None or a finite number, got (nan, None)\n")
 
 
+@pytest.mark.parametrize("argv, why", [
+    (["eval", "field", "--params", "gamma0_khz=abc"],
+     "--params needs KEY=NUMBER pairs, got 'gamma0_khz=abc'"),
+    (["synth", "--grid", "0.25:30:50.5:log"],
+     "--grid needs LO:HI:COUNT:SPACING with an integer COUNT, got '0.25:30:50.5:log'"),
+    (["synth", "--grid", "0.25:30:50:log", "--modulation", "0.1:2"],
+     "--modulation needs DEPTH:FREQ_MHZ:DECAY_US, three numbers, got '0.1:2'"),
+    (["fit-2ppe", "TRACE", "--window", "abc:"],
+     "--window needs LO:HI in microseconds, each edge empty or a number, got 'abc:'"),
+], ids=["params", "grid", "modulation", "window"])
+def test_unparsable_flag_text_is_named(tmp_path, capsys, argv, why):
+    # each used to print Python's own text (could not convert string to
+    # float, invalid literal for int(), not enough values to unpack), which
+    # named neither the flag nor its text
+    trace = _synth(tmp_path, "t.txt", "--model", "mims", "--params", "i0=1,tm_us=40,x=1.3",
+                   "--grid", "0.25:30:20:log")
+    argv = [trace if a == "TRACE" else a for a in argv]
+    if argv[0] == "synth":
+        argv += ["--out", str(tmp_path / "out.txt")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {why}\n"
+
+
 def test_synth_same_seed_same_file(tmp_path):
     args = ["synth", "--model", "mims", "--params", "i0=1,tm_us=40,x=1.3",
             "--grid", "0.25:30:20:log", "--noise", "mult:0.05", "--seed", "9"]

@@ -1,5 +1,5 @@
 """Levenberg-Marquardt engine: recovery, uncertainty calibration hooks,
-window semantics, convergence bookkeeping and initial guesses.
+convergence bookkeeping and initial guesses.
 """
 
 import re
@@ -24,7 +24,7 @@ from echofit.fitting import (
     multi_start_fit,
 )
 from echofit.guesses import initial_guess
-from echofit.pipeline import DEMO_FIELD_GRID_T, _demo_3ppe_traces, batch_fit_3ppe
+from echofit.pipeline import DEMO_FIELD_GRID_T, _demo_3ppe_traces, batch_fit_3ppe, window_mask
 from echofit.params import FieldModelParams, TempModelParams
 from echofit.presets import (
     FIELD_7MK,
@@ -34,6 +34,8 @@ from echofit.presets import (
     THREE_LEVEL_7MK_009T,
 )
 from echofit.synth import SynthSpec, build_grid, synth_trace
+
+from conftest import assert_same_fit
 
 MIMS_TRUTH = {"i0": 1.0, "tm_us": 40.0, "x": 1.3}
 
@@ -110,7 +112,8 @@ def test_noiseless_sd_recovery():
 
 def test_noisy_mims_recovery_tolerance():
     t, y = _mims_data(noise=("multiplicative", 0.02), seed=11)
-    res = fit("mims", t, y, MIMS_TRUTH, cfg=FitConfig(window=(0.25, None)))
+    keep = t >= 0.25
+    res = fit("mims", t[keep], y[keep], MIMS_TRUTH)
     assert abs(res.params["tm_us"] - 40.0) / 40.0 < 0.02
     assert abs(res.params["x"] - 1.3) < 0.05
 
@@ -210,27 +213,6 @@ def test_positive_parameters_stay_positive():
     assert 0.3 < res.params["x"] < 4.0
 
 
-def test_window_masked_points_have_zero_influence():
-    t, y = _mims_data(noise=("multiplicative", 0.02), seed=4)
-    cfg = FitConfig(window=(0.25, 20.0))
-    res_a = fit("mims", t, y, MIMS_TRUTH, cfg=cfg)
-    y_mangled = y.copy()
-    outside = (t < 0.25) | (t > 20.0)
-    assert outside.any()
-    y_mangled[outside] *= 37.5
-    res_b = fit("mims", t, y_mangled, MIMS_TRUTH, cfg=cfg)
-    assert res_a.params == res_b.params
-    assert res_a.stderr == res_b.stderr
-    assert res_a.sse == res_b.sse
-
-
-def test_dof_counts_only_windowed_points():
-    t, y = _mims_data(n=50)
-    res = fit("mims", t, y, MIMS_TRUTH, cfg=FitConfig(window=(1.0, 10.0)))
-    n_in = int(np.sum((t >= 1.0) & (t <= 10.0)))
-    assert res.dof == n_in - 3
-
-
 def test_log_space_rejects_nonpositive_intensity():
     t, y = _mims_data()
     y[5] = 0.0
@@ -262,8 +244,6 @@ def test_non_finite_input_is_named(array, why):
 def test_config_validation():
     with pytest.raises(ValueError):
         FitConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        FitConfig(window=(2.0, 1.0))
     for kwargs, why in (({"restarts": 0}, "restarts must be >= 1"),
                         # values of the wrong type, as a YAML config can
                         # give: each used to fail later as a bare TypeError
@@ -278,30 +258,6 @@ def test_config_validation():
     # a negative seed is a valid int; it is drawn from only with restarts > 1
     assert FitConfig(seed=-1).seed == -1
     assert FitConfig(restarts=np.int64(3)).restarts == 3
-
-
-@pytest.mark.parametrize("window", [
-    5,                  # used to fail as a bare TypeError on unpacking
-    "0.25:",
-    (0.25,),
-    (0.25, None, 1.0),
-    (np.nan, 1.0),      # used to pass, and mask every point
-    (0.25, np.inf),
-    (True, None),       # a bool is not an edge
-    ("0.25", None),
-    (10 ** 400, None),  # an int beyond the float range
-])
-def test_window_is_none_or_a_pair_of_finite_edges(window):
-    why = ("window must be None or a (lo, hi) pair whose edges are each None "
-           f"or a finite number, got {window!r}")
-    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
-        FitConfig(window=window)
-
-
-def test_window_accepts_open_and_finite_edges():
-    for window in (None, (None, None), (0.25, None), (None, 2), [0.1, 1.0],
-                   (np.float64(0.5), np.int64(3))):
-        assert FitConfig(window=window).window == window
 
 
 def test_negative_seed_is_refused_where_starts_are_drawn():
@@ -363,8 +319,8 @@ def test_sigma_relative_pattern_reweights_fit():
     sig_tail[tail] *= 1e6
     res_uniform = fit("mims", t, y, MIMS_TRUTH, sigma=sig)
     res_tail = fit("mims", t, y, MIMS_TRUTH, sigma=sig_tail)
-    res_window = fit("mims", t, y, MIMS_TRUTH, sigma=sig,
-                     cfg=FitConfig(window=(None, 10.0)))
+    head = ~tail
+    res_window = fit("mims", t[head], y[head], MIMS_TRUTH, sigma=sig[head])
     assert res_tail.params["tm_us"] == pytest.approx(
         res_window.params["tm_us"], rel=1e-6)
     assert abs(res_tail.params["tm_us"] - res_uniform.params["tm_us"]) > 1e-6
@@ -412,7 +368,7 @@ def _plain_lm(model_id, x, y, init, cfg, fixed):
     Returns (params, sse_trace, n_iterations, stop reason), the reason one
     of "grad", "step", "sse", "saturated" or "max-iterations"."""
     spec = CATALOG[model_id]
-    x, y, w = _prepare(spec, x, y, None, cfg)
+    x, y, w = _prepare(spec, x, y, None)
     space = spec.space
     terms = spec.prepare(x, fixed)
 
@@ -610,25 +566,6 @@ def test_free_t1_batch_fit_chooses_the_degenerate_branch_per_row(tz_s):
     fixed = {"tz_s": tz_s, "t0_us": float(x[:, 1].min())}
     init = initial_guess("echo3-free-t1", x, y, fixed).params
     _assert_best_of_single_starts(fits[0], "echo3-free-t1", x, y, init, cfg, fixed)
-
-
-def test_window_on_a_two_column_model_is_refused_before_fitting(monkeypatch):
-    # a window masks one time axis; on (t12, t23) pairs it used to be
-    # dropped without a word, and all 750 points fitted
-    def no_fit(*args):
-        raise AssertionError("fitted")
-    monkeypatch.setattr(fitting, "_lm", no_fit)
-    traces, x, y = _demo_3ppe_problem()
-    fixed = {"t1_ms": THREE_LEVEL_7MK_009T.t1_ms,
-             "tz_s": THREE_LEVEL_7MK_009T.tz_s, "t0_us": float(x[:, 1].min())}
-    init = initial_guess("echo3", x, y, fixed).params
-    cfg = FitConfig(restarts=1, window=(1000.0, None))
-    why = ("window (1000.0, None) applies to one-axis models only, not to 'echo3', "
-           "which fits (t12_us, t23_us) pairs")
-    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
-        multi_start_fit("echo3", x, y, init, cfg=cfg, fixed=fixed)
-    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
-        batch_fit_3ppe(traces, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -844,10 +781,18 @@ def _batch_problem(model_id, kind, n, seed, with_sigma, temp_k):
     return x, y, _jitter(truth, rng), sigma, fixed
 
 
+def _cut(problem, window):
+    """The samples of an (x, y, init, sigma, fixed) problem inside
+    ``window``, cut as ``batch_fit_2ppe`` cuts a trace."""
+    x, y, init, sigma, fixed = problem
+    keep = window_mask(x, window)
+    return x[keep], y[keep], init, None if sigma is None else sigma[keep], fixed
+
+
 def _batch_case(model_id):
-    """A model, its problems' specs and a window.  Field grids have 14 or
-    20 points, so problems at different temperatures share a lockstep
-    group."""
+    """A model, its problems' specs and a window to cut them to.  Field
+    grids have 14 or 20 points, so problems at different temperatures
+    share a lockstep group."""
     sizes = {"mims": [12, 20, 35], "field": [14, 20]}[model_id]
     windows = {"mims": [None, (0.5, 25.0), (2.0, None)],
                "field": [None, (0.01, None), (None, 1.5)]}[model_id]
@@ -868,8 +813,8 @@ def test_batch_entries_equal_their_lone_fits(case, restarts, seed):
     # weights in log space, which the engine leaves out unless a problem
     # with sigma shares their batch.
     model_id, specs, window = case
-    problems = [_batch_problem(model_id, *s) for s in specs]
-    cfg = FitConfig(restarts=restarts, seed=seed, window=window)
+    problems = [_cut(_batch_problem(model_id, *s), window) for s in specs]
+    cfg = FitConfig(restarts=restarts, seed=seed)
     for res, (x, y, init, sigma, fixed) in zip(multi_start_batch(model_id, problems, cfg=cfg),
                                                problems):
         try:
@@ -880,16 +825,6 @@ def test_batch_entries_equal_their_lone_fits(case, restarts, seed):
         assert (res.params, res.sse, res.n_iterations, res.sse_trace, res.flags,
                 res.fixed) == (lone.params, lone.sse, lone.n_iterations, lone.sse_trace,
                                lone.flags, lone.fixed)
-
-
-def _assert_same_fit(res, lone):
-    """Every field of two FitResults, arrays by their bytes."""
-    assert (res.params, res.stderr, res.sse, res.dof, res.converged, res.n_iterations,
-            res.n_restarts_agreeing, res.sse_trace, res.flags, res.fixed) == (
-        lone.params, lone.stderr, lone.sse, lone.dof, lone.converged, lone.n_iterations,
-        lone.n_restarts_agreeing, lone.sse_trace, lone.flags, lone.fixed)
-    assert res.covariance.tobytes() == lone.covariance.tobytes()
-    assert res.residuals.tobytes() == lone.residuals.tobytes()
 
 
 def test_bad_fixed_value_fails_only_its_problem():
@@ -903,7 +838,7 @@ def test_bad_fixed_value_fails_only_its_problem():
         "field", [(x, y, init, None, {"temp_k": "cold"}), (x, y, init, None, fixed),
                   (x, y, init, None, {"temp_k": np.nan}),
                   (x, y, init, None, {"temp_k": 10 ** 400})], cfg=cfg)
-    _assert_same_fit(good, multi_start_fit("field", x, y, init, cfg=cfg, fixed=fixed))
+    assert_same_fit(good, multi_start_fit("field", x, y, init, cfg=cfg, fixed=fixed))
     for res, shown in ((cold, "'cold'"), (nan, "nan"), (huge, repr(10 ** 400))):
         assert isinstance(res, FitError)
         assert f"fixed value temp_k must be a finite number, got {shown}" in str(res)
@@ -931,7 +866,7 @@ def test_bad_init_fails_only_its_problem():
                                 + [(x, y, init, None, fixed)]
                                 + [(x, y, b, None, fixed) for b, _ in bad[2:]], cfg=cfg)
     good = results.pop(2)
-    _assert_same_fit(good, multi_start_fit("mims", x, y, init, cfg=cfg, fixed=fixed))
+    assert_same_fit(good, multi_start_fit("mims", x, y, init, cfg=cfg, fixed=fixed))
     for res, (b, text) in zip(results, bad):
         assert isinstance(res, FitError)
         assert str(res) == text

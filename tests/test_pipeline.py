@@ -2,11 +2,12 @@
 
 import filecmp
 import os
+import re
 
 import numpy as np
 import pytest
 
-from echofit import models
+from echofit import models, pipeline
 from echofit.fitting import FitConfig, FitError, multi_start_fit
 from echofit.guesses import initial_guess
 from echofit.pipeline import (
@@ -16,6 +17,7 @@ from echofit.pipeline import (
     batch_fit_3ppe,
     emit_report,
     run_demo,
+    window_mask,
 )
 from echofit.presets import (
     FIELD_7MK,
@@ -25,6 +27,8 @@ from echofit.presets import (
 )
 from echofit.synth import SynthSpec, synth_trace
 from echofit.trace import EchoTrace, load_table
+
+from conftest import assert_same_fit
 
 MIMS_TRUTH = {"i0": 1.0, "tm_us": 40.0, "x": 1.3}
 SD_TRUTH = dict(
@@ -59,18 +63,17 @@ def _3ppe_traces(seed, beta=0.2, noise=0.03, field_t=0.09, t23_min=50.0, n=120,
 
 def test_single_trace_batch_equals_direct_fit():
     tr = _mims_trace(0.09, seed=1)
-    cfg = FitConfig(window=DEFAULT_2PPE_WINDOW, restarts=4)
-    tables, fits = batch_fit_2ppe([tr], cfg=cfg)
+    cfg = FitConfig(restarts=4)
+    tables, fits = batch_fit_2ppe([tr], cfg=cfg, window=DEFAULT_2PPE_WINDOW)
 
     x, y = tr.time_us, tr.intensity
     mask = np.ones_like(x, dtype=bool)
     mask &= x >= 0.25
     guess = initial_guess("mims", x[mask], y[mask])
-    direct = multi_start_fit("mims", x, y, guess.params, cfg=cfg)
+    direct = multi_start_fit("mims", x[mask], y[mask], guess.params, cfg=cfg)
 
     res = fits[0]
-    assert res.params == direct.params
-    assert res.stderr == direct.stderr
+    assert_same_fit(res, direct)
     got = tables["gamma_eff"].value[0]
     assert got == models.gamma_eff_from_tm(direct.params["tm_us"])
     # first-order error propagation onto the linewidth
@@ -129,13 +132,13 @@ def test_lockstep_batch_rows_equal_their_lone_fits():
     broken = EchoTrace(sequence="2ppe", time_ms=short.time_ms.copy(),
                        intensity=-short.intensity, temperature_k=0.007,
                        field_t=3.0)
-    cfg = FitConfig(window=DEFAULT_2PPE_WINDOW, restarts=4, seed=3)
-    tables, fits = batch_fit_2ppe(good + [broken], cfg=cfg)
+    cfg = FitConfig(restarts=4, seed=3)
+    tables, fits = batch_fit_2ppe(good + [broken], cfg=cfg, window=DEFAULT_2PPE_WINDOW)
 
     for tr, res in zip(good, fits):
         x, y = tr.time_us, tr.intensity
         guess = initial_guess("mims", x[x >= 0.25], y[x >= 0.25])
-        alone = multi_start_fit("mims", x, y, guess.params, cfg=cfg)
+        alone = multi_start_fit("mims", x[x >= 0.25], y[x >= 0.25], guess.params, cfg=cfg)
         assert res.params == alone.params
         assert res.stderr == alone.stderr
         assert res.sse == alone.sse
@@ -162,6 +165,68 @@ def test_failed_row_message_survives_report_round_trip(tmp_path):
     emit_report(tables, fits, tmp_path)
     back = load_table(tmp_path / "gamma_eff_vs_field.txt")
     assert back.flag == tables["gamma_eff"].flag
+
+
+def test_window_cut_equals_a_fit_of_the_cut_trace():
+    # batch_fit_2ppe owns the window: its row is the guess and the fit of
+    # the samples inside it, bit for bit, with dof counting those alone
+    tr = _mims_trace(0.09, seed=8)
+    window = (1.0, 20.0)
+    cfg = FitConfig(restarts=3, seed=2)
+    _, (res,) = batch_fit_2ppe([tr], cfg=cfg, window=window)
+    keep = window_mask(tr.time_us, window)
+    assert 0 < np.count_nonzero(keep) < keep.size
+    x, y = tr.time_us[keep], tr.intensity[keep]
+    assert_same_fit(res, multi_start_fit("mims", x, y,
+                                          initial_guess("mims", x, y).params, cfg=cfg))
+    assert res.dof == np.count_nonzero(keep) - 3
+
+
+def test_samples_outside_the_window_do_not_move_the_row():
+    tr = _mims_trace(0.09, seed=4)
+    window = (0.25, 20.0)
+    outside = ~window_mask(tr.time_us, window)
+    assert outside.any()
+    mangled = EchoTrace(sequence="2ppe", time_ms=tr.time_ms,
+                        intensity=np.where(outside, 37.5 * tr.intensity, tr.intensity),
+                        temperature_k=tr.temperature_k, field_t=tr.field_t)
+    (_, (a,)), (_, (b,)) = (batch_fit_2ppe([t], window=window) for t in (tr, mangled))
+    assert_same_fit(a, b)
+
+
+@pytest.mark.parametrize("window", [
+    5,                  # used to fail as a bare TypeError on unpacking
+    "0.25:",
+    (0.25,),
+    (0.25, None, 1.0),
+    (np.nan, 1.0),      # used to pass, and mask every point
+    (0.25, np.inf),
+    (True, None),       # a bool is not an edge
+    ("0.25", None),
+    (10 ** 400, None),  # an int beyond the float range
+])
+def test_window_is_none_or_a_pair_of_finite_edges(window, monkeypatch):
+    # the window is checked once, before any trace is fitted
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted")
+    monkeypatch.setattr(pipeline, "multi_start_batch", no_fit)
+    why = ("window must be None or a (lo, hi) pair whose edges are each None "
+           f"or a finite number, got {window!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+        batch_fit_2ppe([_mims_trace(0.09, seed=1)], window=window)
+
+
+def test_window_upper_edge_must_exceed_lower_edge():
+    with pytest.raises(ValueError, match="^window upper edge must exceed lower edge$"):
+        batch_fit_2ppe([_mims_trace(0.09, seed=1)], window=(2.0, 1.0))
+
+
+def test_window_accepts_open_and_finite_edges():
+    tr = _mims_trace(0.09, seed=1)
+    for window in (None, (None, None), (0.25, None), (None, 2), [0.1, 1.0],
+                   (np.float64(0.5), np.int64(3))):
+        _, (res,) = batch_fit_2ppe([tr], cfg=FitConfig(), window=window)
+        assert res.dof == np.count_nonzero(window_mask(tr.time_us, window)) - 3
 
 
 def test_batch_rejects_mixed_condition_axes():

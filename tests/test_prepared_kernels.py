@@ -212,6 +212,19 @@ def test_prepared_kernels_equal_the_direct_formulas(model_id):
     _assert_prepared_equal_direct(spec, value, grad, fixed_names, theta, x, fixed)
 
 
+@pytest.mark.parametrize("model_id", sorted(CATALOG))
+def test_every_prepared_term_has_one_row_per_problem(model_id):
+    # the engine gathers every term by row when rows stop; a term shared by
+    # all rows (sech2's mu_B / k_B once was) would need a shape test there
+    spec = CATALOG[model_id]
+    rng = np.random.default_rng(7)
+    draws = [_draw_inputs(model_id, rng) for _ in range(5)]
+    x = np.stack([d[1] for d in draws])
+    fixed = {k: np.array([[d[2][k]] for d in draws]) for k in spec.fixed_names}
+    terms = spec.prepare(x, fixed)
+    assert [np.shape(t)[:1] for t in terms] == [(5,)] * len(terms)
+
+
 def test_clamped_exp_equals_exp_of_clip():
     # the kernels clamp exp's argument with np.maximum and np.minimum
     # against 0-d float64 bounds; that must be np.clip's result, NaN

@@ -2,6 +2,8 @@
 hard failures on malformed input.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -129,6 +131,17 @@ def test_wrong_column_count_is_fatal(tmp_path):
                  "0.25 0.9 7\n")
     with pytest.raises(ValueError, match="two columns"):
         load_trace(p)
+
+
+def test_table_non_numeric_cell_reports_file_and_line(tmp_path):
+    # used to fail with float()'s text alone, naming neither
+    p = tmp_path / "bad.csv"
+    p.write_text("# condition-axis: field\n# quantity: gamma_eff\n"
+                 "# columns: condition,value,stderr,flag\n"
+                 "0.0,1.0,0.1,\n0.1,abc,0.2,\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:5: non-numeric data "
+                                         "'0.1,abc,0.2'$"):
+        load_table(p)
 
 
 def test_non_monotone_times_rejected(tmp_path):
@@ -350,20 +363,13 @@ def _increasing(draw, finite):
     return np.array(times)
 
 
-# A time is stored in ms and written as t / scale; read back as
-# float(text) * scale it can come back one ulp off (see the FOUND entry on
-# trace time units in CHANGES.md).
-_UNIT_ROUND_TRIP = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="FOUND: times written in ns, us or s read back up to one ulp off")
-
-
-@pytest.mark.parametrize("unit", ["ms", *(pytest.param(u, marks=_UNIT_ROUND_TRIP)
-                                          for u in ("ns", "us", "s"))])
+# A time is stored in ms.  Written as t / scale and read back as
+# float(text) * scale, it used to come back one ulp off in ns, us or s.
+@pytest.mark.parametrize("unit", ["ns", "us", "ms", "s"])
 @settings(max_examples=100, deadline=None)
 @given(times=_increasing(st.floats(-1e290, 1e290)),
        intensity=st.floats(allow_nan=False, allow_infinity=False))
-@example(times=np.array([7.94831875850697]), intensity=1.0)   # one ulp off in all three
+@example(times=np.array([7.94831875850697]), intensity=1.0)   # was one ulp off in all three
 def test_trace_round_trip_property(tmp_path_factory, unit, times, intensity):
     tr = _trace(time_ms=times, intensity=np.full(times.size, intensity),
                 sequence="3ppe-vs-t23", t12_us=0.33)
