@@ -17,7 +17,7 @@ import yaml
 
 from . import models
 from .catalog import CATALOG, gradient_check
-from .fitting import FitConfig
+from .fitting import FitConfig, _numbers
 from .params import FieldModelParams, MimsParams, SpectralDiffusionParams, \
     TempModelParams, ThreeLevelParams
 from .pipeline import (
@@ -158,26 +158,27 @@ def cmd_eval(args):
         p = MimsParams(**params)
         print(f"intensity = {_fmt(models.mims_intensity(p, _delay(args, 't12_us')))}")
     elif model_id == "sd":
+        if args.t0_us is not None:
+            params["t0_us"] = args.t0_us
         p = SpectralDiffusionParams(**params)
         v = models.sd_linewidth(p, args.t12_us or 0.0, _delay(args, "t23_us"))
         print(f"gamma_eff_khz = {_fmt(v)}")
     elif model_id == "sech2":
-        v = models.sech2_sd_amplitude(params["gamma_max_khz"], params["g"],
-                                      args.B, args.T)
+        gamma_max, g = _numbers(model_id, "parameter", CATALOG[model_id].param_names,
+                                params).tolist()
+        v = models.sech2_sd_amplitude(gamma_max, g, args.B, args.T)
         print(f"gamma_sd_khz = {_fmt(v)}")
     elif model_id == "echo3":
+        i0, beta, *sd = _numbers(model_id, "parameter", CATALOG[model_id].param_names,
+                                 params).tolist()
         t12, t23 = _delay(args, "t12_us"), _delay(args, "t23_us")
         t1 = (args.t1_ms if args.t1_ms is not None
               else fixed.get("t1_ms", THREE_LEVEL_7MK_009T.t1_ms))
         tz = args.tz_s if args.tz_s is not None else fixed.get("tz_s", ASSUMED_TZ_S)
         t0 = args.t0_us if args.t0_us is not None else fixed.get("t0_us", 50.0)
-        tl = ThreeLevelParams(i0=params.get("i0", 1.0), t1_ms=t1, tz_s=tz,
-                              beta=params["beta"])
-        sd = SpectralDiffusionParams(
-            gamma0_khz=params["gamma0_khz"], gamma_sd_khz=params["gamma_sd_khz"],
-            r_sd_khz=params["r_sd_khz"], gamma_tls_khz=params["gamma_tls_khz"],
-            t0_us=t0)
-        v = models.stimulated_echo_intensity(tl, sd, t12, t23)
+        tl = ThreeLevelParams(i0=i0, t1_ms=t1, tz_s=tz, beta=beta)
+        v = models.stimulated_echo_intensity(tl, SpectralDiffusionParams(*sd, t0_us=t0),
+                                             t12, t23)
         print(f"intensity = {_fmt(v)}")
     else:
         raise ValueError(f"eval does not support model {model_id!r}")

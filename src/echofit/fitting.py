@@ -31,10 +31,11 @@ the new SSE.  Each model names its residual space
 linear, relative (1 / |y|) without sigma.
 
 A problem fails once, with one FitError (or ValueError) that names why:
-bad data, too few points, an init or fixed value that is
-missing or not a finite number (one rule checks both; a bool is not
-one, nor an int beyond the float range), or a model that is not finite
-at every start.
+bad data, too few points (p + 1 at least), an init or fixed value that
+is missing or not a finite number (one rule checks both; a bool is not
+one, nor an int beyond the float range), a fixed value that is not > 0,
+or a model that is not finite at every start.  ``guesses.initial_guess``
+checks a problem by the same two rules, ``_numbers`` and ``_problem``.
 
 The engine computes each iteration only what changed.  The model's
 data-only terms are prepared once per batch (``ModelSpec.prepare``), and
@@ -138,7 +139,9 @@ class FitResult:
         return np.array([self.params[n] for n in self.param_names])
 
 
-def _prepare(spec, x, y, sigma):
+def _problem(spec, x, y, sigma):
+    """The checked data ``(x, y, w)`` of one fit, w its residual weights;
+    raises FitError when it cannot be fitted."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if spec.x_columns == 2:
@@ -151,21 +154,23 @@ def _prepare(spec, x, y, sigma):
         n = x.size
     if y.shape != (n,):
         raise FitError("x and y lengths disagree")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise FitError("x values must be finite")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise FitError("y values must be finite")
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (n,):
             raise FitError("sigma length disagrees with data")
-        if not np.all(sigma > 0):
+        if not (sigma > 0).all():
             raise FitError("sigma values must be > 0")
 
     linear = spec.space == "linear"
-    if not linear and np.any(y <= 0):
+    if not linear and (y <= 0).any():
         raise FitError(f"model {spec.model_id!r} fits log intensities, "
                        "which need strictly positive data")
+    if n < len(spec.params) + 1:
+        raise FitError(f"need at least {len(spec.params) + 1} points, got {n}")
 
     if sigma is not None:
         w = 1.0 / sigma if linear else y / sigma
@@ -179,16 +184,20 @@ def _prepare(spec, x, y, sigma):
 def _finite(value):
     """Whether ``value`` is a finite real number.  A bool is not one, nor an
     int beyond the float range."""
+    # float and int are tested first: they are Real, and the check against
+    # the Real ABC alone costs about half a microsecond.
     try:
-        return (isinstance(value, Real) and not isinstance(value, bool)
+        return (isinstance(value, (float, int, Real)) and not isinstance(value, bool)
                 and math.isfinite(value))
     except OverflowError:   # an int (or Fraction) beyond the float range
         return False
 
 
 def _numbers(model_id, kind, names, values):
-    """The ``kind`` ("init" or "fixed") values ``names`` of the mapping
-    ``values`` as floats; a FitError names one missing or not finite."""
+    """The ``kind`` ("init", "fixed", ...) values ``names`` of the mapping
+    ``values`` as floats; a FitError names one missing or not finite, or a
+    fixed value that is not > 0.  Every fixed quantity of the catalog is a
+    temperature, a lifetime or a reference time."""
     values = values or {}
     missing = [n for n in names if n not in values]
     if missing:
@@ -197,17 +206,9 @@ def _numbers(model_id, kind, names, values):
         value = values[name]
         if not _finite(value):
             raise FitError(f"{kind} value {name} must be a finite number, got {value!r}")
+        if kind == "fixed" and value <= 0:
+            raise FitError(f"fixed value {name} must be > 0, got {float(value)!r}")
     return np.array([values[n] for n in names], dtype=float)
-
-
-def _problem(spec, x, y, sigma):
-    """Prepared data ``(x, target, w)`` of one fit, where target is y in the
-    residual space; raises FitError when it cannot be fitted."""
-    x, y, w = _prepare(spec, x, y, sigma)
-    p = len(spec.params)
-    if y.size < p + 1:
-        raise FitError(f"need at least {p + 1} points inside the window, got {y.size}")
-    return x, y if spec.space == "linear" else np.log(y), w
 
 
 def _evaluate(spec, theta, terms, target, w):
@@ -544,12 +545,14 @@ def multi_start_batch(model_id, problems, *, cfg=None):
         try:
             values = _numbers(model_id, "fixed", spec.fixed_names, fixed)
             init = _numbers(model_id, "init", spec.param_names, init)
-            data = _problem(spec, x, y, sigma)
+            x, y, w = _problem(spec, x, y, sigma)
         except ValueError as exc:
             out.append(exc)
             continue
-        groups.setdefault(data[1].size, []).append(
-            (len(out), data, _starts(spec, init, factors), values, dict(fixed or {})))
+        target = y if spec.space == "linear" else np.log(y)
+        groups.setdefault(y.size, []).append(
+            (len(out), (x, target, w), _starts(spec, init, factors), values,
+             dict(fixed or {})))
         out.append(None)
 
     r = cfg.restarts

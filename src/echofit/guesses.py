@@ -4,6 +4,9 @@ These are deliberately crude; they only need to land inside the basin of
 the global minimum, with multi-start jitter covering the rest.  Each
 model's spec in :mod:`echofit.catalog` carries its guess, a function
 ``(x, y, fixed) -> GuessResult``; :func:`initial_guess` is the entry point.
+It checks the problem by the fit engine's rules, so a guess is handed
+checked data and a dict of every fixed value the model names, each a
+float > 0, and checks nothing itself.
 """
 
 from dataclasses import dataclass, replace
@@ -25,15 +28,6 @@ class GuessResult:
 
 def _positive(v, fallback):
     return float(v) if np.isfinite(v) and v > 0 else float(fallback)
-
-
-def _c_at_temp_k(model_id, fixed):
-    """mu_B / (k_B T) at the fixed ``temp_k``, which the engine's number
-    rule reads: a FitError names it when missing or not finite."""
-    # Imported here because fitting imports the catalog, which imports
-    # this module for its guesses.
-    from .fitting import _numbers
-    return MU_B_OVER_K_B / _numbers(model_id, "fixed", ("temp_k",), fixed)[0]
 
 
 def mims(t_us, y, fixed):
@@ -61,7 +55,7 @@ def mims(t_us, y, fixed):
 
 
 def field(b_t, y, fixed):
-    c = _c_at_temp_k("field", fixed)
+    c = MU_B_OVER_K_B / fixed["temp_k"]
     span = max(np.max(y) - np.min(y), 1e-12)
     gamma0 = _positive(np.min(y), 1e-3)
     alpha1 = _positive(y[0] - gamma0, 0.1 * span)
@@ -92,7 +86,7 @@ def temp(temp_k, y, fixed):
 
 
 def sech2(b_t, y, fixed):
-    c = _c_at_temp_k("sech2", fixed)
+    c = MU_B_OVER_K_B / fixed["temp_k"]
     gmax = _positive(y[np.argmin(np.abs(b_t))], max(np.max(y), 1e-12))
     half = np.nonzero(y <= 0.5 * gmax)[0]
     b_half = b_t[half[0]] if half.size and b_t[half[0]] > 0 else np.max(b_t)
@@ -118,8 +112,7 @@ def _linewidth_vs_t23_guesses(t23_us, gamma, t0_us):
 
 def sd(x, y, fixed):
     gamma0, gamma_sd, r_sd, gamma_tls = _linewidth_vs_t23_guesses(
-        x[:, 1], np.asarray(y, dtype=float),
-        fixed.get("t0_us", float(np.min(x[:, 1]))))
+        x[:, 1], y, fixed["t0_us"])
     return GuessResult({"gamma0_khz": gamma0, "gamma_sd_khz": gamma_sd,
                         "r_sd_khz": r_sd, "gamma_tls_khz": gamma_tls})
 
@@ -130,11 +123,8 @@ def echo3(x, y, fixed):
     uniq = np.unique(t12)
     # A single t12 value cannot separate dephasing from population decay.
     degenerate = uniq.size < 2
-    t0_us = fixed.get("t0_us", float(np.min(t23)))
-    if degenerate:
-        gamma = np.full(t23.shape, 10.0)
-        gamma0, gamma_sd, r_sd, gamma_tls = 8.0, 20.0, 1.0, 10.0
-    else:
+    gamma0, gamma_sd, r_sd, gamma_tls = 8.0, 20.0, 1.0, 10.0
+    if not degenerate:
         # Intensity ratio between the extreme t12 traces cancels the
         # population factor, exposing Gamma_eff(t23) directly.
         lo, hi = uniq[0], uniq[-1]
@@ -142,15 +132,11 @@ def echo3(x, y, fixed):
         common, ia, ib = np.intersect1d(t23[mask_lo], t23[mask_hi],
                                         return_indices=True)
         if common.size >= 3:
-            y_lo = np.asarray(y)[mask_lo][ia]
-            y_hi = np.asarray(y)[mask_hi][ib]
-            ratio = np.maximum(y_hi, 1e-300) / np.maximum(y_lo, 1e-300)
+            ratio = np.maximum(y[mask_hi][ib], 1e-300) / np.maximum(y[mask_lo][ia], 1e-300)
             gamma = -np.log(ratio) / (4.0 * np.pi * (hi - lo) * 1e-3)
             gamma = np.maximum(gamma, 1e-3)
             gamma0, gamma_sd, r_sd, gamma_tls = _linewidth_vs_t23_guesses(
-                common, gamma, t0_us)
-        else:
-            gamma0, gamma_sd, r_sd, gamma_tls = 8.0, 20.0, 1.0, 10.0
+                common, gamma, fixed["t0_us"])
     params = {
         "i0": _positive(np.max(y), 1.0),
         "beta": 0.1,
@@ -171,15 +157,20 @@ def echo3_free_t1(x, y, fixed):
 def initial_guess(model_id, x, y, fixed=None):
     """Heuristic starting parameters for ``model_id`` given data (x, y).
 
-    Raises ValueError for fewer than 3 points.  The returned GuessResult
-    carries a degenerate flag when the data cannot constrain the model
-    (constant decay traces, single-t12 stimulated-echo sets).
+    The problem is checked first, by the fit engine's own rules: every
+    fixed value the model names must be given, finite and > 0, and the
+    data must be fittable (shapes, finite values, positive y for a
+    log-space model, at least p + 1 points).  A problem the fit would
+    refuse raises the FitError (a ValueError) the fit would raise.  The
+    returned GuessResult carries a degenerate flag when the data cannot
+    constrain the model (constant decay traces, flat linewidth curves,
+    single-t12 stimulated-echo sets).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.shape[0] if x.ndim == 2 else x.size
-    if n < 3:
-        raise ValueError("initial_guess needs at least 3 points")
-    # Imported here because the catalog imports this module for its guesses.
+    # Imported here because fitting imports the catalog, which imports
+    # this module for its guesses.
     from .catalog import get_model
-    return get_model(model_id).guess(x, y, fixed or {})
+    from .fitting import _numbers, _problem
+    spec = get_model(model_id)
+    values = _numbers(model_id, "fixed", spec.fixed_names, fixed)
+    x, y, _ = _problem(spec, x, y, None)
+    return spec.guess(x, y, dict(zip(spec.fixed_names, values.tolist())))

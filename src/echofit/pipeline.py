@@ -246,16 +246,18 @@ def fit_table(model_id, table, cfg, fixed=None):
     the rows of a ScanTable whose value is finite, weighted by their
     stderr when every such entry is > 0 (else linewidth fits use relative
     residuals).  The other rows, such as a batch's ``failed:`` rows, are
-    left out, and the fit's flags then end with ``rows-dropped:<k>``."""
+    left out.  After the fit's own flags come ``guess-degenerate`` when
+    the guess is, as on a batch row, and ``rows-dropped:<k>`` when rows
+    were left out."""
     keep = np.isfinite(table.value)
     x, y, stderr = table.condition[keep], table.value[keep], table.stderr[keep]
     sigma = stderr if np.all(stderr > 0) else None
     guess = initial_guess(model_id, x, y, fixed)
     res = multi_start_fit(model_id, x, y, guess.params, sigma=sigma, cfg=cfg, fixed=fixed)
     dropped = keep.size - np.count_nonzero(keep)
-    if dropped:
-        res = replace(res, flags=res.flags + (f"rows-dropped:{dropped}",))
-    return res
+    flags = (("guess-degenerate",) if guess.degenerate else ()) + (
+        (f"rows-dropped:{dropped}",) if dropped else ())
+    return replace(res, flags=res.flags + flags) if flags else res
 
 
 def emit_report(tables, fits, destination, extra_lines=()):

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .catalog import get_model
+from .fitting import _numbers
 from .trace import EchoTrace, ScanTable
 
 NOISE_KINDS = ("none", "multiplicative", "additive")
@@ -48,6 +49,7 @@ class SynthSpec:
     with kind from NOISE_KINDS; multiplicative sigma is relative, additive
     sigma is in intensity units.  fixed carries the model's non-fitted
     values plus, for the two-delay models, the trace's fixed "t12_us".
+    The fit engine's number rule reads the true and the fixed values.
     """
 
     model_id: str
@@ -95,12 +97,19 @@ def _apply_noise(y, noise, rng):
     return y + sigma * draw
 
 
+def _fixed(model, fixed):
+    """The model's fixed values, read by the fit engine's number rule."""
+    values = _numbers(model.model_id, "fixed", model.fixed_names, fixed)
+    return dict(zip(model.fixed_names, values.tolist()))
+
+
 def synth_trace(spec: SynthSpec) -> EchoTrace:
     """Evaluate spec.model_id on the grid, apply optional modulation and
     seeded noise, and wrap the result as an EchoTrace."""
     model = get_model(spec.model_id)
+    fixed = _fixed(model, spec.fixed)
+    theta = _numbers(spec.model_id, "true", model.param_names, spec.true_params)
     pts = build_grid(spec.grid)
-    theta = np.array([spec.true_params[ps.name] for ps in model.params])
 
     if model.x_columns == 2:
         if spec.modulation is not None:
@@ -118,7 +127,7 @@ def synth_trace(spec: SynthSpec) -> EchoTrace:
         sequence = "2ppe"
         t12_fixed = None
 
-    y = np.asarray(model.eval_fn(theta, model.prepare(x, spec.fixed)), dtype=float)
+    y = np.asarray(model.eval_fn(theta, model.prepare(x, fixed)), dtype=float)
     if spec.modulation is not None:
         y = y * spec.modulation.factor(pts)
     rng = np.random.default_rng(spec.seed)
@@ -148,9 +157,9 @@ def synth_scan(model_id, true_params, condition_grid, noise=("none", 0.0),
     if model_id not in _SCAN_AXIS:
         raise ValueError(f"model {model_id!r} is not a condition-scan model")
     model = get_model(model_id)
-    fixed = dict(fixed or {})
+    fixed = _fixed(model, fixed)
+    theta = _numbers(model_id, "true", model.param_names, true_params)
     pts = build_grid(condition_grid)
-    theta = np.array([true_params[ps.name] for ps in model.params])
     y = np.asarray(model.eval_fn(theta, model.prepare(pts, fixed)), dtype=float)
     rng = np.random.default_rng(seed)
     noisy = _apply_noise(y, noise, rng)

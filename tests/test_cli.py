@@ -8,10 +8,13 @@ import os
 import numpy as np
 import pytest
 
+from echofit import models
 from echofit.cli import main
 from echofit.fitting import FitConfig, multi_start_fit
 from echofit.guesses import initial_guess
+from echofit.params import SpectralDiffusionParams, ThreeLevelParams
 from echofit.pipeline import fit_table
+from echofit.presets import SD_7MK_009T, TEMP_009T, THREE_LEVEL_7MK_009T
 from echofit.trace import ScanTable, load_table, load_trace
 
 
@@ -232,7 +235,7 @@ def test_fit_batch_with_a_too_short_trace_fails_its_row_and_exits_1(tmp_path, ca
         traces = [_synth(tmp_path, "good.txt", *base, "--grid", "0.25:30:50:log"),
                   _synth(tmp_path, "short.txt", *base, "--grid", "0.25:30:3:log",
                          "--field-T", "0.09")]
-        table, why = "gamma_eff_vs_field.txt", "need at least 4 points inside the window, got 3"
+        table, why = "gamma_eff_vs_field.txt", "need at least 4 points, got 3"
     else:
         base = ["--model", "echo3", "--preset", "3ppe-7mK-0.09T", "--noise", "mult:0.02"]
         traces = [_synth(tmp_path, f"t12_{j}.txt", *base, "--grid", "50:7500:80:log",
@@ -240,7 +243,7 @@ def test_fit_batch_with_a_too_short_trace_fails_its_row_and_exits_1(tmp_path, ca
                   for j, t12 in enumerate(("0.09", "0.33", "1.068"))]
         traces.append(_synth(tmp_path, "short.txt", *base, "--grid", "50:7500:5:log",
                              "--t12-us", "0.33", "--field-T", "0.3"))
-        table, why = "gamma0_vs_field.txt", "need at least 7 points inside the window, got 5"
+        table, why = "gamma0_vs_field.txt", "need at least 7 points, got 5"
     capsys.readouterr()
     out_dir = tmp_path / "report"
     rc = main([command, *traces, "--restarts", "2", "--out", str(out_dir)])
@@ -301,7 +304,7 @@ def test_scan_field_table_leaves_out_a_failed_row(tmp_path, capsys):
     assert main(["fit-2ppe", *traces, "--out", str(out_dir)]) == 1
     path = out_dir / "gamma_eff_vs_field.txt"
     table = load_table(path)
-    assert table.flag[6] == "failed: need at least 4 points inside the window, got 3"
+    assert table.flag[6] == "failed: need at least 4 points, got 3"
     capsys.readouterr()
     rc = main(["scan-field", "--table", str(path), "--restarts", "3", "--seed", "2",
                "--T", "0.007"])
@@ -357,3 +360,75 @@ def test_eval_sd_defaults_t12_to_zero(capsys):
     assert rc == 0
     assert with_zero == capsys.readouterr().out.splitlines()[-1]
     assert with_zero.startswith("gamma_eff_khz = ") and "nan" not in with_zero
+
+
+_3PPE = ["--preset", "3ppe-7mK-0.09T"]
+
+
+@pytest.mark.parametrize("argv, law", [
+    (["eval", "temp", "--params", "floor_khz=7.5,amp_khz=45,exponent_n=1.34", "--T", "0.1"],
+     lambda: models.temp_linewidth(TEMP_009T, 0.1)),
+    (["eval", "sech2", "--params", "gamma_max_khz=37.77,g=0.05", "--B", "0.2", "--T", "0.01"],
+     lambda: models.sech2_sd_amplitude(37.77, 0.05, 0.2, 0.01)),
+    (["eval", "echo3", *_3PPE, "--t12-us", "0.33", "--t23-us", "900"],
+     lambda: models.stimulated_echo_intensity(THREE_LEVEL_7MK_009T, SD_7MK_009T, 0.33, 900.0)),
+    (["eval", "echo3", *_3PPE, "--params", "i0=2", "--t12-us", "0.33", "--t23-us", "900",
+      "--t1-ms", "4", "--tz-s", "0.5", "--t0-us", "100"],
+     lambda: models.stimulated_echo_intensity(
+         ThreeLevelParams(i0=2.0, t1_ms=4.0, tz_s=0.5, beta=0.2),
+         SpectralDiffusionParams(**dict(SD_7MK_009T.to_dict(), t0_us=100.0)), 0.33, 900.0)),
+    (["eval", "sd", *_3PPE, "--t12-us", "0.33", "--t23-us", "900", "--t0-us", "100"],
+     lambda: models.sd_linewidth(
+         SpectralDiffusionParams(**dict(SD_7MK_009T.to_dict(), t0_us=100.0)), 0.33, 900.0)),
+], ids=["temp", "sech2", "echo3", "echo3-flags", "sd-t0"])
+def test_eval_prints_the_public_law(argv, law, capsys):
+    # eval sd ignored --t0-us, and no test ran the temp, sech2 or echo3 value
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(f" = {law():.6g}")
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["eval", "sech2", "--params", "g=0.05"],
+     "model 'sech2' needs parameter values for ['gamma_max_khz']"),
+    (["eval", "echo3", "--params", "beta=0.2", "--t12-us", "0.33", "--t23-us", "900"],
+     "model 'echo3' needs parameter values for "
+     "['i0', 'gamma0_khz', 'gamma_sd_khz', 'r_sd_khz', 'gamma_tls_khz']"),
+    (["eval", "sech2", "--params", "gamma_max_khz=inf,g=0.05"],
+     "parameter value gamma_max_khz must be a finite number, got inf"),
+    # a ParamError, from ThreeLevelParams
+    (["eval", "echo3", *_3PPE, "--params", "beta=3", "--t12-us", "0.33", "--t23-us", "900"],
+     "beta must lie in [0.0, 2.0]"),
+], ids=["sech2-missing", "echo3-missing", "sech2-inf", "echo3-param-error"])
+def test_eval_names_a_missing_or_bad_parameter(argv, why, capsys):
+    # sech2 and echo3 printed the bare KeyError text ('gamma_max_khz',
+    # 'beta'), and echo3 took i0 = 1 when it was not given
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {why}\n"
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["--grid", "0.25:30:5:log"], "model 'mims' needs true values for ['i0', 'tm_us', 'x']"),
+    (["--model", "echo3", "--grid", "50:7500:5:log", "--t12-us", "0.33"],
+     "model 'echo3' needs fixed values for ['t1_ms', 'tz_s', 't0_us']"),
+    (["--params", "i0=1,tm_us=40,x=nan", "--grid", "0.25:30:5:log"],
+     "true value x must be a finite number, got nan"),
+], ids=["mims", "echo3", "nan"])
+def test_synth_names_the_values_it_needs(tmp_path, argv, why, capsys):
+    # each used to print the bare KeyError text, error: 'i0' or 't1_ms'
+    assert main(["synth", *argv, "--out", str(tmp_path / "t.txt")]) == 1
+    assert capsys.readouterr().err == f"error: {why}\n"
+    assert not (tmp_path / "t.txt").exists()
+
+
+def test_fit_3ppe_with_a_negative_t1_fails_every_row(tmp_path, capsys):
+    # T1 = -9 ms used to print converged=True with no flag and exit 0
+    traces = [_synth(tmp_path, f"t12_{j}.txt", "--model", "echo3", *_3PPE, "--grid",
+                     "50:7500:40:log", "--t12-us", t12, "--field-T", "0.09")
+              for j, t12 in enumerate(("0.09", "0.33"))]
+    capsys.readouterr()
+    out_dir = tmp_path / "report"
+    assert main(["fit-3ppe", *traces, "--t1-ms", "-9", "--tz-s", "2",
+                 "--out", str(out_dir)]) == 1
+    assert "fit FAILED" in capsys.readouterr().out
+    assert load_table(out_dir / "beta_vs_field.txt").flag == [
+        "failed: fixed value t1_ms must be > 0, got -9.0"]

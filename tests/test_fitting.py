@@ -17,7 +17,7 @@ from echofit.fitting import (
     _covariance,
     _damped_solve,
     _jitter_factors,
-    _prepare,
+    _problem,
     _starts,
     fit,
     multi_start_batch,
@@ -368,7 +368,7 @@ def _plain_lm(model_id, x, y, init, cfg, fixed):
     Returns (params, sse_trace, n_iterations, stop reason), the reason one
     of "grad", "step", "sse", "saturated" or "max-iterations"."""
     spec = CATALOG[model_id]
-    x, y, w = _prepare(spec, x, y, None)
+    x, y, w = _problem(spec, x, y, None)
     space = spec.space
     terms = spec.prepare(x, fixed)
 
@@ -663,9 +663,52 @@ def test_flat_trace_guess_is_degenerate():
     assert g.degenerate
 
 
-def test_guess_requires_three_points():
-    with pytest.raises(ValueError):
-        initial_guess("mims", np.array([1.0, 2.0]), np.array([1.0, 0.5]))
+def test_guess_refuses_too_few_points_with_the_engines_error():
+    # initial_guess had its own 3-point rule and text, so a 3-point mims
+    # trace was guessed and then refused by the fit
+    for n in (0, 2, 3):
+        with pytest.raises(FitError, match=f"^need at least 4 points, got {n}$"):
+            initial_guess("mims", np.linspace(1.0, 3.0, n), np.linspace(1.0, 0.5, n))
+
+
+def _refused_cases(model_id):
+    """A pytest param ``(model_id, x, y, fixed, why)`` for every way a problem
+    built from the registry case of ``model_id`` is refused; ``why`` is the
+    text where the case alone fixes it."""
+    spec = CATALOG[model_id]
+    truth, x, fixed = _registry_case(model_id)
+    y = spec.eval_fn(np.array([truth[n] for n in spec.param_names]), spec.prepare(x, fixed))
+    one_bad = np.arange(y.size) == 1
+    cases = []
+    for name in spec.fixed_names:
+        others = {k: v for k, v in fixed.items() if k != name}
+        cases.append((f"missing-{name}", x, y, others,
+                      f"model {model_id!r} needs fixed values for [{name!r}]"))
+        for label, value, why in (("nan", np.nan, "a finite number, got nan"),
+                                  ("zero", 0.0, "> 0, got 0.0"), ("negative", -9, "> 0, got -9.0"),
+                                  ("minus-zero", -0.0, "> 0, got -0.0")):
+            cases.append((f"{name}-{label}", x, y, {**others, name: value},
+                          f"fixed value {name} must be {why}"))
+    p = len(spec.params)
+    cases.append(("p-points", x[:p], y[:p], fixed, f"need at least {p + 1} points, got {p}"))
+    cases.append(("nan-y", x, np.where(one_bad, np.nan, y), fixed, "y values must be finite"))
+    if spec.space == "log-intensity":
+        cases.append(("zero-y", x, np.where(one_bad, 0.0, y), fixed, None))
+    return [pytest.param(model_id, *case[1:], id=f"{model_id}-{case[0]}") for case in cases]
+
+
+@pytest.mark.parametrize("model_id, x, y, fixed, why",
+                         sum((_refused_cases(m) for m in sorted(CATALOG)), []))
+def test_guess_and_fit_refuse_a_problem_with_one_text(model_id, x, y, fixed, why):
+    # the guesses read temp_k by a lazy import of the engine's rule and t0_us
+    # with a silent fallback, initial_guess had its own point count, and no
+    # rule refused a fixed value <= 0
+    (res,) = multi_start_batch(model_id, [(x, y, _registry_case(model_id)[0], None, fixed)])
+    assert isinstance(res, FitError)
+    assert why is None or str(res) == why
+    with pytest.raises(FitError) as exc:
+        initial_guess(model_id, x, y, fixed)
+    assert str(exc.value) == str(res)
 
 
 def test_echo3_guess_needs_two_t12_groups():

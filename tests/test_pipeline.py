@@ -12,10 +12,12 @@ from echofit.fitting import FitConfig, FitError, multi_start_fit
 from echofit.guesses import initial_guess
 from echofit.pipeline import (
     DEFAULT_2PPE_WINDOW,
+    DEMO_FIELD_GRID_T,
     _demo_2ppe_traces,
     batch_fit_2ppe,
     batch_fit_3ppe,
     emit_report,
+    fit_table,
     run_demo,
     window_mask,
 )
@@ -26,7 +28,7 @@ from echofit.presets import (
     T12_SET_US,
 )
 from echofit.synth import SynthSpec, synth_trace
-from echofit.trace import EchoTrace, load_table
+from echofit.trace import EchoTrace, ScanTable, load_table
 
 from conftest import assert_same_fit
 
@@ -314,8 +316,8 @@ def test_3ppe_conditions_fit_in_one_batch_equal_their_lone_fits():
                             for tr in traces])
         y = np.concatenate([tr.intensity for tr in traces])
         fixed = {"tz_s": tz_s, "t0_us": float(x[:, 1].min()), "t1_ms": 9.0}
-        guess = initial_guess("echo3", x, y, fixed)
         try:
+            guess = initial_guess("echo3", x, y, fixed)
             alone = multi_start_fit("echo3", x, y, guess.params, cfg=cfg, fixed=fixed)
         except FitError as exc:
             assert res is None
@@ -333,7 +335,7 @@ def test_3ppe_conditions_fit_in_one_batch_equal_their_lone_fits():
         lone_flags.append(";".join(alone.flags + (("tz-assumed",) if tz_s == 1.0 else ())
                                    + (("guess-degenerate",) if guess.degenerate else ())))
     assert [f is None for f in fits] == [False, False, False, True]
-    assert "need at least 7 points inside the window, got 6" in lone_flags[-1]
+    assert lone_flags[-1] == "failed: need at least 7 points, got 6"
     assert "tz-assumed" in lone_flags[2]
     for q in tables:
         assert tables[q].flag == lone_flags
@@ -433,6 +435,57 @@ def test_3ppe_tz_table_lookup():
         cfg=FitConfig(restarts=1, seed=0),
         fixed={"t1_ms": 9.0, "tz_table": table})
     assert fits[0].fixed["tz_s"] == 2.0
+
+
+@pytest.mark.parametrize("fixed, why", [
+    ({"t1_ms": -9.0, "tz_s": 2.0}, "fixed value t1_ms must be > 0, got -9.0"),
+    ({"t1_ms": 9.0, "tz_s": -2}, "fixed value tz_s must be > 0, got -2.0"),
+    ({"t1_ms": 0.0, "tz_s": 2.0}, "fixed value t1_ms must be > 0, got 0.0"),
+    ({"t1_ms": 9.0, "tz_table": [{"temperature_k": 0.007, "field_t": 0.0, "tz_s": 0.5},
+                                 {"temperature_k": 0.007, "field_t": 0.3, "tz_s": -1.0}]},
+     None),
+], ids=["t1-negative", "tz-negative", "t1-zero", "tz-table"])
+def test_3ppe_lifetime_not_above_zero_fails_the_rows_using_it(fixed, why):
+    # T1 = -9 ms and T_Z = -2 s used to give converged fits with no flag; a
+    # tz_table key is not a lifetime, and a field_t of 0 matches its row
+    traces = _3ppe_traces(seed=414, n=40, field_t=0.0) + _3ppe_traces(seed=415, n=40,
+                                                                      field_t=0.3)
+    tables, fits = batch_fit_3ppe(traces, cfg=FitConfig(restarts=1), fixed=fixed)
+    if why is None:
+        assert fits[0].fixed["tz_s"] == 0.5 and fits[1] is None
+        assert tables["beta"].flag[1] == "failed: fixed value tz_s must be > 0, got -1.0"
+    else:
+        assert fits == [None, None]
+        assert tables["beta"].flag == [f"failed: {why}"] * 2
+
+
+def _field_table(value, stderr=None):
+    b = np.array(DEMO_FIELD_GRID_T)
+    stderr = np.zeros(b.size) if stderr is None else stderr
+    return ScanTable("field", "gamma_eff", b, value, stderr, [""] * b.size)
+
+
+def test_fit_table_flags_a_degenerate_guess_before_the_dropped_rows():
+    # the flat table's guess is degenerate, which only batch rows used to say
+    value = np.full(len(DEMO_FIELD_GRID_T), 9.0)
+    value[3] = np.nan
+    cfg, fixed = FitConfig(restarts=2, seed=1), {"temp_k": 0.007}
+    res = fit_table("field", _field_table(value), cfg, fixed)
+    keep = np.isfinite(value)
+    x, y = np.array(DEMO_FIELD_GRID_T)[keep], value[keep]
+    guess = initial_guess("field", x, y, fixed)
+    assert guess.degenerate
+    alone = multi_start_fit("field", x, y, guess.params, cfg=cfg, fixed=fixed)
+    assert res.params == alone.params
+    assert res.flags == alone.flags + ("guess-degenerate", "rows-dropped:1")
+
+
+def test_fit_table_refuses_a_temperature_not_above_zero():
+    # temp_k = -0.007 used to converge, flagged only unbounded:alpha2_khz
+    table = _field_table(models.field_linewidth(FIELD_7MK, np.array(DEMO_FIELD_GRID_T),
+                                                0.007))
+    with pytest.raises(FitError, match=r"^fixed value temp_k must be > 0, got -0\.007$"):
+        fit_table("field", table, FitConfig(), {"temp_k": -0.007})
 
 
 # ---------------------------------------------------------------------------
