@@ -17,7 +17,6 @@ import numpy as np
 
 from echofit import models
 from echofit.fitting import FitConfig, multi_start_fit
-from echofit.guesses import initial_guess
 from echofit.presets import FIELD_7MK, FIELD_7MK_SIGMA
 
 
@@ -37,8 +36,7 @@ def recovery_rate(grid, sigma, trials, base_seed):
     for k in range(trials):
         rng = np.random.default_rng(base_seed + k)
         y = clean * (1.0 + sigma * rng.standard_normal(grid.size))
-        guess = initial_guess("field", grid, y, {"temp_k": 0.007})
-        res = multi_start_fit("field", grid, y, guess.params,
+        res = multi_start_fit("field", grid, y, None,
                               cfg=FitConfig(restarts=4, seed=k),
                               fixed={"temp_k": 0.007})
         oks = {n: abs(res.params[n] - truth[n]) <= 3 * FIELD_7MK_SIGMA[n]

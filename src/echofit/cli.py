@@ -21,7 +21,6 @@ from .fitting import FitConfig, _numbers
 from .params import FieldModelParams, MimsParams, SpectralDiffusionParams, \
     TempModelParams, ThreeLevelParams
 from .pipeline import (
-    ASSUMED_TZ_S,
     DEFAULT_2PPE_WINDOW,
     REPORT_FMT,
     batch_fit_2ppe,
@@ -39,6 +38,9 @@ GRAD_TOL = 1e-5
 # The keys a fit-3ppe --config file may set: fixed values, then fit settings.
 _FIXED_KEYS = ("t1_ms", "tz_s", "tz_table", "free_t1")
 _FIT_KEYS = ("restarts", "seed", "max_iterations")
+
+# The eval flag that sets each fixed quantity of the catalog.
+_FIXED_FLAGS = {"temp_k": "T", "t1_ms": "t1_ms", "tz_s": "tz_s", "t0_us": "t0_us"}
 
 
 def _fmt(v):
@@ -125,7 +127,6 @@ def _preset_params(args, model_id):
         elif model_id == "sd" and pre["model_id"] == "echo3":
             for k in ("gamma0_khz", "gamma_sd_khz", "r_sd_khz", "gamma_tls_khz"):
                 params[k] = pre["params"][k]
-            params["t0_us"] = pre["fixed"]["t0_us"]
         else:
             raise ValueError(f"preset {args.preset!r} does not define model {model_id!r}")
     params.update(_parse_kv(getattr(args, "params", None)))
@@ -144,12 +145,36 @@ def _delay(args, name):
     return value
 
 
+def _eval_values(args, model_id):
+    """The parameters and fixed values of ``eval model_id``, two dicts of
+    floats read by the fit engine's number rule.  Parameters come from
+    --params over the preset, and a name that is not one of the model's is
+    refused; each fixed value comes from its flag over the preset, with no
+    default.  The parameter dataclasses check the ranges after."""
+    spec = CATALOG[model_id]
+    params, fixed = _preset_params(args, model_id)
+    unknown = [k for k in params if k not in spec.param_names]
+    if unknown:
+        flags = "".join(f"; --{_FIXED_FLAGS[n].replace('_', '-')} sets {n}"
+                        for n in spec.fixed_names)
+        raise ValueError(f"model {model_id!r} has no parameters {unknown}; its "
+                         f"parameters are {', '.join(spec.param_names)}{flags}")
+    for name in spec.fixed_names:
+        value = getattr(args, _FIXED_FLAGS[name])
+        if value is not None:
+            fixed[name] = value
+    values = _numbers(model_id, "parameter", spec.param_names, params)
+    fixed_values = _numbers(model_id, "fixed", spec.fixed_names, fixed)
+    return (dict(zip(spec.param_names, values.tolist())),
+            dict(zip(spec.fixed_names, fixed_values.tolist())))
+
+
 def cmd_eval(args):
     model_id = args.model
-    params, fixed = _preset_params(args, model_id)
+    params, fixed = _eval_values(args, model_id)
     if model_id == "field":
         p = FieldModelParams(**params)
-        v = models.field_linewidth(p, args.B, args.T)
+        v = models.field_linewidth(p, args.B, fixed["temp_k"])
         print(f"gamma_eff_khz = {_fmt(v)}")
     elif model_id == "temp":
         p = TempModelParams(**params)
@@ -158,27 +183,19 @@ def cmd_eval(args):
         p = MimsParams(**params)
         print(f"intensity = {_fmt(models.mims_intensity(p, _delay(args, 't12_us')))}")
     elif model_id == "sd":
-        if args.t0_us is not None:
-            params["t0_us"] = args.t0_us
-        p = SpectralDiffusionParams(**params)
+        p = SpectralDiffusionParams(**params, **fixed)
         v = models.sd_linewidth(p, args.t12_us or 0.0, _delay(args, "t23_us"))
         print(f"gamma_eff_khz = {_fmt(v)}")
     elif model_id == "sech2":
-        gamma_max, g = _numbers(model_id, "parameter", CATALOG[model_id].param_names,
-                                params).tolist()
-        v = models.sech2_sd_amplitude(gamma_max, g, args.B, args.T)
+        gamma_max, g = params.values()
+        v = models.sech2_sd_amplitude(gamma_max, g, args.B, fixed["temp_k"])
         print(f"gamma_sd_khz = {_fmt(v)}")
     elif model_id == "echo3":
-        i0, beta, *sd = _numbers(model_id, "parameter", CATALOG[model_id].param_names,
-                                 params).tolist()
+        i0, beta, *sd = params.values()
         t12, t23 = _delay(args, "t12_us"), _delay(args, "t23_us")
-        t1 = (args.t1_ms if args.t1_ms is not None
-              else fixed.get("t1_ms", THREE_LEVEL_7MK_009T.t1_ms))
-        tz = args.tz_s if args.tz_s is not None else fixed.get("tz_s", ASSUMED_TZ_S)
-        t0 = args.t0_us if args.t0_us is not None else fixed.get("t0_us", 50.0)
-        tl = ThreeLevelParams(i0=i0, t1_ms=t1, tz_s=tz, beta=beta)
-        v = models.stimulated_echo_intensity(tl, SpectralDiffusionParams(*sd, t0_us=t0),
-                                             t12, t23)
+        tl = ThreeLevelParams(i0=i0, t1_ms=fixed["t1_ms"], tz_s=fixed["tz_s"], beta=beta)
+        v = models.stimulated_echo_intensity(
+            tl, SpectralDiffusionParams(*sd, t0_us=fixed["t0_us"]), t12, t23)
         print(f"intensity = {_fmt(v)}")
     else:
         raise ValueError(f"eval does not support model {model_id!r}")

@@ -13,8 +13,9 @@ whatever B is.  Each row keeps its own damping, stop reason and SSE
 trace, and its result is bit-identical to fitting that row alone.
 Every fit goes through ``multi_start_batch`` (used by both ``pipeline``
 batch runners), which groups the problems by point count and fits each
-group as one batch: every problem is checked and prepared once, and its
-starts are a block of consecutive rows, with its fixed
+group as one batch: every problem is checked, started (from its init,
+or its model's guess) and prepared once, and its starts are a block of
+consecutive rows, with its fixed
 values (T1, T_Z, t0, temperature) repeated down (B, 1) columns, so
 problems at different conditions share a batch.  ``multi_start_fit``
 is one problem, and ``fit`` is ``multi_start_fit`` with one start.
@@ -30,12 +31,13 @@ the new SSE.  Each model names its residual space
 (``ModelSpec.space``): log intensity, unweighted without sigma, or
 linear, relative (1 / |y|) without sigma.
 
-A problem fails once, with one FitError (or ValueError) that names why:
-bad data, too few points (p + 1 at least), an init or fixed value that
-is missing or not a finite number (one rule checks both; a bool is not
-one, nor an int beyond the float range), a fixed value that is not > 0,
-or a model that is not finite at every start.  ``guesses.initial_guess``
-checks a problem by the same two rules, ``_numbers`` and ``_problem``.
+A problem fails once, with the FitError (or ValueError) of the first
+check it fails: a fixed value missing, not a finite number or not > 0;
+bad data or too few points (p + 1 at least); an init value missing or
+not a finite number (one rule, ``_numbers``, reads both; a bool is not
+one, nor an int beyond the float range); a model not finite at every
+start.  An init of None is the model's guess on the checked data, as
+``guesses.initial_guess`` gives it, flagged ``guess-degenerate`` when it is.
 
 The engine computes each iteration only what changed.  The model's
 data-only terms are prepared once per batch (``ModelSpec.prepare``), and
@@ -412,7 +414,7 @@ def _lm(spec, terms, target, w, theta0, max_iterations):
     return out
 
 
-def _result(spec, row, n, fixed, agreeing):
+def _result(spec, row, n, fixed, agreeing, degenerate):
     p = len(spec.params)
     dof = n - p
     cov, stderr, unbounded = _covariance(row.jac, row.sse, dof)
@@ -424,6 +426,8 @@ def _result(spec, row, n, fixed, agreeing):
         flags.append("g-ordering")
     if not row.converged:
         flags.append("not-converged")
+    if degenerate:
+        flags.append("guess-degenerate")
 
     return FitResult(
         model_id=spec.model_id,
@@ -456,8 +460,9 @@ def fit(model_id, x, y, init, *, sigma=None, cfg=None, fixed=None):
         two-delay models.
     y : array
         Observed values (intensities or linewidths in kHz).
-    init : dict
-        Starting values keyed by parameter name.
+    init : dict or None
+        Starting values keyed by parameter name, or None for the model's
+        guess (``guesses.initial_guess``).
     sigma : array, optional
         Per-point one-sigma noise in the units of y.
     cfg : FitConfig, optional
@@ -528,9 +533,10 @@ def multi_start_batch(model_id, problems, *, cfg=None):
     problem, with all starts of all problems fitted in lockstep.
 
     Each problem carries its own fixed values (None when the model has
-    none), so problems of one model at different conditions share a batch.
-    Problems are grouped by point count, and each group is one
-    lockstep batch in which a problem's starts are consecutive rows.
+    none), so problems of one model at different conditions share a batch,
+    and its own init, None for the model's guess.  Problems are grouped by
+    point count, and each group is one lockstep batch in which a
+    problem's starts are consecutive rows.
     Returns one entry per problem: its FitResult, or the FitError (or
     ValueError) that fitting it alone would raise, a bad init or fixed
     value included.  A problem that fails leaves the other entries
@@ -544,20 +550,24 @@ def multi_start_batch(model_id, problems, *, cfg=None):
     for x, y, init, sigma, fixed in problems:
         try:
             values = _numbers(model_id, "fixed", spec.fixed_names, fixed)
-            init = _numbers(model_id, "init", spec.param_names, init)
             x, y, w = _problem(spec, x, y, sigma)
+            degenerate = False
+            if init is None:
+                guess = spec.guess(x, y, dict(zip(spec.fixed_names, values.tolist())))
+                init, degenerate = guess.params, guess.degenerate
+            init = _numbers(model_id, "init", spec.param_names, init)
         except ValueError as exc:
             out.append(exc)
             continue
         target = y if spec.space == "linear" else np.log(y)
         groups.setdefault(y.size, []).append(
             (len(out), (x, target, w), _starts(spec, init, factors), values,
-             dict(fixed or {})))
+             dict(fixed or {}), degenerate))
         out.append(None)
 
     r = cfg.restarts
     for n, members in groups.items():
-        index, data, starts, values, fixed = zip(*members)
+        index, data, starts, values, fixed, degenerate = zip(*members)
         x, target, w = (np.repeat(np.stack(a), r, axis=0) for a in zip(*data))
         values = np.repeat(np.array(values), r, axis=0)
         columns = {name: values[:, j:j + 1] for j, name in enumerate(spec.fixed_names)}
@@ -574,18 +584,18 @@ def multi_start_batch(model_id, problems, *, cfg=None):
                 continue
             best = min(results, key=lambda row: row.sse)
             agree = sum(1 for row in results if row.sse <= best.sse * 1.01 + 1e-300)
-            out[i] = _result(spec, best, n, fixed[k], agree)
+            out[i] = _result(spec, best, n, fixed[k], agree, degenerate[k])
     return out
 
 
 def multi_start_fit(model_id, x, y, init, *, sigma=None, cfg=None, fixed=None):
     """Best of ``cfg.restarts`` fits from jittered starts.
 
-    The first start uses ``init`` as given; later starts jitter every
-    parameter by a seeded log-uniform factor in [0.5, 1.5] (box-bounded
-    parameters are jittered inside their box).  All starts are fitted in
-    one lockstep batch.  Returns the lowest-SSE result, with the count of
-    restarts whose SSE agrees with it within 1%.
+    The first start uses ``init`` as given (None: the model's guess);
+    later starts jitter every parameter by a seeded log-uniform factor in
+    [0.5, 1.5] (box-bounded parameters are jittered inside their box).
+    All starts are fitted in one lockstep batch.  Returns the lowest-SSE
+    result, with the count of restarts whose SSE agrees with it within 1%.
     """
     (res,) = multi_start_batch(model_id, [(x, y, init, sigma, fixed)], cfg=cfg)
     if isinstance(res, Exception):

@@ -3,8 +3,9 @@
 These are deliberately crude; they only need to land inside the basin of
 the global minimum, with multi-start jitter covering the rest.  Each
 model's spec in :mod:`echofit.catalog` carries its guess, a function
-``(x, y, fixed) -> GuessResult``; :func:`initial_guess` is the entry point.
-It checks the problem by the fit engine's rules, so a guess is handed
+``(x, y, fixed) -> GuessResult``, which the fit engine calls for a problem
+given no init; :func:`initial_guess` is the public entry point.  Both
+check the problem by the engine's rules first, so a guess is handed
 checked data and a dict of every fixed value the model names, each a
 float > 0, and checks nothing itself.
 """

@@ -15,7 +15,6 @@ import numpy as np
 from . import models
 from .fitting import (FitConfig, FitError, _finite, _numbers, multi_start_batch,
                       multi_start_fit)
-from .guesses import initial_guess
 from .params import FieldModelParams
 from .presets import FIELD_7MK, PRESETS, SD_7MK_009T_SIGMA, T12_SET_US, THREE_LEVEL_7MK_009T
 from .synth import SynthSpec, synth_trace
@@ -54,35 +53,26 @@ def _fit_scan(model_id, axis, rows, readout, cfg):
 
     ``rows`` are ``(condition, problem)``, problem being ``(x, y, fixed,
     flags)`` or the error that stopped its preparation; x and y hold only
-    the samples the fit sees.  Each problem's result equals
-    ``initial_guess`` plus ``multi_start_fit`` on it alone.  ``readout``
+    the samples the fit sees.  Each result equals ``multi_start_fit`` with
+    init None (the model's guess) on its problem alone, and a row's flags
+    are the fit's, then the problem's.  ``readout``
     maps each quantity to a function giving a FitResult's ``(value,
     stderr)``.  A failed row keeps its place, NaN and ``failed:``-flagged.
     """
-    guessed, problems = [], []
-    for _, problem in rows:
-        guess = problem
-        if not isinstance(problem, Exception):
-            x, y, fixed, _ = problem
-            try:
-                guess = initial_guess(model_id, x, y, fixed)
-                problems.append((x, y, guess.params, None, fixed))
-            except ValueError as exc:
-                guess = exc
-        guessed.append(guess)
-    outcomes = iter(multi_start_batch(model_id, problems, cfg=cfg))
+    ready = [problem for _, problem in rows if not isinstance(problem, Exception)]
+    outcomes = iter(multi_start_batch(
+        model_id, [(x, y, None, None, fixed) for x, y, fixed, _ in ready], cfg=cfg))
 
     fits, flags, cells = [], [], []
-    for (_, problem), guess in zip(rows, guessed):
-        res = guess if isinstance(guess, Exception) else next(outcomes)
+    for _, problem in rows:
+        res = problem if isinstance(problem, Exception) else next(outcomes)
         if isinstance(res, Exception):
             fits.append(None)
             flags.append(f"failed: {res}")
             cells.append([(np.nan, np.nan)] * len(readout))
             continue
         fits.append(res)
-        degenerate = ("guess-degenerate",) if guess.degenerate else ()
-        flags.append(";".join(res.flags + problem[3] + degenerate))
+        flags.append(";".join(res.flags + problem[3]))
         cells.append([read(res) for read in readout.values()])
     cond = [condition for condition, _ in rows]
     cells = np.array(cells)
@@ -123,9 +113,9 @@ def batch_fit_2ppe(traces, cfg=None, window=DEFAULT_2PPE_WINDOW, normalize=False
     ``window`` (microseconds, see :func:`window_mask`; its edges are each
     None or a finite number) is checked before any fit.  Each trace is
     cut to its samples inside it (normalized to their maximum if
-    ``normalize``) and guessed; then all traces' restarts are fitted in
-    lockstep (:func:`fitting.multi_start_batch`), each trace's result
-    equal to ``initial_guess`` plus ``multi_start_fit`` on its cut
+    ``normalize``); then all traces' restarts are fitted in lockstep
+    (:func:`fitting.multi_start_batch`), each trace's result equal to
+    ``multi_start_fit`` with init None (the model's guess) on its cut
     samples alone.
 
     Returns ``(tables, fits)`` where tables maps quantity id (gamma_eff,
@@ -186,10 +176,10 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
     fixed["tz_table"] (a list of mappings with temperature_k, field_t and
     tz_s), defaulting to ``ASSUMED_TZ_S`` with a "tz-assumed" flag.  The
     T1 and T_Z values go to the engine as given, so one number rule
-    checks them, and a bad one fails only its own condition.  Every
-    condition is guessed first; then all conditions' restarts are fitted
-    in lockstep, each with its own fixed values, and each condition's
-    result equals ``multi_start_fit`` on that condition alone.
+    checks them, and a bad one fails only its own condition.  All
+    conditions' restarts are fitted in lockstep, each with its own fixed
+    values, and each condition equals ``multi_start_fit`` with init None
+    on it alone; ``tz-assumed`` follows the fit's own flags.
 
     Returns ``(tables, fits)`` with one table per fitted quantity
     (gamma0, gamma_tls, gamma_sd, r_sd, beta), one row per condition.
@@ -242,22 +232,19 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
 
 
 def fit_table(model_id, table, cfg, fixed=None):
-    """``initial_guess`` and ``multi_start_fit`` of the law ``model_id`` on
-    the rows of a ScanTable whose value is finite, weighted by their
+    """``multi_start_fit`` of the law ``model_id``, started from its guess,
+    on the rows of a ScanTable whose value is finite, weighted by their
     stderr when every such entry is > 0 (else linewidth fits use relative
     residuals).  The other rows, such as a batch's ``failed:`` rows, are
-    left out.  After the fit's own flags come ``guess-degenerate`` when
-    the guess is, as on a batch row, and ``rows-dropped:<k>`` when rows
-    were left out."""
+    left out.  After the fit's own flags (``guess-degenerate`` among
+    them, as on a batch row) comes ``rows-dropped:<k>`` when rows were
+    left out."""
     keep = np.isfinite(table.value)
     x, y, stderr = table.condition[keep], table.value[keep], table.stderr[keep]
     sigma = stderr if np.all(stderr > 0) else None
-    guess = initial_guess(model_id, x, y, fixed)
-    res = multi_start_fit(model_id, x, y, guess.params, sigma=sigma, cfg=cfg, fixed=fixed)
+    res = multi_start_fit(model_id, x, y, None, sigma=sigma, cfg=cfg, fixed=fixed)
     dropped = keep.size - np.count_nonzero(keep)
-    flags = (("guess-degenerate",) if guess.degenerate else ()) + (
-        (f"rows-dropped:{dropped}",) if dropped else ())
-    return replace(res, flags=res.flags + flags) if flags else res
+    return replace(res, flags=res.flags + (f"rows-dropped:{dropped}",)) if dropped else res
 
 
 def emit_report(tables, fits, destination, extra_lines=()):

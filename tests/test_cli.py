@@ -398,12 +398,88 @@ def test_eval_prints_the_public_law(argv, law, capsys):
     # a ParamError, from ThreeLevelParams
     (["eval", "echo3", *_3PPE, "--params", "beta=3", "--t12-us", "0.33", "--t23-us", "900"],
      "beta must lie in [0.0, 2.0]"),
-], ids=["sech2-missing", "echo3-missing", "sech2-inf", "echo3-param-error"])
+    # field, temp, mims and sd printed Python's own text, such as
+    # "FieldModelParams.__init__() missing 4 required positional arguments"
+    (["eval", "field", "--params", "gamma0_khz=1"],
+     "model 'field' needs parameter values for ['alpha1_khz', 'alpha2_khz', 'g1', 'g2']"),
+    (["eval", "temp", "--params", "floor_khz=7.5,amp_khz=45"],
+     "model 'temp' needs parameter values for ['exponent_n']"),
+    (["eval", "mims", "--params", "i0=1,x=1.3", "--t12-us", "1"],
+     "model 'mims' needs parameter values for ['tm_us']"),
+    (["eval", "mims", "--params", "i0=1,tm_us=nan,x=1.3", "--t12-us", "1"],
+     "parameter value tm_us must be a finite number, got nan"),
+    (["eval", "sd", "--params", "gamma0_khz=8,gamma_sd_khz=38,r_sd_khz=1,gamma_tls_khz=12",
+      "--t23-us", "300"],
+     "model 'sd' needs fixed values for ['t0_us']"),
+    (["eval", "sd", *_3PPE, "--t23-us", "300", "--t0-us", "0"],
+     "fixed value t0_us must be > 0, got 0.0"),
+    # the dataclasses still check the ranges
+    (["eval", "mims", "--params", "i0=1,tm_us=40,x=9", "--t12-us", "1"],
+     "x must lie in [0.3, 4.0]"),
+    (["eval", "field", "--preset", "field-7mK", "--params", "g2=-1"], "g2 must be >= 0"),
+], ids=["sech2-missing", "echo3-missing", "sech2-inf", "echo3-param-error", "field-missing",
+        "temp-missing", "mims-missing", "mims-nan", "sd-no-t0", "sd-t0-zero", "mims-range",
+        "field-range"])
 def test_eval_names_a_missing_or_bad_parameter(argv, why, capsys):
     # sech2 and echo3 printed the bare KeyError text ('gamma_max_khz',
     # 'beta'), and echo3 took i0 = 1 when it was not given
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {why}\n"
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["mims", "--params", "i0=1,tm_us=40,x=1.3,tmm=3", "--t12-us", "1"],
+     "model 'mims' has no parameters ['tmm']; its parameters are i0, tm_us, x"),
+    (["field", "--preset", "field-7mK", "--params", "g3=1"],
+     "model 'field' has no parameters ['g3']; its parameters are gamma0_khz, alpha1_khz, "
+     "alpha2_khz, g1, g2; --T sets temp_k"),
+    (["temp", "--params", "floor_khz=7.5,amp_khz=45,exponent_n=1.34,n=2"],
+     "model 'temp' has no parameters ['n']; its parameters are floor_khz, amp_khz, "
+     "exponent_n"),
+    (["sech2", "--params", "gamma_max_khz=37.77,g=0.05,gg=9"],
+     "model 'sech2' has no parameters ['gg']; its parameters are gamma_max_khz, g; "
+     "--T sets temp_k"),
+    (["sd", *_3PPE, "--params", "t0_us=100", "--t23-us", "300"],
+     "model 'sd' has no parameters ['t0_us']; its parameters are gamma0_khz, gamma_sd_khz, "
+     "r_sd_khz, gamma_tls_khz; --t0-us sets t0_us"),
+    (["echo3", *_3PPE, "--params", "tz_s=3", "--t12-us", "0.3", "--t23-us", "300"],
+     "model 'echo3' has no parameters ['tz_s']; its parameters are i0, beta, gamma0_khz, "
+     "gamma_sd_khz, r_sd_khz, gamma_tls_khz; --t1-ms sets t1_ms; --tz-s sets tz_s; "
+     "--t0-us sets t0_us"),
+], ids=["mims", "field", "temp", "sech2", "sd", "echo3"])
+def test_eval_refuses_a_name_that_is_not_a_parameter(argv, why, capsys):
+    # mims printed "unexpected keyword argument", and sech2 and echo3
+    # ignored the name and exited 0
+    assert main(["eval", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {why}\n"
+    assert all(line.startswith("# config") for line in out.splitlines())
+
+
+def test_eval_echo3_takes_no_fixed_value_it_is_not_given(capsys):
+    # it used to take T1 = 9 ms, T_Z = 1 s and t0 = 50 us without a word
+    params = "i0=1,beta=0.2,gamma0_khz=8,gamma_sd_khz=38,r_sd_khz=1,gamma_tls_khz=12"
+    argv = ["eval", "echo3", "--params", params, "--t12-us", "0.3", "--t23-us", "300"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: model 'echo3' needs fixed values for ['t1_ms', 'tz_s', 't0_us']\n")
+    assert main(argv + ["--t1-ms", "9", "--t0-us", "50"]) == 1
+    assert capsys.readouterr().err == "error: model 'echo3' needs fixed values for ['tz_s']\n"
+    assert main(argv + ["--t1-ms", "9", "--tz-s", "1", "--t0-us", "50"]) == 0
+    law = models.stimulated_echo_intensity(
+        ThreeLevelParams(i0=1.0, t1_ms=9.0, tz_s=1.0, beta=0.2),
+        SpectralDiffusionParams(8.0, 38.0, 1.0, 12.0, t0_us=50.0), 0.3, 300.0)
+    assert capsys.readouterr().out.splitlines()[-1] == f"intensity = {law:.6g}"
+
+
+def test_eval_echo3_flag_wins_over_the_preset_value_by_value(capsys):
+    assert main(["eval", "echo3", *_3PPE, "--t12-us", "0.33", "--t23-us", "900",
+                 "--tz-s", "0.5"]) == 0
+    tl = THREE_LEVEL_7MK_009T
+    law = models.stimulated_echo_intensity(
+        ThreeLevelParams(i0=tl.i0, t1_ms=tl.t1_ms, tz_s=0.5, beta=tl.beta),
+        SD_7MK_009T, 0.33, 900.0)
+    assert capsys.readouterr().out.splitlines()[-1] == f"intensity = {law:.6g}"
 
 
 @pytest.mark.parametrize("argv, why", [

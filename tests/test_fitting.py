@@ -3,6 +3,7 @@ convergence bookkeeping and initial guesses.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -709,6 +710,58 @@ def test_guess_and_fit_refuse_a_problem_with_one_text(model_id, x, y, fixed, why
     with pytest.raises(FitError) as exc:
         initial_guess(model_id, x, y, fixed)
     assert str(exc.value) == str(res)
+    # a problem given no init is refused before its guess, with the same text
+    (guessed,) = multi_start_batch(model_id, [(x, y, None, None, fixed)])
+    assert isinstance(guessed, FitError) and str(guessed) == str(res)
+
+
+@pytest.mark.parametrize("model_id", sorted(CATALOG))
+def test_a_problem_without_init_starts_from_its_models_guess(model_id):
+    # the engine guesses on the data it has checked; the result equals
+    # initial_guess plus an explicit init, flagged guess-degenerate when the
+    # guess is
+    spec = CATALOG[model_id]
+    truth, x, fixed = _registry_case(model_id)
+    y0 = spec.eval_fn(np.array([truth[n] for n in spec.param_names]), spec.prepare(x, fixed))
+    rng = np.random.default_rng(17)
+    cases = [(x, y0 * (1.0 + 0.02 * rng.standard_normal(y0.shape)))]
+    if model_id == "mims":
+        cases.append((x, np.full(y0.shape, 0.8)))      # a flat trace: degenerate
+    if model_id.startswith("echo3"):
+        one = x[:, 0] == x[0, 0]                      # a single t12: degenerate
+        cases.append((x[one], y0[one]))
+    cfg = FitConfig(restarts=3, seed=2)
+    results = multi_start_batch(model_id, [(xx, yy, None, None, fixed) for xx, yy in cases],
+                                cfg=cfg)
+    degenerate = []
+    for res, (xx, yy) in zip(results, cases):
+        guess = initial_guess(model_id, xx, yy, fixed)
+        lone = multi_start_fit(model_id, xx, yy, guess.params, cfg=cfg, fixed=fixed)
+        assert res.flags == lone.flags + (("guess-degenerate",) if guess.degenerate else ())
+        assert_same_fit(replace(res, flags=lone.flags), lone)
+        degenerate.append(guess.degenerate)
+    assert degenerate == [False] + [True] * (len(cases) - 1)
+
+
+def test_a_flat_trace_fitted_from_its_guess_ends_flagged_guess_degenerate():
+    t = np.linspace(0.25, 30.0, 20)
+    res = multi_start_fit("mims", t, np.full_like(t, 0.8), None, cfg=FitConfig(restarts=2))
+    assert res.flags[-1] == "guess-degenerate"
+    assert fit("mims", t, np.full_like(t, 0.8), None).flags[-1] == "guess-degenerate"
+
+
+def test_bad_data_is_reported_before_a_bad_init():
+    # the engine checks the data before the init (it used to check the init
+    # first), so a problem with both reports its data
+    t, y = _mims_data()
+    bad_y = np.where(np.arange(y.size) == 1, np.nan, y)
+    (res,) = multi_start_batch("mims", [(t, bad_y, {"i0": 1.0}, None, None)])
+    assert str(res) == "y values must be finite"
+    with pytest.raises(FitError, match="^need at least 4 points, got 3$"):
+        fit("mims", t[:3], y[:3], {"i0": np.nan})
+    # a bad fixed value is still reported first
+    (res,) = multi_start_batch("field", [(t, bad_y, {}, None, {"temp_k": 0.0})])
+    assert str(res) == "fixed value temp_k must be > 0, got 0.0"
 
 
 def test_echo3_guess_needs_two_t12_groups():

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from echofit import models, pipeline
+from echofit import fitting, models, pipeline
 from echofit.fitting import FitConfig, FitError, multi_start_fit
 from echofit.guesses import initial_guess
 from echofit.pipeline import (
@@ -152,6 +152,23 @@ def test_lockstep_batch_rows_equal_their_lone_fits():
     assert fits[-1] is None
     why = "model 'mims' fits log intensities, which need strictly positive data"
     assert tables["x"].flag[-1] == f"failed: {why}"
+
+
+def test_batch_checks_each_rows_data_once(monkeypatch):
+    # the batch guessed every row through initial_guess and then fitted it,
+    # so the 14 demo traces went through the data check 28 times
+    calls = []
+    check = fitting._problem
+
+    def counted(*args):
+        calls.append(args[0].model_id)
+        return check(*args)
+
+    monkeypatch.setattr(fitting, "_problem", counted)
+    traces = _demo_2ppe_traces(1)
+    _, fits = batch_fit_2ppe(traces, cfg=FitConfig(restarts=2, seed=1))
+    assert all(res is not None for res in fits)
+    assert calls == ["mims"] * len(traces) == ["mims"] * 14
 
 
 def test_failed_row_message_survives_report_round_trip(tmp_path):
@@ -317,8 +334,7 @@ def test_3ppe_conditions_fit_in_one_batch_equal_their_lone_fits():
         y = np.concatenate([tr.intensity for tr in traces])
         fixed = {"tz_s": tz_s, "t0_us": float(x[:, 1].min()), "t1_ms": 9.0}
         try:
-            guess = initial_guess("echo3", x, y, fixed)
-            alone = multi_start_fit("echo3", x, y, guess.params, cfg=cfg, fixed=fixed)
+            alone = multi_start_fit("echo3", x, y, None, cfg=cfg, fixed=fixed)
         except FitError as exc:
             assert res is None
             lone_flags.append(f"failed: {exc}")
@@ -332,13 +348,29 @@ def test_3ppe_conditions_fit_in_one_batch_equal_their_lone_fits():
         assert res.flags == alone.flags
         assert res.fixed == fixed
         assert res.covariance.tobytes() == alone.covariance.tobytes()
-        lone_flags.append(";".join(alone.flags + (("tz-assumed",) if tz_s == 1.0 else ())
-                                   + (("guess-degenerate",) if guess.degenerate else ())))
+        lone_flags.append(";".join(alone.flags + (("tz-assumed",) if tz_s == 1.0 else ())))
     assert [f is None for f in fits] == [False, False, False, True]
     assert lone_flags[-1] == "failed: need at least 7 points, got 6"
     assert "tz-assumed" in lone_flags[2]
     for q in tables:
         assert tables[q].flag == lone_flags
+
+
+def test_3ppe_single_t12_condition_lists_guess_degenerate_before_tz_assumed():
+    # the engine flags the degenerate guess among the fit's own flags, so it
+    # now comes before the row's tz-assumed (it used to come last)
+    traces = _3ppe_traces(seed=500, noise=0.01)[1:2]
+    cfg = FitConfig(restarts=2, seed=3)
+    tables, fits = batch_fit_3ppe(traces, cfg=cfg, fixed={"t1_ms": 9.0})
+    tr = traces[0]
+    x = np.column_stack([np.full(tr.n_points, tr.t12_us), tr.time_us])
+    fixed = {"tz_s": 1.0, "t0_us": float(tr.time_us.min()), "t1_ms": 9.0}
+    alone = multi_start_fit("echo3", x, tr.intensity, None, cfg=cfg, fixed=fixed)
+    assert_same_fit(fits[0], alone)
+    assert alone.flags[-1] == "guess-degenerate"
+    flags = tables["gamma0"].flag[0].split(";")
+    assert flags == list(alone.flags) + ["tz-assumed"]
+    assert flags[-2:] == ["guess-degenerate", "tz-assumed"]
 
 
 @pytest.mark.parametrize("bad", [{"tz_s": None}, {"tz_s": "long"}, {}])
