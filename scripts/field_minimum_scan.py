@@ -36,7 +36,7 @@ def main(argv=None):
     ratios = []
     for t in temps:
         b_star, g_star, boundary = models.field_linewidth_minimum(
-            FIELD_7MK, t, args.b_max)
+            FIELD_7MK, args.b_max, {"temp_k": t})
         note = f"  ({boundary} boundary)" if boundary else ""
         print(f"{t:10.4g} {b_star:12.6g} {g_star:12.6g} "
               f"{b_star / t:12.6g}{note}")

@@ -28,8 +28,8 @@ def make_grid(n):
 
 
 def recovery_rate(grid, sigma, trials, base_seed):
-    truth = FIELD_7MK.to_dict()
-    clean = models.field_linewidth(FIELD_7MK, grid, 0.007)
+    truth = FIELD_7MK
+    clean = models.field_linewidth(truth, grid, {"temp_k": 0.007})
     names = list(FIELD_7MK_SIGMA)
     per = {n: 0 for n in names}
     joint = 0

@@ -2,14 +2,6 @@
 decay and linewidth data."""
 
 from .constants import MU_B_OVER_K_B
-from .params import (
-    FieldModelParams,
-    MimsParams,
-    ParamError,
-    SpectralDiffusionParams,
-    TempModelParams,
-    ThreeLevelParams,
-)
 from .models import (
     field_linewidth,
     field_linewidth_minimum,

@@ -1,6 +1,12 @@
 """Registry connecting model ids to packed-vector evaluation, analytic
 Jacobians, parameter transforms, initial guesses and fit defaults.
 
+A model's spec is its one description: its ParamSpecs name its free
+parameters with their transforms and ranges, and ``fixed_names`` its
+fixed values.  Every mapping of a model's values (a fit's init, a law's
+or synth's parameters, a preset) is keyed by these names and read by the
+rule of :mod:`echofit.values`.
+
 The fitter works on flat parameter vectors in an unconstrained internal
 space; this module owns the mapping between that space and the natural,
 unit-carrying parameters.  Positive-only parameters use a log transform,
@@ -39,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from . import guesses, models
-from .params import BETA_BOUNDS, EXPONENT_BOUNDS, X_BOUNDS
+from .values import BETA_BOUNDS, EXPONENT_BOUNDS, X_BOUNDS, ParamSpec
 
 # Margin used when clipping an initial value into an open interval before
 # applying a log/logit transform.  The transforms' scalar operands are 0-d
@@ -47,14 +53,6 @@ from .params import BETA_BOUNDS, EXPONENT_BOUNDS, X_BOUNDS
 # every call, and gives the same bits.
 _EDGE = np.array(1e-9)
 _ONE = np.array(1.0)
-
-
-@dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    transform: str  # "log" or "logit"
-    lo: float = 0.0
-    hi: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class ModelSpec:
     x_columns: int     # 1 for a single axis, 2 for (t12_us, t23_us) pairs
     guess: Callable    # (x, y, fixed) -> guesses.GuessResult
 
-    @property
+    @cached_property
     def param_names(self):
         return tuple(p.name for p in self.params)
 
@@ -155,7 +153,7 @@ _SD_PARAMS = (
     ParamSpec("gamma_tls_khz", _LOG),
 )
 _ECHO3_PARAMS = (
-    ParamSpec("i0", _LOG),
+    ParamSpec("i0", _LOG, positive=True),
     ParamSpec("beta", "logit", *BETA_BOUNDS),
 ) + _SD_PARAMS
 
@@ -164,8 +162,8 @@ CATALOG = {
         model_id="mims",
         space="log-intensity",
         params=(
-            ParamSpec("i0", _LOG),
-            ParamSpec("tm_us", _LOG),
+            ParamSpec("i0", _LOG, positive=True),
+            ParamSpec("tm_us", _LOG, positive=True),
             ParamSpec("x", "logit", *X_BOUNDS),
         ),
         fixed_names=(),
@@ -242,7 +240,7 @@ CATALOG = {
     "echo3-free-t1": _spec(
         model_id="echo3-free-t1",
         space="log-intensity",
-        params=_ECHO3_PARAMS + (ParamSpec("t1_ms", _LOG),),
+        params=_ECHO3_PARAMS + (ParamSpec("t1_ms", _LOG, positive=True),),
         fixed_names=("tz_s", "t0_us"),
         x_columns=2,
         terms=models._echo3_free_t1_terms,

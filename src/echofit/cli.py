@@ -17,9 +17,7 @@ import yaml
 
 from . import models
 from .catalog import CATALOG, gradient_check
-from .fitting import FitConfig, _numbers
-from .params import FieldModelParams, MimsParams, SpectralDiffusionParams, \
-    TempModelParams, ThreeLevelParams
+from .fitting import FitConfig
 from .pipeline import (
     DEFAULT_2PPE_WINDOW,
     REPORT_FMT,
@@ -29,9 +27,10 @@ from .pipeline import (
     fit_table,
     run_demo,
 )
-from .presets import TEMP_009T, THREE_LEVEL_7MK_009T, get_preset
+from .presets import TEMP_009T, THREE_LEVEL_7MK_009T_FIXED, get_preset
 from .synth import Modulation, SynthSpec, synth_scan, synth_trace
 from .trace import load_table, load_trace, write_table, write_trace
+from .values import _known
 
 GRAD_TOL = 1e-5
 
@@ -39,8 +38,22 @@ GRAD_TOL = 1e-5
 _FIXED_KEYS = ("t1_ms", "tz_s", "tz_table", "free_t1")
 _FIT_KEYS = ("restarts", "seed", "max_iterations")
 
-# The eval flag that sets each fixed quantity of the catalog.
+# The flag that sets each fixed quantity of the catalog, where a
+# subcommand has it.
 _FIXED_FLAGS = {"temp_k": "T", "t1_ms": "t1_ms", "tz_s": "tz_s", "t0_us": "t0_us"}
+
+# What eval prints for each model: its law, the flags of the law's x
+# values with their defaults (None: the flag must be given), and the
+# quantity's name.
+_EVAL = {
+    "mims": (models.mims_intensity, {"t12_us": None}, "intensity"),
+    "field": (models.field_linewidth, {"B": None}, "gamma_eff_khz"),
+    "temp": (models.temp_linewidth, {"T": None}, "gamma_eff_khz"),
+    "sech2": (models.sech2_sd_amplitude, {"B": None}, "gamma_sd_khz"),
+    "sd": (models.sd_linewidth, {"t12_us": 0.0, "t23_us": None}, "gamma_eff_khz"),
+    "echo3": (models.stimulated_echo_intensity, {"t12_us": None, "t23_us": None},
+              "intensity"),
+}
 
 
 def _fmt(v):
@@ -116,20 +129,31 @@ def _default_outdir():
 
 
 def _preset_params(args, model_id):
-    """Merge preset values (if any) with explicit --params overrides."""
-    params = {}
-    fixed = {}
-    if args.preset:
-        pre = get_preset(args.preset)
-        fixed.update(pre.get("fixed", {}))
-        if pre["model_id"] == model_id:
-            params.update(pre["params"])
-        elif model_id == "sd" and pre["model_id"] == "echo3":
-            for k in ("gamma0_khz", "gamma_sd_khz", "r_sd_khz", "gamma_tls_khz"):
-                params[k] = pre["params"][k]
-        else:
-            raise ValueError(f"preset {args.preset!r} does not define model {model_id!r}")
-    params.update(_parse_kv(getattr(args, "params", None)))
+    """The parameters and fixed values of ``model_id``, two dicts: the
+    preset's, if any (a preset serves every model whose parameters it
+    holds, so the echo3 preset serves sd), then --params over the
+    parameters and the flags this subcommand has for fixed values over
+    those.  A --params name that is not one of the model's parameters is
+    refused, naming the flags that set its fixed values."""
+    spec = CATALOG[model_id]
+    params, fixed = {}, {}
+    preset = getattr(args, "preset", None)
+    if preset:
+        pre = get_preset(preset)
+        if not set(spec.param_names) <= set(pre["params"]):
+            raise ValueError(f"preset {preset!r} does not define model {model_id!r}")
+        params = {name: pre["params"][name] for name in spec.param_names}
+        fixed = dict(pre["fixed"])
+    given = _parse_kv(args.params)
+    flags = {name: _FIXED_FLAGS[name] for name in spec.fixed_names
+             if hasattr(args, _FIXED_FLAGS[name])}
+    _known(model_id, spec.param_names, given,
+           "".join(f"; --{flag.replace('_', '-')} sets {name}"
+                   for name, flag in flags.items()))
+    params.update(given)
+    for name, flag in flags.items():
+        if getattr(args, flag) is not None:
+            fixed[name] = getattr(args, flag)
     return params, fixed
 
 
@@ -137,68 +161,22 @@ def _preset_params(args, model_id):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _delay(args, name):
-    """The delay flag ``name``; a ValueError names it when it is not given."""
+def _x(args, name, default):
+    """The value of the flag ``name``, or ``default``; a ValueError names
+    the flag when neither is given."""
     value = getattr(args, name)
+    if value is None:
+        value = default
     if value is None:
         raise ValueError(f"eval {args.model} needs --{name.replace('_', '-')}")
     return value
 
 
-def _eval_values(args, model_id):
-    """The parameters and fixed values of ``eval model_id``, two dicts of
-    floats read by the fit engine's number rule.  Parameters come from
-    --params over the preset, and a name that is not one of the model's is
-    refused; each fixed value comes from its flag over the preset, with no
-    default.  The parameter dataclasses check the ranges after."""
-    spec = CATALOG[model_id]
-    params, fixed = _preset_params(args, model_id)
-    unknown = [k for k in params if k not in spec.param_names]
-    if unknown:
-        flags = "".join(f"; --{_FIXED_FLAGS[n].replace('_', '-')} sets {n}"
-                        for n in spec.fixed_names)
-        raise ValueError(f"model {model_id!r} has no parameters {unknown}; its "
-                         f"parameters are {', '.join(spec.param_names)}{flags}")
-    for name in spec.fixed_names:
-        value = getattr(args, _FIXED_FLAGS[name])
-        if value is not None:
-            fixed[name] = value
-    values = _numbers(model_id, "parameter", spec.param_names, params)
-    fixed_values = _numbers(model_id, "fixed", spec.fixed_names, fixed)
-    return (dict(zip(spec.param_names, values.tolist())),
-            dict(zip(spec.fixed_names, fixed_values.tolist())))
-
-
 def cmd_eval(args):
-    model_id = args.model
-    params, fixed = _eval_values(args, model_id)
-    if model_id == "field":
-        p = FieldModelParams(**params)
-        v = models.field_linewidth(p, args.B, fixed["temp_k"])
-        print(f"gamma_eff_khz = {_fmt(v)}")
-    elif model_id == "temp":
-        p = TempModelParams(**params)
-        print(f"gamma_eff_khz = {_fmt(models.temp_linewidth(p, args.T))}")
-    elif model_id == "mims":
-        p = MimsParams(**params)
-        print(f"intensity = {_fmt(models.mims_intensity(p, _delay(args, 't12_us')))}")
-    elif model_id == "sd":
-        p = SpectralDiffusionParams(**params, **fixed)
-        v = models.sd_linewidth(p, args.t12_us or 0.0, _delay(args, "t23_us"))
-        print(f"gamma_eff_khz = {_fmt(v)}")
-    elif model_id == "sech2":
-        gamma_max, g = params.values()
-        v = models.sech2_sd_amplitude(gamma_max, g, args.B, fixed["temp_k"])
-        print(f"gamma_sd_khz = {_fmt(v)}")
-    elif model_id == "echo3":
-        i0, beta, *sd = params.values()
-        t12, t23 = _delay(args, "t12_us"), _delay(args, "t23_us")
-        tl = ThreeLevelParams(i0=i0, t1_ms=fixed["t1_ms"], tz_s=fixed["tz_s"], beta=beta)
-        v = models.stimulated_echo_intensity(
-            tl, SpectralDiffusionParams(*sd, t0_us=fixed["t0_us"]), t12, t23)
-        print(f"intensity = {_fmt(v)}")
-    else:
-        raise ValueError(f"eval does not support model {model_id!r}")
+    law, xs, quantity = _EVAL[args.model]
+    params, fixed = _preset_params(args, args.model)
+    x = [_x(args, name, default) for name, default in xs.items()]
+    print(f"{quantity} = {_fmt(law(params, *x, fixed))}")
     return 0
 
 
@@ -294,20 +272,18 @@ def cmd_scan_field(args):
         cfg = FitConfig(restarts=args.restarts, seed=args.seed)
         res = fit_table("field", load_table(args.table), cfg, {"temp_k": args.T})
         _print_fit(res)
-        p = FieldModelParams(**res.params)
+        params, fixed = res.params, res.fixed
     else:
-        params, _ = _preset_params(args, "field")
-        p = FieldModelParams(**params)
+        params, fixed = _preset_params(args, "field")
         scan = synth_scan("field", params, (0.0, args.b_max, args.points, "linear"),
-                          fixed={"temp_k": args.T})
+                          fixed=fixed)
         if args.out:
             write_table(scan, args.out, fmt=REPORT_FMT)
             print(f"wrote scan table to {args.out}")
-    b_star, gamma_star, boundary = models.field_linewidth_minimum(
-        p, args.T, args.b_max)
+    b_star, gamma_star, boundary = models.field_linewidth_minimum(params, args.b_max, fixed)
     where = f" at {boundary} boundary" if boundary else ""
     print(f"minimum: B* = {_fmt(b_star)} T, gamma* = {_fmt(gamma_star)} kHz{where}")
-    print(f"zero-field: gamma(0) = {_fmt(models.field_linewidth(p, 0.0, args.T))} kHz")
+    print(f"zero-field: gamma(0) = {_fmt(models.field_linewidth(params, 0.0, fixed))} kHz")
     return 0
 
 
@@ -316,7 +292,7 @@ def cmd_scan_temp(args):
         cfg = FitConfig(restarts=args.restarts, seed=args.seed)
         _print_fit(fit_table("temp", load_table(args.table), cfg))
         return 0
-    params = _parse_kv(args.params) if args.params else TEMP_009T.to_dict()
+    params = _preset_params(args, "temp")[0] if args.params else TEMP_009T
     scan = synth_scan("temp", params, (args.t_min, args.t_max, args.points, "log"))
     for c, v in zip(scan.condition, scan.value):
         print(f"{_fmt(c)} {_fmt(v)}")
@@ -401,7 +377,7 @@ def build_parser():
 
     p = sub.add_parser("fit-3ppe", help="jointly fit waiting-time traces per condition")
     p.add_argument("traces", nargs="+")
-    p.add_argument("--t1-ms", type=float, default=THREE_LEVEL_7MK_009T.t1_ms)
+    p.add_argument("--t1-ms", type=float, default=THREE_LEVEL_7MK_009T_FIXED["t1_ms"])
     p.add_argument("--tz-s", type=float, default=None)
     p.add_argument("--free-t1", action="store_true")
     p.add_argument("--config", default=None,

@@ -59,14 +59,14 @@ the LAPACK ``gesv`` gufunc under ``np.linalg.solve``, whose argument
 checks they do not need.
 """
 
-import math
 from dataclasses import dataclass, field as dc_field, replace
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .catalog import dnatural_dinternal, get_model, to_internal, to_natural
+from .values import FitError, _numbers
 
 # The engine's scalar operands are 0-d float64 arrays.  A Python float
 # operand goes through NumPy's scalar promotion on every call, which
@@ -91,10 +91,6 @@ _TOL_SSE_REL = np.array(1e-12)
 # Singular values below this fraction of the largest are treated as zero;
 # parameters loading on such directions get unbounded errors.
 _SVD_RCOND = 1e-12
-
-
-class FitError(ValueError):
-    """Raised for undeterminable or invalid fit problems."""
 
 
 @dataclass(frozen=True)
@@ -181,36 +177,6 @@ def _problem(spec, x, y, sigma):
     else:
         w = np.ones(y.shape)
     return x, y, w
-
-
-def _finite(value):
-    """Whether ``value`` is a finite real number.  A bool is not one, nor an
-    int beyond the float range."""
-    # float and int are tested first: they are Real, and the check against
-    # the Real ABC alone costs about half a microsecond.
-    try:
-        return (isinstance(value, (float, int, Real)) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:   # an int (or Fraction) beyond the float range
-        return False
-
-
-def _numbers(model_id, kind, names, values):
-    """The ``kind`` ("init", "fixed", ...) values ``names`` of the mapping
-    ``values`` as floats; a FitError names one missing or not finite, or a
-    fixed value that is not > 0.  Every fixed quantity of the catalog is a
-    temperature, a lifetime or a reference time."""
-    values = values or {}
-    missing = [n for n in names if n not in values]
-    if missing:
-        raise FitError(f"model {model_id!r} needs {kind} values for {missing}")
-    for name in names:
-        value = values[name]
-        if not _finite(value):
-            raise FitError(f"{kind} value {name} must be a finite number, got {value!r}")
-        if kind == "fixed" and value <= 0:
-            raise FitError(f"fixed value {name} must be > 0, got {float(value)!r}")
-    return np.array([values[n] for n in names], dtype=float)
 
 
 def _evaluate(spec, theta, terms, target, w):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import MU_B_OVER_K_B
-from .presets import THREE_LEVEL_7MK_009T
+from .presets import THREE_LEVEL_7MK_009T_FIXED
+from .values import _numbers
 
 # sech^2(k) = 1/2 at k = ln(1 + sqrt(2)).
 _SECH2_HALF_ARG = float(np.log(1.0 + np.sqrt(2.0)))
@@ -152,7 +153,7 @@ def echo3(x, y, fixed):
 def echo3_free_t1(x, y, fixed):
     """The echo3 guess with T1 started at the reference 9 ms."""
     g = echo3(x, y, fixed)
-    return replace(g, params={**g.params, "t1_ms": THREE_LEVEL_7MK_009T.t1_ms})
+    return replace(g, params={**g.params, "t1_ms": THREE_LEVEL_7MK_009T_FIXED["t1_ms"]})
 
 
 def initial_guess(model_id, x, y, fixed=None):
@@ -170,7 +171,7 @@ def initial_guess(model_id, x, y, fixed=None):
     # Imported here because fitting imports the catalog, which imports
     # this module for its guesses.
     from .catalog import get_model
-    from .fitting import _numbers, _problem
+    from .fitting import _problem
     spec = get_model(model_id)
     values = _numbers(model_id, "fixed", spec.fixed_names, fixed)
     x, y, _ = _problem(spec, x, y, None)

@@ -1,9 +1,12 @@
 """Closed-form echo-decay and linewidth models with analytic gradients.
 
-Public functions take the parameter dataclasses from :mod:`echofit.params`
-and times in the units their argument names state.  Internally every
-rate*time product is formed in kHz*ms so the exponents are dimensionless
-without hidden conversion factors.
+The public laws take a model's parameters, its x values and its fixed
+values, in that order; parameters and fixed values are mappings keyed by
+the names of the model's spec in :mod:`echofit.catalog`, read by the rule
+of :mod:`echofit.values` (numbers, known names, ranges).  Times are in the
+units their argument names state.  Internally every rate*time product is
+formed in kHz*ms so the exponents are dimensionless without hidden
+conversion factors.
 
 The underscore-prefixed functions operate on plain floats/arrays and are
 bound directly by the fitting catalog.  Each model has a ``_<model>_terms``
@@ -33,13 +36,7 @@ range where that zero is not an interior minimum.
 import numpy as np
 
 from .constants import EXP_CLAMP, MU_B_OVER_K_B
-from .params import (
-    FieldModelParams,
-    MimsParams,
-    SpectralDiffusionParams,
-    TempModelParams,
-    ThreeLevelParams,
-)
+from .values import _numbers, _parameters
 
 FOUR_PI = 4.0 * np.pi
 
@@ -80,6 +77,23 @@ def _maybe_scalar(out, like):
     return out
 
 
+def _read(model_id, params, fixed, names=None, label=None):
+    """The parameters and the fixed values of a law of catalog model
+    ``model_id`` (only those in ``names`` when given), two lists of floats
+    in the spec's order, read by the rule of :mod:`echofit.values`; error
+    texts name the model ``label``, by default ``model_id``."""
+    # The catalog binds this module's kernels, so it is looked up here.
+    from .catalog import CATALOG
+    spec = CATALOG[model_id]
+    specs, fixed_names = spec.params, spec.fixed_names
+    if names is not None:
+        specs = [p for p in specs if p.name in names]
+        fixed_names = [n for n in fixed_names if n in names]
+    label = label or model_id
+    return (_parameters(label, "parameter", specs, params).tolist(),
+            _numbers(label, "fixed", fixed_names, fixed).tolist())
+
+
 # ---------------------------------------------------------------------------
 # Two-pulse echo decay
 # ---------------------------------------------------------------------------
@@ -102,14 +116,15 @@ def _mims_grad(i0, tm_us, x, two_t12):
     return intensity, g
 
 
-def mims_intensity(p: MimsParams, t12_us):
+def mims_intensity(params, t12_us, fixed=None):
     """Stretched-exponential echo intensity at pulse separation ``t12_us``.
 
     Returns ``i0 * exp(-2*(2*t12/tm)^x)``; equals ``i0`` at ``t12 = 0`` and
-    is strictly decreasing in ``t12``.
+    is strictly decreasing in ``t12``.  The model has no fixed values.
     """
+    theta, _ = _read("mims", params, fixed)
     t = _asarray(t12_us, "t12_us", minimum=0.0)
-    return _maybe_scalar(_mims_grad(p.i0, p.tm_us, p.x, *_mims_terms(t))[0], t12_us)
+    return _maybe_scalar(_mims_grad(*theta, *_mims_terms(t))[0], t12_us)
 
 
 def gamma_eff_from_tm(tm_us):
@@ -149,26 +164,21 @@ def _field_grad(gamma0, alpha1, alpha2, g1, g2, c, b):
     return gamma0 + alpha1 * e1 + alpha2 * rise, g
 
 
-def field_linewidth(p: FieldModelParams, b_t, temp_k):
-    """Effective linewidth in kHz at field ``b_t`` (tesla) and temperature
-    ``temp_k`` (kelvin).
+def field_linewidth(params, b_t, fixed=None):
+    """Effective linewidth in kHz at field ``b_t`` (tesla) and the fixed
+    temperature ``temp_k`` (kelvin).
 
     The two exponential terms describe a magnetically quenched broadening
     channel (amplitude alpha1, decaying with field) and a channel that
     turns on with field (amplitude alpha2).  Exponent arguments are
     clamped at +-700 so the asymptotes are exact in floating point.
     """
-    if temp_k <= 0:
-        raise ValueError("temp_k must be > 0")
+    theta, (temp_k,) = _read("field", params, fixed)
     b = _asarray(b_t, "b_t", minimum=0.0)
-    return _maybe_scalar(
-        _field_grad(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz, p.g1, p.g2,
-                    *_field_terms(temp_k, b))[0],
-        b_t,
-    )
+    return _maybe_scalar(_field_grad(*theta, *_field_terms(temp_k, b))[0], b_t)
 
 
-def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t):
+def field_linewidth_minimum(params, b_max_t, fixed=None):
     """Global minimum of the field model on [0, b_max_t], in closed form.
 
     With c = mu_B/(k_B T), dGamma/dB = c*(alpha2*g2*e^(-g2*c*B) -
@@ -180,19 +190,18 @@ def field_linewidth_minimum(p: FieldModelParams, temp_k, b_max_t):
     ``boundary`` is None for an interior minimum and "low"/"high" when
     the minimizer sits at 0 or b_max_t.
     """
-    if temp_k <= 0:
-        raise ValueError("temp_k must be > 0")
+    theta, (temp_k,) = _read("field", params, fixed)
     if b_max_t <= 0:
         raise ValueError("b_max_t must be > 0")
     c = MU_B_OVER_K_B / temp_k
 
     def gamma(b):
-        return float(_field_grad(p.gamma0_khz, p.alpha1_khz, p.alpha2_khz,
-                                 p.g1, p.g2, c, b)[0])
+        return float(_field_grad(*theta, c, b)[0])
 
-    falling, rising = p.alpha1_khz * p.g1, p.alpha2_khz * p.g2
-    if p.g1 > p.g2 and falling > rising > 0:
-        b_star = np.log(falling / rising) / ((p.g1 - p.g2) * c)
+    _, alpha1, alpha2, g1, g2 = theta
+    falling, rising = alpha1 * g1, alpha2 * g2
+    if g1 > g2 and falling > rising > 0:
+        b_star = np.log(falling / rising) / ((g1 - g2) * c)
         if b_star < b_max_t:
             return float(b_star), gamma(b_star), None
     g_low, g_high = gamma(0.0), gamma(b_max_t)
@@ -219,18 +228,18 @@ def _temp_grad(floor, amp, n, t, log_t):
     return floor + amp * tn, g
 
 
-def temp_linewidth(p: TempModelParams, temp_k):
-    """Constant floor plus amp*T^n, in kHz.
+def temp_linewidth(params, temp_k, fixed=None):
+    """Constant floor plus amp*T^n, in kHz, at temperature ``temp_k``.
 
     The additive floor reproduces the low-temperature saturation and the
     power law dominates at higher temperature; no piecewise crossover is
-    introduced.
+    introduced.  The model has no fixed values.
     """
+    theta, _ = _read("temp", params, fixed)
     t = np.asarray(temp_k, dtype=float)
     if np.any(t <= 0):
         raise ValueError("temp_k must be > 0")
-    return _maybe_scalar(
-        _temp_grad(p.floor_khz, p.amp_khz, p.exponent_n, *_temp_terms(t))[0], temp_k)
+    return _maybe_scalar(_temp_grad(*theta, *_temp_terms(t))[0], temp_k)
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +279,21 @@ def _sd_grad(gamma0, gamma_sd, r_sd, gamma_tls, t12_ms, t23_ms, log_t23):
     return gamma, g
 
 
-def sd_linewidth(p: SpectralDiffusionParams, t12_us, t23_us):
+def sd_linewidth(params, t12_us, t23_us, fixed=None):
     """Effective linewidth in kHz for a stimulated-echo sequence with pulse
     separation ``t12_us`` and waiting time ``t23_us``.
 
     Sum of the base linewidth, a flip-flop diffusion term (linear in t12,
     saturating in t23 with rate r_sd) and a slow contribution growing with
-    log10(t23/t0).  The log term is defined only for t23 >= t0.
+    log10(t23/t0), t0 being the fixed value ``t0_us``.  The log term is
+    defined only for t23 >= t0.
     """
+    theta, (t0_us,) = _read("sd", params, fixed)
     t23 = _asarray(t23_us, "t23_us")
-    if np.any(t23 < p.t0_us):
+    if np.any(t23 < t0_us):
         raise ValueError("t23_us must be >= t0_us")
     t12 = _asarray(t12_us, "t12_us", minimum=0.0)
-    out = _sd(p.gamma0_khz, p.gamma_sd_khz, p.r_sd_khz, p.gamma_tls_khz,
-              *_sd_terms(p.t0_us, t12, t23))
+    out = _sd(*theta, *_sd_terms(t0_us, t12, t23))
     ref = t23_us if np.ndim(t23_us) >= np.ndim(t12_us) else t12_us
     return _maybe_scalar(out, ref)
 
@@ -318,17 +328,20 @@ def _population(beta, ea, a, b):
     return ea + _HALF * beta * a * b
 
 
-def three_level_population_factor(p: ThreeLevelParams, t23_ms):
+def three_level_population_factor(params, t23_ms, fixed=None):
     """Ground-state population recovery factor at waiting time ``t23_ms``.
 
     e^(-t/T1) + (beta/2) * Tz/(Tz - T1) * (e^(-t/Tz) - e^(-t/T1)); the
     removable singularity at Tz = T1 is evaluated by its analytic limit
-    when the lifetimes agree to within 1e-9 relative.
+    when the lifetimes agree to within 1e-9 relative.  ``params`` holds
+    echo3's beta, ``fixed`` its t1_ms and tz_s.
     """
+    (beta,), (t1_ms, tz_s) = _read("echo3", params, fixed, ("beta", "t1_ms", "tz_s"),
+                                   "population")
     t = _asarray(t23_ms, "t23_ms", minimum=0.0)
-    tz_ms = p.tz_s * 1e3
-    terms = _population_terms(p.t1_ms, tz_ms, t, _cexp(-t / tz_ms))
-    return _maybe_scalar(_population(p.beta, *terms), t23_ms)
+    tz_ms = tz_s * 1e3
+    terms = _population_terms(t1_ms, tz_ms, t, _cexp(-t / tz_ms))
+    return _maybe_scalar(_population(beta, *terms), t23_ms)
 
 
 def _echo3_delay_terms(t0_us, t12_us, t23_us):
@@ -416,18 +429,16 @@ def _echo3_free_t1_grad(i0, beta, gamma0, gamma_sd, r_sd, gamma_tls, t1_ms, tz_m
     return value, g
 
 
-def stimulated_echo_intensity(tl: ThreeLevelParams, sd: SpectralDiffusionParams,
-                              t12_us, t23_us):
+def stimulated_echo_intensity(params, t12_us, t23_us, fixed=None):
     """Stimulated-echo intensity: population factor squared times the
     dephasing envelope exp(-4*pi*t12*Gamma_eff(t12, t23)).
     """
+    theta, (t1_ms, tz_s, t0_us) = _read("echo3", params, fixed)
     t23 = _asarray(t23_us, "t23_us")
-    if np.any(t23 < sd.t0_us):
+    if np.any(t23 < t0_us):
         raise ValueError("t23_us must be >= t0_us")
     t12 = _asarray(t12_us, "t12_us", minimum=0.0)
-    out = _echo3_grad(tl.i0, tl.beta, sd.gamma0_khz, sd.gamma_sd_khz, sd.r_sd_khz,
-                      sd.gamma_tls_khz,
-                      *_echo3_terms(tl.t1_ms, tl.tz_s, sd.t0_us, t12, t23))[0]
+    out = _echo3_grad(*theta, *_echo3_terms(t1_ms, tz_s, t0_us, t12, t23))[0]
     ref = t23_us if np.ndim(t23_us) >= np.ndim(t12_us) else t12_us
     return _maybe_scalar(out, ref)
 
@@ -455,9 +466,9 @@ def _sech2_grad(gamma_max, g, b, two_t, cb):
     return value, grad
 
 
-def sech2_sd_amplitude(gamma_max_khz, g, b_t, temp_k):
-    """Flip-flop diffusion amplitude gamma_max*sech^2(g*mu_B*B/(2*k_B*T))."""
-    if temp_k <= 0:
-        raise ValueError("temp_k must be > 0")
+def sech2_sd_amplitude(params, b_t, fixed=None):
+    """Flip-flop diffusion amplitude gamma_max*sech^2(g*mu_B*B/(2*k_B*T)) at
+    field ``b_t`` and the fixed temperature ``temp_k``."""
+    theta, (temp_k,) = _read("sech2", params, fixed)
     b = _asarray(b_t, "b_t")
-    return _maybe_scalar(_sech2_grad(gamma_max_khz, g, *_sech2_terms(temp_k, b))[0], b_t)
+    return _maybe_scalar(_sech2_grad(*theta, *_sech2_terms(temp_k, b))[0], b_t)

@@ -13,12 +13,12 @@ from dataclasses import replace
 import numpy as np
 
 from . import models
-from .fitting import (FitConfig, FitError, _finite, _numbers, multi_start_batch,
-                      multi_start_fit)
-from .params import FieldModelParams
-from .presets import FIELD_7MK, PRESETS, SD_7MK_009T_SIGMA, T12_SET_US, THREE_LEVEL_7MK_009T
+from .fitting import FitConfig, multi_start_batch, multi_start_fit
+from .presets import (FIELD_7MK, PRESETS, SD_7MK_009T_SIGMA, T12_SET_US,
+                      THREE_LEVEL_7MK_009T_FIXED)
 from .synth import SynthSpec, synth_trace
 from .trace import ScanTable, write_table
+from .values import FitError, _finite, _numbers
 
 # Default 2ppe fit window in microseconds; skips the modulated early part
 # of the decay.
@@ -191,7 +191,7 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
     if bad:
         raise ValueError(f"batch_fit_3ppe expects 3ppe-vs-t23 traces, got {bad[0]!r}")
     cfg = cfg or FitConfig(restarts=4)
-    fixed = {"t1_ms": THREE_LEVEL_7MK_009T.t1_ms, **(fixed or {})}
+    fixed = {"t1_ms": THREE_LEVEL_7MK_009T_FIXED["t1_ms"], **(fixed or {})}
     table = fixed.get("tz_table", [])
     if (not isinstance(table, (list, tuple))
             or not all(isinstance(row, Mapping) for row in table)):
@@ -295,9 +295,8 @@ def emit_report(tables, fits, destination, extra_lines=()):
     for res in fits:
         if res is not None and res.model_id == "field":
             b_max = float(gamma_tables[0].condition.max()) if gamma_tables else 2.0
-            p = FieldModelParams(**res.params)
             b_star, gamma_star, boundary = models.field_linewidth_minimum(
-                p, res.fixed["temp_k"], b_max)
+                res.params, b_max, res.fixed)
             where = f" (at {boundary} boundary)" if boundary else ""
             lines.append(f"field minimum: B* = {REPORT_FMT % b_star} T, "
                          f"gamma* = {REPORT_FMT % gamma_star} kHz{where}")
@@ -328,7 +327,7 @@ def demo_i0_of_field(b_t):
 def _demo_2ppe_traces(seed):
     traces = []
     for k, b in enumerate(DEMO_FIELD_GRID_T):
-        gamma = models.field_linewidth(FIELD_7MK, b, DEMO_TEMP_K)
+        gamma = models.field_linewidth(FIELD_7MK, b, {"temp_k": DEMO_TEMP_K})
         tm = models.tm_from_gamma_eff(gamma)
         spec = SynthSpec(
             model_id="mims",
@@ -380,7 +379,7 @@ def run_demo(destination, seed=1):
     fit_field = fit_table("field", gamma_tab, FitConfig(restarts=8, seed=seed + 1),
                           {"temp_k": DEMO_TEMP_K})
 
-    zero_field = models.field_linewidth(FIELD_7MK, 0.0, DEMO_TEMP_K)
+    zero_field = models.field_linewidth(FIELD_7MK, 0.0, {"temp_k": DEMO_TEMP_K})
     checks.append(("zero-field-linewidth",
                    abs(zero_field - 40.02) < 1e-9,
                    f"reference evaluation at B=0 gives {REPORT_FMT % zero_field} kHz"))
@@ -414,8 +413,8 @@ def run_demo(destination, seed=1):
     checks.append(("3ppe-recovery", recovered_ok,
                    "all shared parameters within 3x reference bands"))
 
-    p_fit = FieldModelParams(**fit_field.params)
-    b_star, gamma_star, _ = models.field_linewidth_minimum(p_fit, DEMO_TEMP_K, 2.0)
+    b_star, gamma_star, _ = models.field_linewidth_minimum(fit_field.params, 2.0,
+                                                           fit_field.fixed)
 
     head = [
         f"demo seed: {seed}",

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .catalog import get_model
-from .fitting import _numbers
 from .trace import EchoTrace, ScanTable
+from .values import _numbers, _parameters
 
 NOISE_KINDS = ("none", "multiplicative", "additive")
 
@@ -49,7 +49,8 @@ class SynthSpec:
     with kind from NOISE_KINDS; multiplicative sigma is relative, additive
     sigma is in intensity units.  fixed carries the model's non-fitted
     values plus, for the two-delay models, the trace's fixed "t12_us".
-    The fit engine's number rule reads the true and the fixed values.
+    The rule of :mod:`echofit.values` reads the true values (numbers,
+    known names, ranges) and the fixed values.
     """
 
     model_id: str
@@ -108,7 +109,7 @@ def synth_trace(spec: SynthSpec) -> EchoTrace:
     seeded noise, and wrap the result as an EchoTrace."""
     model = get_model(spec.model_id)
     fixed = _fixed(model, spec.fixed)
-    theta = _numbers(spec.model_id, "true", model.param_names, spec.true_params)
+    theta = _parameters(spec.model_id, "true", model.params, spec.true_params)
     pts = build_grid(spec.grid)
 
     if model.x_columns == 2:
@@ -153,12 +154,13 @@ _SCAN_QUANTITY = {"field": "gamma_eff", "temp": "gamma_eff", "sech2": "gamma_sd"
 
 def synth_scan(model_id, true_params, condition_grid, noise=("none", 0.0),
                seed=0, fixed=None) -> ScanTable:
-    """Synthetic linewidth-versus-condition table for the scan models."""
+    """Synthetic linewidth-versus-condition table for the scan models; the
+    true and fixed values are read as by :func:`synth_trace`."""
     if model_id not in _SCAN_AXIS:
         raise ValueError(f"model {model_id!r} is not a condition-scan model")
     model = get_model(model_id)
     fixed = _fixed(model, fixed)
-    theta = _numbers(model_id, "true", model.param_names, true_params)
+    theta = _parameters(model_id, "true", model.params, true_params)
     pts = build_grid(condition_grid)
     y = np.asarray(model.eval_fn(theta, model.prepare(pts, fixed)), dtype=float)
     rng = np.random.default_rng(seed)

@@ -18,7 +18,6 @@ from echofit.catalog import CATALOG, gradient_check
 from echofit.constants import MU_B_OVER_K_B
 from echofit.fitting import FitConfig, fit, multi_start_fit
 from echofit.guesses import initial_guess
-from echofit.params import SpectralDiffusionParams, ThreeLevelParams
 from echofit.pipeline import DEMO_FIELD_GRID_T, batch_fit_3ppe, run_demo, window_mask
 from echofit.presets import (
     FIELD_7MK,
@@ -43,7 +42,7 @@ def _verdict(number, name, ok, detail):
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_zero_field_identity():
-    got = models.field_linewidth(FIELD_7MK, 0.0, 0.007)
+    got = models.field_linewidth(FIELD_7MK, 0.0, {"temp_k": 0.007})
     err = abs(got - 40.02)
     ok = err < 1e-9
     assert _verdict(1, "zero-field linewidth identity", ok,
@@ -52,7 +51,7 @@ def test_criterion_01_zero_field_identity():
 
 def test_criterion_02_high_field_asymptote():
     # both exponential arguments exceed 50 for B > ~81.4 T at 7 mK
-    worst = max(abs(models.field_linewidth(FIELD_7MK, b, 0.007) - 25.04)
+    worst = max(abs(models.field_linewidth(FIELD_7MK, b, {"temp_k": 0.007}) - 25.04)
                 for b in (90.0, 150.0, 500.0, 1e4))
     ok = worst < 1e-6
     assert _verdict(2, "high-field asymptote", ok,
@@ -63,9 +62,9 @@ def test_criterion_03_field_minimum_matches_analytic():
     t0 = time.time()
     p = FIELD_7MK
     c = MU_B_OVER_K_B / 0.007
-    b_analytic = (np.log(p.alpha1_khz * p.g1 / (p.alpha2_khz * p.g2))
-                  / ((p.g1 - p.g2) * c))
-    b_num, g_num, boundary = models.field_linewidth_minimum(p, 0.007, 2.0)
+    b_analytic = (np.log(p["alpha1_khz"] * p["g1"] / (p["alpha2_khz"] * p["g2"]))
+                  / ((p["g1"] - p["g2"]) * c))
+    b_num, g_num, boundary = models.field_linewidth_minimum(p, 2.0, {"temp_k": 0.007})
     elapsed = time.time() - t0
     ok = (boundary is None and abs(b_num - b_analytic) < 1e-4
           and 8.5 <= g_num <= 10.0 and elapsed < 1.0)
@@ -141,8 +140,8 @@ def test_criterion_07_field_model_round_trip():
     # The check is implemented as stated rather than widened.
     t0 = time.time()
     grid = np.array(DEMO_FIELD_GRID_T)
-    truth = FIELD_7MK.to_dict()
-    clean = models.field_linewidth(FIELD_7MK, grid, 0.007)
+    truth = dict(FIELD_7MK)
+    clean = models.field_linewidth(FIELD_7MK, grid, {"temp_k": 0.007})
     wins = 0
     for k in range(50):
         rng = np.random.default_rng(4000 + k)
@@ -167,9 +166,7 @@ def test_criterion_07_field_model_round_trip():
 
 def test_criterion_08_stimulated_echo_round_trip():
     t0 = time.time()
-    truth = dict(
-        i0=1.0, beta=0.2,
-        **{k: v for k, v in SD_7MK_009T.to_dict().items() if k != "t0_us"})
+    truth = dict(i0=1.0, beta=0.2, **SD_7MK_009T)
     check_names = tuple(SD_7MK_009T_SIGMA)
     wins = 0
     for k in range(50):
@@ -199,22 +196,20 @@ def test_criterion_09_population_factor_limits():
     t1 = 9.0
     t = np.linspace(0.0, 5 * t1, 301)
     limit = models.three_level_population_factor(
-        ThreeLevelParams(i0=1.0, t1_ms=t1, tz_s=t1 * 1e-3, beta=0.5), t)
+        {"beta": 0.5}, t, {"t1_ms": t1, "tz_s": t1 * 1e-3})
     disc = 0.0
     for eps in (1e-7, -1e-7):
         near = models.three_level_population_factor(
-            ThreeLevelParams(i0=1.0, t1_ms=t1, tz_s=t1 * 1e-3 * (1 + eps),
-                             beta=0.5), t)
+            {"beta": 0.5}, t, {"t1_ms": t1, "tz_s": t1 * 1e-3 * (1 + eps)})
         disc = max(disc, float(np.max(np.abs(near - limit))))
 
-    tl = ThreeLevelParams(i0=0.9, t1_ms=t1, tz_s=2.0, beta=0.0)
-    sd = SpectralDiffusionParams(gamma0_khz=7.96, gamma_sd_khz=0.0,
-                                 r_sd_khz=1.02, gamma_tls_khz=0.0,
-                                 t0_us=50.0)
+    p = dict(i0=0.9, beta=0.0, gamma0_khz=7.96, gamma_sd_khz=0.0, r_sd_khz=1.02,
+             gamma_tls_khz=0.0)
     rng = np.random.default_rng(12)
     t12 = rng.uniform(0.05, 2.0, 20)
     t23 = rng.uniform(50.0, 7500.0, 20)
-    got = models.stimulated_echo_intensity(tl, sd, t12, t23)
+    got = models.stimulated_echo_intensity(p, t12, t23,
+                                           {"t1_ms": t1, "tz_s": 2.0, "t0_us": 50.0})
     want = (0.9 * np.exp(-t23 * 1e-3 / t1) ** 2
             * np.exp(-4 * np.pi * t12 * 1e-3 * 7.96))
     rel = float(np.max(np.abs(got / want - 1.0)))

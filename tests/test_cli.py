@@ -12,9 +12,8 @@ from echofit import models
 from echofit.cli import main
 from echofit.fitting import FitConfig, multi_start_fit
 from echofit.guesses import initial_guess
-from echofit.params import SpectralDiffusionParams, ThreeLevelParams
 from echofit.pipeline import fit_table
-from echofit.presets import SD_7MK_009T, TEMP_009T, THREE_LEVEL_7MK_009T
+from echofit.presets import PRESETS, SD_7MK_009T, TEMP_009T
 from echofit.trace import ScanTable, load_table, load_trace
 
 
@@ -363,23 +362,24 @@ def test_eval_sd_defaults_t12_to_zero(capsys):
 
 
 _3PPE = ["--preset", "3ppe-7mK-0.09T"]
+_ECHO3 = PRESETS["3ppe-7mK-0.09T"]
 
 
 @pytest.mark.parametrize("argv, law", [
     (["eval", "temp", "--params", "floor_khz=7.5,amp_khz=45,exponent_n=1.34", "--T", "0.1"],
      lambda: models.temp_linewidth(TEMP_009T, 0.1)),
     (["eval", "sech2", "--params", "gamma_max_khz=37.77,g=0.05", "--B", "0.2", "--T", "0.01"],
-     lambda: models.sech2_sd_amplitude(37.77, 0.05, 0.2, 0.01)),
+     lambda: models.sech2_sd_amplitude({"gamma_max_khz": 37.77, "g": 0.05}, 0.2,
+                                       {"temp_k": 0.01})),
     (["eval", "echo3", *_3PPE, "--t12-us", "0.33", "--t23-us", "900"],
-     lambda: models.stimulated_echo_intensity(THREE_LEVEL_7MK_009T, SD_7MK_009T, 0.33, 900.0)),
+     lambda: models.stimulated_echo_intensity(_ECHO3["params"], 0.33, 900.0, _ECHO3["fixed"])),
     (["eval", "echo3", *_3PPE, "--params", "i0=2", "--t12-us", "0.33", "--t23-us", "900",
       "--t1-ms", "4", "--tz-s", "0.5", "--t0-us", "100"],
      lambda: models.stimulated_echo_intensity(
-         ThreeLevelParams(i0=2.0, t1_ms=4.0, tz_s=0.5, beta=0.2),
-         SpectralDiffusionParams(**dict(SD_7MK_009T.to_dict(), t0_us=100.0)), 0.33, 900.0)),
+         {**_ECHO3["params"], "i0": 2.0}, 0.33, 900.0,
+         {"t1_ms": 4.0, "tz_s": 0.5, "t0_us": 100.0})),
     (["eval", "sd", *_3PPE, "--t12-us", "0.33", "--t23-us", "900", "--t0-us", "100"],
-     lambda: models.sd_linewidth(
-         SpectralDiffusionParams(**dict(SD_7MK_009T.to_dict(), t0_us=100.0)), 0.33, 900.0)),
+     lambda: models.sd_linewidth(SD_7MK_009T, 0.33, 900.0, {"t0_us": 100.0})),
 ], ids=["temp", "sech2", "echo3", "echo3-flags", "sd-t0"])
 def test_eval_prints_the_public_law(argv, law, capsys):
     # eval sd ignored --t0-us, and no test ran the temp, sech2 or echo3 value
@@ -395,7 +395,7 @@ def test_eval_prints_the_public_law(argv, law, capsys):
      "['i0', 'gamma0_khz', 'gamma_sd_khz', 'r_sd_khz', 'gamma_tls_khz']"),
     (["eval", "sech2", "--params", "gamma_max_khz=inf,g=0.05"],
      "parameter value gamma_max_khz must be a finite number, got inf"),
-    # a ParamError, from ThreeLevelParams
+    # the range rule of echo3's beta
     (["eval", "echo3", *_3PPE, "--params", "beta=3", "--t12-us", "0.33", "--t23-us", "900"],
      "beta must lie in [0.0, 2.0]"),
     # field, temp, mims and sd printed Python's own text, such as
@@ -413,7 +413,7 @@ def test_eval_prints_the_public_law(argv, law, capsys):
      "model 'sd' needs fixed values for ['t0_us']"),
     (["eval", "sd", *_3PPE, "--t23-us", "300", "--t0-us", "0"],
      "fixed value t0_us must be > 0, got 0.0"),
-    # the dataclasses still check the ranges
+    # the range rule of each parameter
     (["eval", "mims", "--params", "i0=1,tm_us=40,x=9", "--t12-us", "1"],
      "x must lie in [0.3, 4.0]"),
     (["eval", "field", "--preset", "field-7mK", "--params", "g2=-1"], "g2 must be >= 0"),
@@ -467,18 +467,16 @@ def test_eval_echo3_takes_no_fixed_value_it_is_not_given(capsys):
     assert capsys.readouterr().err == "error: model 'echo3' needs fixed values for ['tz_s']\n"
     assert main(argv + ["--t1-ms", "9", "--tz-s", "1", "--t0-us", "50"]) == 0
     law = models.stimulated_echo_intensity(
-        ThreeLevelParams(i0=1.0, t1_ms=9.0, tz_s=1.0, beta=0.2),
-        SpectralDiffusionParams(8.0, 38.0, 1.0, 12.0, t0_us=50.0), 0.3, 300.0)
+        dict(i0=1.0, beta=0.2, gamma0_khz=8.0, gamma_sd_khz=38.0, r_sd_khz=1.0,
+             gamma_tls_khz=12.0), 0.3, 300.0, {"t1_ms": 9.0, "tz_s": 1.0, "t0_us": 50.0})
     assert capsys.readouterr().out.splitlines()[-1] == f"intensity = {law:.6g}"
 
 
 def test_eval_echo3_flag_wins_over_the_preset_value_by_value(capsys):
     assert main(["eval", "echo3", *_3PPE, "--t12-us", "0.33", "--t23-us", "900",
                  "--tz-s", "0.5"]) == 0
-    tl = THREE_LEVEL_7MK_009T
-    law = models.stimulated_echo_intensity(
-        ThreeLevelParams(i0=tl.i0, t1_ms=tl.t1_ms, tz_s=0.5, beta=tl.beta),
-        SD_7MK_009T, 0.33, 900.0)
+    law = models.stimulated_echo_intensity(_ECHO3["params"], 0.33, 900.0,
+                                           {**_ECHO3["fixed"], "tz_s": 0.5})
     assert capsys.readouterr().out.splitlines()[-1] == f"intensity = {law:.6g}"
 
 
@@ -488,9 +486,19 @@ def test_eval_echo3_flag_wins_over_the_preset_value_by_value(capsys):
      "model 'echo3' needs fixed values for ['t1_ms', 'tz_s', 't0_us']"),
     (["--params", "i0=1,tm_us=40,x=nan", "--grid", "0.25:30:5:log"],
      "true value x must be a finite number, got nan"),
-], ids=["mims", "echo3", "nan"])
+    (["--params", "i0=1,tm_us=40,x=1.3,tmm=2", "--grid", "0.25:30:5:log"],
+     "model 'mims' has no parameters ['tmm']; its parameters are i0, tm_us, x"),
+    (["--params", "i0=1,tm_us=40,x=9", "--grid", "0.25:30:5:log"],
+     "x must lie in [0.3, 4.0]"),
+    (["--model", "echo3", *_3PPE, "--params", "tz_s=3", "--grid", "50:7500:5:log",
+      "--t12-us", "0.33"],
+     "model 'echo3' has no parameters ['tz_s']; its parameters are i0, beta, gamma0_khz, "
+     "gamma_sd_khz, r_sd_khz, gamma_tls_khz"),
+], ids=["mims", "echo3", "nan", "mims-name", "mims-range", "echo3-name"])
 def test_synth_names_the_values_it_needs(tmp_path, argv, why, capsys):
-    # each used to print the bare KeyError text, error: 'i0' or 't1_ms'
+    # each used to print the bare KeyError text, error: 'i0' or 't1_ms';
+    # a name that is not a parameter was written to the trace's truth
+    # values, and x = 9 was synthesized, both with exit 0
     assert main(["synth", *argv, "--out", str(tmp_path / "t.txt")]) == 1
     assert capsys.readouterr().err == f"error: {why}\n"
     assert not (tmp_path / "t.txt").exists()
@@ -508,3 +516,25 @@ def test_fit_3ppe_with_a_negative_t1_fails_every_row(tmp_path, capsys):
     assert "fit FAILED" in capsys.readouterr().out
     assert load_table(out_dir / "beta_vs_field.txt").flag == [
         "failed: fixed value t1_ms must be > 0, got -9.0"]
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["scan-field", "--params", "g3=1"],
+     "model 'field' has no parameters ['g3']; its parameters are gamma0_khz, alpha1_khz, "
+     "alpha2_khz, g1, g2; --T sets temp_k"),
+    (["scan-field", "--params", "g2=-1"], "g2 must be >= 0"),
+    (["scan-temp", "--params", "floor_khz=1,amp_khz=2,exponent_n=1.3,zz=4"],
+     "model 'temp' has no parameters ['zz']; its parameters are floor_khz, amp_khz, "
+     "exponent_n"),
+    (["scan-temp", "--params", "floor_khz=1,amp_khz=2,exponent_n=9"],
+     "exponent_n must lie in [0.5, 3.0]"),
+], ids=["scan-field-name", "scan-field-range", "scan-temp-name", "scan-temp-range"])
+def test_scans_read_their_parameters_as_eval_does(argv, why, capsys):
+    # scan-field printed "FieldModelParams.__init__() got an unexpected
+    # keyword argument 'g3'"; scan-temp ignored zz, took exponent_n = 9 and
+    # printed a scan
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {why}\n"
+    assert all(line.startswith("# config") for line in out.splitlines())
+

@@ -26,13 +26,14 @@ from echofit.fitting import (
 )
 from echofit.guesses import initial_guess
 from echofit.pipeline import DEMO_FIELD_GRID_T, _demo_3ppe_traces, batch_fit_3ppe, window_mask
-from echofit.params import FieldModelParams, TempModelParams
 from echofit.presets import (
     FIELD_7MK,
     SD_7MK_009T,
+    SD_7MK_009T_FIXED,
     T12_SET_US,
     TEMP_009T,
     THREE_LEVEL_7MK_009T,
+    THREE_LEVEL_7MK_009T_FIXED,
 )
 from echofit.synth import SynthSpec, build_grid, synth_trace
 
@@ -68,8 +69,8 @@ def test_noiseless_mims_recovery_from_jittered_init():
 def test_noiseless_field_recovery():
     b = np.array([0.0, 0.01, 0.02, 0.04, 0.07, 0.1, 0.14, 0.2, 0.3, 0.5,
                   0.8, 1.2, 1.6, 2.0])
-    y = models.field_linewidth(FIELD_7MK, b, 0.007)
-    truth = FIELD_7MK.to_dict()
+    y = models.field_linewidth(FIELD_7MK, b, {"temp_k": 0.007})
+    truth = dict(FIELD_7MK)
     rng = np.random.default_rng(7)
     res = fit("field", b, y, _jitter(truth, rng, 0.2), fixed={"temp_k": 0.007})
     assert res.converged
@@ -80,9 +81,9 @@ def test_noiseless_field_recovery():
 def test_field_fit_with_the_quenched_g_below_the_rising_g_is_flagged():
     # g1 > g2 is the canonical labeling; a fit that ends the other way
     # round is in a suspect basin and says so
-    truth = {**FIELD_7MK.to_dict(), "g1": FIELD_7MK.g2, "g2": FIELD_7MK.g1}
+    truth = {**FIELD_7MK, "g1": FIELD_7MK["g2"], "g2": FIELD_7MK["g1"]}
     b = np.array(DEMO_FIELD_GRID_T)
-    y = models.field_linewidth(FieldModelParams(**truth), b, 0.007)
+    y = models.field_linewidth(truth, b, {"temp_k": 0.007})
     res = fit("field", b, y, truth, fixed={"temp_k": 0.007})
     assert res.params["g1"] < res.params["g2"]
     assert res.flags == ("g-ordering",)
@@ -91,7 +92,7 @@ def test_field_fit_with_the_quenched_g_below_the_rising_g_is_flagged():
 def test_noiseless_temp_recovery():
     truth = {"floor_khz": 7.5, "amp_khz": 45.0, "exponent_n": 1.34}
     t = build_grid((0.007, 1.0, 20, "log"))
-    y = models.temp_linewidth(TempModelParams(**truth), t)
+    y = models.temp_linewidth(truth, t)
     res = fit("temp", t, y, {"floor_khz": 5.0, "amp_khz": 60.0,
                              "exponent_n": 1.1})
     assert res.converged
@@ -100,10 +101,10 @@ def test_noiseless_temp_recovery():
 
 
 def test_noiseless_sd_recovery():
-    truth = {k: v for k, v in SD_7MK_009T.to_dict().items() if k != "t0_us"}
+    truth = dict(SD_7MK_009T)
     t23 = build_grid((50.0, 7500.0, 40, "log"))
     x = np.column_stack([np.full_like(t23, 0.33), t23])
-    y = models.sd_linewidth(SD_7MK_009T, 0.33, t23)
+    y = models.sd_linewidth(SD_7MK_009T, 0.33, t23, SD_7MK_009T_FIXED)
     rng = np.random.default_rng(3)
     res = fit("sd", x, y, _jitter(truth, rng, 0.25), fixed={"t0_us": 50.0})
     assert res.converged
@@ -170,8 +171,8 @@ def test_degenerate_design_flags_unbounded_parameters():
     # indistinguishable from the base linewidth: the fit must say so
     t12 = np.linspace(0.0, 2.0, 12)
     x = np.column_stack([t12, np.full_like(t12, 500.0)])
-    truth = {k: v for k, v in SD_7MK_009T.to_dict().items() if k != "t0_us"}
-    y = models.sd_linewidth(SD_7MK_009T, t12, 500.0)
+    truth = dict(SD_7MK_009T)
+    y = models.sd_linewidth(SD_7MK_009T, t12, 500.0, SD_7MK_009T_FIXED)
     res = fit("sd", x, y, truth, fixed={"t0_us": 50.0})
     unbounded = [f for f in res.flags if f.startswith("unbounded:")]
     assert unbounded, res.flags
@@ -228,11 +229,11 @@ def test_non_finite_input_is_named(array, why):
     # a NaN in one field value, one of 14 scan values or one sigma is
     # named as such, not reported as a model that is not finite
     b = np.array(DEMO_FIELD_GRID_T)
-    y = models.field_linewidth(FIELD_7MK, b, 0.007)
+    y = models.field_linewidth(FIELD_7MK, b, {"temp_k": 0.007})
     data = {"x": b, "y": y, "sigma": 0.03 * y}
     data[array] = data[array].copy()
     data[array][5] = np.nan
-    args = ("field", data["x"], data["y"], FIELD_7MK.to_dict())
+    args = ("field", data["x"], data["y"], dict(FIELD_7MK))
     kw = dict(sigma=data["sigma"], fixed={"temp_k": 0.007})
     with pytest.raises(FitError) as exc:
         fit(*args, **kw)
@@ -291,8 +292,8 @@ def test_input_of_the_wrong_shape_is_named(model_id, x, y, sigma, why):
 
 def test_linear_space_fit_of_linewidth_scan():
     b = np.linspace(0.0, 2.0, 14)
-    y = models.field_linewidth(FIELD_7MK, b, 0.007)
-    res = fit("field", b, y, FIELD_7MK.to_dict(), fixed={"temp_k": 0.007})
+    y = models.field_linewidth(FIELD_7MK, b, {"temp_k": 0.007})
+    res = fit("field", b, y, dict(FIELD_7MK), fixed={"temp_k": 0.007})
     # linear residuals on a noiseless curve: essentially zero sse
     assert res.sse < 1e-18
 
@@ -548,15 +549,14 @@ def test_lockstep_restarts_on_the_demo_echo3_set():
     # 750 points: large enough that a copied transpose in J^T J takes a
     # different BLAS path and changes the iteration count
     _, x, y = _demo_3ppe_problem()
-    fixed = {"t1_ms": THREE_LEVEL_7MK_009T.t1_ms,
-             "tz_s": THREE_LEVEL_7MK_009T.tz_s, "t0_us": float(x[:, 1].min())}
+    fixed = {**THREE_LEVEL_7MK_009T_FIXED, "t0_us": float(x[:, 1].min())}
     init = initial_guess("echo3", x, y, fixed).params
     cfg = FitConfig(restarts=4, seed=14)
     res = multi_start_fit("echo3", x, y, init, cfg=cfg, fixed=fixed)
     _assert_best_of_single_starts(res, "echo3", x, y, init, cfg, fixed)
 
 
-@pytest.mark.parametrize("tz_s", [THREE_LEVEL_7MK_009T.tz_s, 0.009])
+@pytest.mark.parametrize("tz_s", [THREE_LEVEL_7MK_009T_FIXED["tz_s"], 0.009])
 def test_free_t1_batch_fit_chooses_the_degenerate_branch_per_row(tz_s):
     # T1 is a (B, 1) column across the restarts; with tz = 9 ms the first
     # start (T1 guess 9 ms) takes the T_Z = T_1 limit and the others do not
@@ -584,10 +584,10 @@ def test_mims_guess_within_factor_three():
 def test_field_guess_within_factor_three():
     b = np.array([0.0, 0.01, 0.02, 0.04, 0.07, 0.1, 0.14, 0.2, 0.3, 0.5,
                   0.8, 1.2, 1.6, 2.0])
-    y = models.field_linewidth(FIELD_7MK, b, 0.007)
+    y = models.field_linewidth(FIELD_7MK, b, {"temp_k": 0.007})
     g = initial_guess("field", b, y, {"temp_k": 0.007})
     assert not g.degenerate
-    truth = FIELD_7MK.to_dict()
+    truth = dict(FIELD_7MK)
     for k, v in truth.items():
         assert v / 3 < g.params[k] < 3 * v, (k, g.params[k], v)
 
@@ -603,7 +603,7 @@ def test_field_guesses_read_the_temperature_by_the_number_rule(model_id, fixed, 
     # the guesses used to start from a 7 mK curve when temp_k was missing,
     # while the fit itself refused the scan
     b = np.array([0.0, 0.02, 0.1, 0.3, 0.8, 1.6, 2.0])
-    y = models.field_linewidth(FIELD_7MK, b, 0.3)
+    y = models.field_linewidth(FIELD_7MK, b, {"temp_k": 0.3})
     with pytest.raises(FitError, match=f"^{re.escape(why.format(model_id))}$"):
         initial_guess(model_id, b, y, fixed)
     assert initial_guess(model_id, b, y, {"temp_k": 0.3}).params
@@ -612,10 +612,10 @@ def test_field_guesses_read_the_temperature_by_the_number_rule(model_id, fixed, 
 def test_guess_then_fit_converges_to_truth():
     b = np.array([0.0, 0.01, 0.02, 0.04, 0.07, 0.1, 0.14, 0.2, 0.3, 0.5,
                   0.8, 1.2, 1.6, 2.0])
-    y = models.field_linewidth(FIELD_7MK, b, 0.007)
+    y = models.field_linewidth(FIELD_7MK, b, {"temp_k": 0.007})
     g = initial_guess("field", b, y, {"temp_k": 0.007})
     res = fit("field", b, y, g.params, fixed={"temp_k": 0.007})
-    for k, v in FIELD_7MK.to_dict().items():
+    for k, v in dict(FIELD_7MK).items():
         assert abs(res.params[k] - v) / v < 1e-6
 
 
@@ -626,20 +626,19 @@ def _registry_case(model_id):
     t23 = build_grid((50.0, 7500.0, 60, "log"))
     pairs = np.column_stack([np.repeat(T12_SET_US, t23.size),
                              np.tile(t23, len(T12_SET_US))])
-    sd = {k: v for k, v in SD_7MK_009T.to_dict().items() if k != "t0_us"}
-    tl = THREE_LEVEL_7MK_009T
-    echo3 = dict(sd, i0=tl.i0, beta=tl.beta)
+    sd = dict(SD_7MK_009T)
+    echo3 = dict(sd, **THREE_LEVEL_7MK_009T)
+    fixed = {**THREE_LEVEL_7MK_009T_FIXED, **SD_7MK_009T_FIXED}
     return {
         "mims": (MIMS_TRUTH, build_grid((0.25, 30.0, 50, "log")), {}),
-        "field": (FIELD_7MK.to_dict(), field_grid, {"temp_k": 0.007}),
-        "temp": (TEMP_009T.to_dict(), build_grid((0.007, 0.55, 25, "log")), {}),
-        "sech2": ({"gamma_max_khz": SD_7MK_009T.gamma_sd_khz, "g": 0.05},
+        "field": (dict(FIELD_7MK), field_grid, {"temp_k": 0.007}),
+        "temp": (dict(TEMP_009T), build_grid((0.007, 0.55, 25, "log")), {}),
+        "sech2": ({"gamma_max_khz": SD_7MK_009T["gamma_sd_khz"], "g": 0.05},
                   field_grid, {"temp_k": 0.007}),
-        "sd": (sd, pairs, {"t0_us": SD_7MK_009T.t0_us}),
-        "echo3": (echo3, pairs, {"t1_ms": tl.t1_ms, "tz_s": tl.tz_s,
-                                 "t0_us": SD_7MK_009T.t0_us}),
-        "echo3-free-t1": (dict(echo3, t1_ms=tl.t1_ms), pairs,
-                          {"tz_s": tl.tz_s, "t0_us": SD_7MK_009T.t0_us}),
+        "sd": (sd, pairs, dict(SD_7MK_009T_FIXED)),
+        "echo3": (echo3, pairs, fixed),
+        "echo3-free-t1": (dict(echo3, t1_ms=fixed["t1_ms"]), pairs,
+                          {k: fixed[k] for k in ("tz_s", "t0_us")}),
     }[model_id]
 
 
@@ -767,8 +766,8 @@ def test_bad_data_is_reported_before_a_bad_init():
 def test_echo3_guess_needs_two_t12_groups():
     t23 = build_grid((50.0, 7500.0, 30, "log"))
     x = np.column_stack([np.full_like(t23, 0.33), t23])
-    tl = THREE_LEVEL_7MK_009T
-    y = models.stimulated_echo_intensity(tl, SD_7MK_009T, 0.33, t23)
+    y = models.stimulated_echo_intensity({**THREE_LEVEL_7MK_009T, **SD_7MK_009T}, 0.33, t23,
+                                         {**THREE_LEVEL_7MK_009T_FIXED, **SD_7MK_009T_FIXED})
     g = initial_guess("echo3", x, y,
                       {"t1_ms": 9.0, "tz_s": 2.0, "t0_us": 50.0})
     assert g.degenerate  # single t12 cannot anchor the dephasing scale
@@ -866,7 +865,7 @@ def _batch_problem(model_id, kind, n, seed, with_sigma, temp_k):
         truth, fixed = _jitter(MIMS_TRUTH, rng), None
         x = build_grid((0.25, 30.0, n, "log"))
     else:
-        truth, fixed = _jitter(FIELD_7MK.to_dict(), rng), {"temp_k": temp_k}
+        truth, fixed = _jitter(dict(FIELD_7MK), rng), {"temp_k": temp_k}
         x = np.concatenate([[0.0], np.geomspace(0.01, 2.0, n - 1)])
     spec = CATALOG[model_id]
     y = spec.eval_fn(np.array([truth[k] for k in spec.param_names]), spec.prepare(x, fixed))
@@ -1060,7 +1059,7 @@ def _invariant_problem(model_id, seed):
         truth, fixed = _jitter(MIMS_TRUTH, rng), {}
         x = build_grid((0.25, 30.0, int(rng.integers(12, 51)), "log"))
     else:
-        truth, fixed = _jitter(FIELD_7MK.to_dict(), rng), {"temp_k": 0.007}
+        truth, fixed = _jitter(dict(FIELD_7MK), rng), {"temp_k": 0.007}
         x = np.array(DEMO_FIELD_GRID_T)
     spec = CATALOG[model_id]
     y = spec.eval_fn(np.array([truth[n] for n in spec.param_names]), spec.prepare(x, fixed))

@@ -33,9 +33,7 @@ from echofit.trace import EchoTrace, ScanTable, load_table
 from conftest import assert_same_fit
 
 MIMS_TRUTH = {"i0": 1.0, "tm_us": 40.0, "x": 1.3}
-SD_TRUTH = dict(
-    i0=1.0, beta=0.2,
-    **{k: v for k, v in SD_7MK_009T.to_dict().items() if k != "t0_us"})
+SD_TRUTH = dict(i0=1.0, beta=0.2, **SD_7MK_009T)
 
 
 def _mims_trace(field_t, seed, tm_us=40.0):
@@ -515,7 +513,7 @@ def test_fit_table_flags_a_degenerate_guess_before_the_dropped_rows():
 def test_fit_table_refuses_a_temperature_not_above_zero():
     # temp_k = -0.007 used to converge, flagged only unbounded:alpha2_khz
     table = _field_table(models.field_linewidth(FIELD_7MK, np.array(DEMO_FIELD_GRID_T),
-                                                0.007))
+                                                {"temp_k": 0.007}))
     with pytest.raises(FitError, match=r"^fixed value temp_k must be > 0, got -0\.007$"):
         fit_table("field", table, FitConfig(), {"temp_k": -0.007})
 
@@ -560,10 +558,10 @@ def test_emit_report_refuses_empty(tmp_path):
 def test_emit_report_includes_field_minimum(tmp_path):
     from echofit.synth import synth_scan
 
-    tbl = synth_scan("field", FIELD_7MK.to_dict(), (0.0, 2.0, 14, "linear"),
+    tbl = synth_scan("field", dict(FIELD_7MK), (0.0, 2.0, 14, "linear"),
                      noise=("none", 0.0), fixed={"temp_k": 0.007})
     res = multi_start_fit("field", tbl.condition, tbl.value,
-                          FIELD_7MK.to_dict(),
+                          dict(FIELD_7MK),
                           cfg=FitConfig(restarts=1), fixed={"temp_k": 0.007})
     paths = emit_report({"gamma_eff": tbl}, [res], str(tmp_path / "r"))
     summary = open(paths[-1]).read()

@@ -20,13 +20,6 @@ import pytest
 from echofit import models
 from echofit.catalog import CATALOG, _draw_inputs
 from echofit.constants import EXP_CLAMP, MU_B_OVER_K_B
-from echofit.params import (
-    FieldModelParams,
-    MimsParams,
-    SpectralDiffusionParams,
-    TempModelParams,
-    ThreeLevelParams,
-)
 
 FOUR_PI = 4.0 * np.pi
 MU = MU_B_OVER_K_B
@@ -249,44 +242,52 @@ def _x(rng, lo, hi, shape):
     return float(v) if shape is None else v
 
 
+def _named(model_id, p):
+    """The parameter values ``p`` keyed by the names of model ``model_id``."""
+    return dict(zip(CATALOG[model_id].param_names, p))
+
+
 def _law_pairs(rng, shape):
     """(public law function, its result, the direct formula's result) for
     every public law function on one random draw, x values of ``shape``."""
     p = _draw_inputs("mims", rng)[0].tolist()
     t12 = _x(rng, 0.0, 60.0, shape)
-    yield models.mims_intensity, models.mims_intensity(MimsParams(*p), t12), _mims(*p, t12)
+    yield (models.mims_intensity, models.mims_intensity(_named("mims", p), t12),
+           _mims(*p, t12))
 
     theta, _, fixed = _draw_inputs("field", rng)
     p, temp_k = theta.tolist(), fixed["temp_k"]
     b = _x(rng, 0.0, 3.0, shape)
-    law = FieldModelParams(*p)
-    yield models.field_linewidth, models.field_linewidth(law, b, temp_k), _field(*p, temp_k, b)
-    b_star, gamma_star, _ = models.field_linewidth_minimum(law, temp_k, rng.uniform(0.01, 5.0))
+    law = _named("field", p)
+    yield models.field_linewidth, models.field_linewidth(law, b, fixed), _field(*p, temp_k, b)
+    b_star, gamma_star, _ = models.field_linewidth_minimum(law, rng.uniform(0.01, 5.0), fixed)
     yield models.field_linewidth_minimum, gamma_star, _field(*p, temp_k, b_star)
 
     p = _draw_inputs("temp", rng)[0].tolist()
     temp = _x(rng, 0.007, 0.6, shape)
-    yield models.temp_linewidth, models.temp_linewidth(TempModelParams(*p), temp), _temp(*p, temp)
+    yield (models.temp_linewidth, models.temp_linewidth(_named("temp", p), temp),
+           _temp(*p, temp))
 
     theta, _, fixed = _draw_inputs("sech2", rng)
     p, temp_k = theta.tolist(), fixed["temp_k"]
     b = _x(rng, -2.0, 2.0, shape)
-    yield (models.sech2_sd_amplitude, models.sech2_sd_amplitude(*p, b, temp_k),
+    yield (models.sech2_sd_amplitude, models.sech2_sd_amplitude(_named("sech2", p), b, fixed),
            _sech2(*p, temp_k, b))
 
     theta, _, fixed = _draw_inputs("echo3", rng)
     p, t1_ms, tz_s, t0_us = theta.tolist(), fixed["t1_ms"], fixed["tz_s"], fixed["t0_us"]
     if rng.uniform() < 0.25:
         t1_ms = tz_s * 1e3   # on the removable T_Z = T_1 singularity
-    tl = ThreeLevelParams(i0=p[0], t1_ms=t1_ms, tz_s=tz_s, beta=p[1])
-    sd = SpectralDiffusionParams(*p[2:], t0_us=t0_us)
+    fixed = {"t1_ms": t1_ms, "tz_s": tz_s, "t0_us": t0_us}
     t12, t23 = _x(rng, 0.0, 2.0, shape), _x(rng, t0_us, 7500.0, shape)
-    yield (models.stimulated_echo_intensity, models.stimulated_echo_intensity(tl, sd, t12, t23),
+    yield (models.stimulated_echo_intensity,
+           models.stimulated_echo_intensity(_named("echo3", p), t12, t23, fixed),
            _echo3(*p, t1_ms, tz_s, t0_us, t12, t23))
-    yield models.sd_linewidth, models.sd_linewidth(sd, t12, t23), _sd(*p[2:], t0_us, t12, t23)
+    yield (models.sd_linewidth, models.sd_linewidth(_named("sd", p[2:]), t12, t23, fixed),
+           _sd(*p[2:], t0_us, t12, t23))
     t23_ms = _x(rng, 0.0, 7.5, shape)
     yield (models.three_level_population_factor,
-           models.three_level_population_factor(tl, t23_ms),
+           models.three_level_population_factor({"beta": p[1]}, t23_ms, fixed),
            _population(t1_ms, tz_s * 1e3, p[1], t23_ms)[4])
 
 

@@ -7,9 +7,9 @@ import pytest
 
 from echofit import models
 from echofit.fitting import fit
-from echofit.params import MimsParams
-from echofit.presets import FIELD_7MK, SD_7MK_009T, THREE_LEVEL_7MK_009T
+from echofit.presets import FIELD_7MK, SD_7MK_009T, TEMP_009T, THREE_LEVEL_7MK_009T
 from echofit.synth import Modulation, SynthSpec, build_grid, synth_scan, synth_trace
+from echofit.values import FitError
 
 MIMS_TRUTH = {"i0": 1.0, "tm_us": 40.0, "x": 1.3}
 
@@ -52,7 +52,7 @@ def test_noiseless_trace_is_exact_model():
     # bit-exact against the generation grid in microseconds; the stored
     # millisecond times round-trip with at most 1 ulp of wobble
     grid_us = build_grid((0.25, 30.0, 50, "log"))
-    want = models.mims_intensity(MimsParams(**MIMS_TRUTH), grid_us)
+    want = models.mims_intensity(MIMS_TRUTH, grid_us)
     np.testing.assert_array_equal(tr.intensity, want)
     np.testing.assert_allclose(tr.time_us, grid_us, rtol=1e-15)
     assert tr.sequence == "2ppe"
@@ -79,7 +79,7 @@ def test_multiplicative_noise_statistics():
     spec = SynthSpec("mims", MIMS_TRUTH, (0.25, 30.0, 10000, "log"),
                      ("multiplicative", 0.02), seed=5)
     tr = synth_trace(spec)
-    clean = models.mims_intensity(MimsParams(**MIMS_TRUTH), tr.time_us)
+    clean = models.mims_intensity(MIMS_TRUTH, tr.time_us)
     rel = tr.intensity / clean - 1.0
     assert abs(np.mean(rel)) < 0.001
     assert 0.018 < np.std(rel) < 0.022
@@ -89,7 +89,7 @@ def test_additive_noise_statistics():
     spec = SynthSpec("mims", MIMS_TRUTH, (0.25, 30.0, 10000, "log"),
                      ("additive", 0.005), seed=6)
     tr = synth_trace(spec)
-    clean = models.mims_intensity(MimsParams(**MIMS_TRUTH), tr.time_us)
+    clean = models.mims_intensity(MIMS_TRUTH, tr.time_us)
     resid = tr.intensity - clean
     assert 0.0045 < np.std(resid) < 0.0055
 
@@ -111,9 +111,7 @@ def test_trace_metadata_round_trip():
 
 
 def test_echo3_trace_requires_t12():
-    truth = dict(i0=1.0, beta=0.2, **{k: v for k, v in
-                                      SD_7MK_009T.to_dict().items()
-                                      if k != "t0_us"})
+    truth = dict(i0=1.0, beta=0.2, **SD_7MK_009T)
     with pytest.raises(ValueError):
         synth_trace(SynthSpec("echo3", truth, (50.0, 7500.0, 30, "log"),
                               fixed={"t1_ms": 9.0, "tz_s": 2.0,
@@ -134,16 +132,14 @@ def test_modulation_applies_to_2ppe_only():
     spec = SynthSpec("mims", MIMS_TRUTH, (0.25, 30.0, 200, "linear"),
                      modulation=mod)
     tr = synth_trace(spec)
-    clean = models.mims_intensity(MimsParams(**MIMS_TRUTH), tr.time_us)
+    clean = models.mims_intensity(MIMS_TRUTH, tr.time_us)
     factor = tr.intensity / clean
     assert factor.min() < 0.95 and factor.max() > 1.05
     want = 1 + 0.2 * np.cos(2 * np.pi * 0.5 * 2 * tr.time_us) * np.exp(
         -2 * tr.time_us / 10.0)
     np.testing.assert_allclose(factor, want, rtol=1e-10)
 
-    truth = dict(i0=1.0, beta=0.2, **{k: v for k, v in
-                                      SD_7MK_009T.to_dict().items()
-                                      if k != "t0_us"})
+    truth = dict(i0=1.0, beta=0.2, **SD_7MK_009T)
     with pytest.raises(ValueError):
         synth_trace(SynthSpec("echo3", truth, (50.0, 7500.0, 30, "log"),
                               modulation=mod,
@@ -163,30 +159,30 @@ def test_modulation_validation():
 # ---------------------------------------------------------------------------
 
 def test_field_scan_matches_model_and_orders_rows():
-    tbl = synth_scan("field", FIELD_7MK.to_dict(), (0.0, 2.0, 14, "linear"),
+    tbl = synth_scan("field", dict(FIELD_7MK), (0.0, 2.0, 14, "linear"),
                      noise=("none", 0.0), fixed={"temp_k": 0.007})
     assert tbl.condition_axis == "field"
     assert np.all(np.diff(tbl.condition) > 0)
-    want = models.field_linewidth(FIELD_7MK, tbl.condition, 0.007)
+    want = models.field_linewidth(FIELD_7MK, tbl.condition, {"temp_k": 0.007})
     np.testing.assert_array_equal(tbl.value, want)
     np.testing.assert_array_equal(tbl.stderr, np.zeros(14))
 
 
 def test_field_scan_noise_and_stderr_column():
-    tbl = synth_scan("field", FIELD_7MK.to_dict(), (0.0, 2.0, 14, "linear"),
+    tbl = synth_scan("field", dict(FIELD_7MK), (0.0, 2.0, 14, "linear"),
                      noise=("multiplicative", 0.03), seed=9,
                      fixed={"temp_k": 0.007})
-    clean = models.field_linewidth(FIELD_7MK, tbl.condition, 0.007)
+    clean = models.field_linewidth(FIELD_7MK, tbl.condition, {"temp_k": 0.007})
     # quoted uncertainty is sigma times the clean curve, not the noisy draw
     np.testing.assert_allclose(tbl.stderr, 0.03 * np.abs(clean), rtol=1e-12)
     assert np.any(tbl.value != clean)
 
 
 def test_scan_minimum_sits_near_analytic_optimum():
-    tbl = synth_scan("field", FIELD_7MK.to_dict(), (0.0, 2.0, 400, "linear"),
+    tbl = synth_scan("field", dict(FIELD_7MK), (0.0, 2.0, 400, "linear"),
                      noise=("none", 0.0), fixed={"temp_k": 0.007})
     b_at_min = tbl.condition[np.argmin(tbl.value)]
-    b_star, _, _ = models.field_linewidth_minimum(FIELD_7MK, 0.007, 2.0)
+    b_star, _, _ = models.field_linewidth_minimum(FIELD_7MK, 2.0, {"temp_k": 0.007})
     assert abs(b_at_min - b_star) < 2.0 / 399 + 1e-12
 
 
@@ -205,8 +201,7 @@ def test_temp_scan_monotone():
 @pytest.mark.parametrize("model_id,truth,grid,fixed", [
     ("mims", MIMS_TRUTH, (0.25, 30.0, 50, "log"), {}),
     ("echo3",
-     dict(i0=1.0, beta=0.2,
-          **{k: v for k, v in SD_7MK_009T.to_dict().items() if k != "t0_us"}),
+     dict(i0=1.0, beta=0.2, **SD_7MK_009T),
      (50.0, 7500.0, 60, "log"),
      {"t1_ms": 9.0, "tz_s": 2.0, "t0_us": 50.0, "t12_us": 0.33}),
 ])
@@ -225,3 +220,30 @@ def test_noiseless_trace_round_trip(model_id, truth, grid, fixed):
             assert abs(res.params[k]) < 1e-9
         else:
             assert abs(res.params[k] - v) / abs(v) < 1e-6, k
+
+
+# ---------------------------------------------------------------------------
+# the true values are read by the parameter rule
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make, why", [
+    (lambda: synth_scan("temp", {**TEMP_009T, "zz": 4.0}, (0.007, 0.55, 5, "log")),
+     "model 'temp' has no parameters ['zz']; its parameters are floor_khz, amp_khz, exponent_n"),
+    (lambda: synth_scan("temp", {**TEMP_009T, "exponent_n": 9.0}, (0.007, 0.55, 5, "log")),
+     "exponent_n must lie in [0.5, 3.0]"),
+    (lambda: synth_scan("field", {**FIELD_7MK, "g3": 1.0}, (0.0, 2.0, 5, "linear"),
+                        fixed={"temp_k": 0.007}),
+     "model 'field' has no parameters ['g3']; its parameters are gamma0_khz, alpha1_khz, "
+     "alpha2_khz, g1, g2"),
+    (lambda: synth_trace(SynthSpec("mims", {**MIMS_TRUTH, "tmm": 2.0}, (0.25, 30.0, 5, "log"))),
+     "model 'mims' has no parameters ['tmm']; its parameters are i0, tm_us, x"),
+    (lambda: synth_trace(SynthSpec("mims", {**MIMS_TRUTH, "tm_us": -40.0},
+                                   (0.25, 30.0, 5, "log"))),
+     "tm_us must be > 0"),
+], ids=["scan-unknown", "scan-range", "scan-field-unknown", "trace-unknown", "trace-range"])
+def test_synth_refuses_a_true_value_the_model_does_not_have(make, why):
+    # each used to give a table or trace; the trace recorded tmm=2 in its
+    # provenance as a true value
+    with pytest.raises(FitError) as exc:
+        make()
+    assert str(exc.value) == why
