@@ -3,10 +3,18 @@
 Acceptance tests register a one-line verdict via ``record_criterion``;
 the lines are replayed after the test summary so they stay visible even
 when pytest captures stdout.  ``assert_same_fit`` compares two fit
-results bit for bit.
+results bit for bit.  ``close_demo_worker`` shuts the demo's worker
+process down; at the end of the session it runs, and then no child
+process may be left running.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+
+import pytest
+
+from echofit import pipeline
 
 _CRITERION_LINES: list[str] = []
 
@@ -23,6 +31,20 @@ def assert_same_fit(res, lone):
         lone.n_restarts_agreeing, lone.sse_trace, lone.flags, lone.fixed)
     assert res.covariance.tobytes() == lone.covariance.tobytes()
     assert res.residuals.tobytes() == lone.residuals.tobytes()
+
+
+def close_demo_worker():
+    """Shut the demo's worker process down; the next demo forks a new one."""
+    if pipeline._DEMO_WORKER is not None:
+        pipeline._DEMO_WORKER.shutdown()
+        pipeline._DEMO_WORKER = None
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_process_left_running():
+    yield
+    close_demo_worker()
+    assert multiprocessing.active_children() == []
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -148,6 +148,13 @@ def test_demo_runs_and_is_reproducible(tmp_path, capsys):
     assert not mismatch and not errors
 
 
+def test_demo_negative_seed_is_named_before_any_output(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert main(["demo", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_outdir_env_var_is_default(tmp_path, monkeypatch, capsys):
     dest = tmp_path / "from-env"
     monkeypatch.setenv("ECHOFIT_OUTDIR", str(dest))

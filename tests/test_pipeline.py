@@ -1,8 +1,15 @@
 """Batch fitting over condition scans, report emission and the demo."""
 
 import filecmp
+import multiprocessing
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +20,14 @@ from echofit.guesses import initial_guess
 from echofit.pipeline import (
     DEFAULT_2PPE_WINDOW,
     DEMO_FIELD_GRID_T,
+    DEMO_MIMS_X,
+    DEMO_TEMP_K,
     _demo_2ppe_traces,
+    _demo_3ppe_half,
+    _start_demo_3ppe,
     batch_fit_2ppe,
     batch_fit_3ppe,
+    demo_i0_of_field,
     emit_report,
     fit_table,
     run_demo,
@@ -30,7 +42,7 @@ from echofit.presets import (
 from echofit.synth import SynthSpec, synth_trace
 from echofit.trace import EchoTrace, ScanTable, load_table
 
-from conftest import assert_same_fit
+from conftest import assert_same_fit, close_demo_worker
 
 MIMS_TRUTH = {"i0": 1.0, "tm_us": 40.0, "x": 1.3}
 SD_TRUTH = dict(i0=1.0, beta=0.2, **SD_7MK_009T)
@@ -581,3 +593,147 @@ def test_demo_checks_pass(tmp_path):
     summary = open(os.path.join(str(tmp_path / "demo"), "summary.txt")).read()
     assert "PASS" in summary
     assert "not-converged" not in summary
+
+
+@pytest.mark.parametrize("seed, text", [
+    (-1, "seed must be >= 0, got -1"),
+    ("1", "seed must be an int, got '1'"),
+    (True, "seed must be an int, got True"),
+])
+def test_demo_seed_is_checked_before_any_work(tmp_path, seed, text):
+    close_demo_worker()
+    with pytest.raises(ValueError) as err:
+        run_demo(str(tmp_path / "demo"), seed=seed)
+    assert str(err.value) == text
+    assert pipeline._DEMO_WORKER is None
+    assert not (tmp_path / "demo").exists()
+
+
+def test_demo_decays_take_their_truths_from_one_call_per_law():
+    # Each vector law call over the demo grid equals the scalar calls it
+    # replaced bit for bit, and so do the traces made from them.
+    at_7mk = {"temp_k": DEMO_TEMP_K}
+    grid = np.array(DEMO_FIELD_GRID_T)
+    gamma = models.field_linewidth(FIELD_7MK, grid, at_7mk)
+    scalar = [models.field_linewidth(FIELD_7MK, b, at_7mk) for b in DEMO_FIELD_GRID_T]
+    assert gamma.tobytes() == np.array(scalar).tobytes()
+    assert (models.tm_from_gamma_eff(gamma).tobytes()
+            == np.array([models.tm_from_gamma_eff(g) for g in scalar]).tobytes())
+    assert (demo_i0_of_field(grid).tobytes()
+            == np.array([float(demo_i0_of_field(b)) for b in DEMO_FIELD_GRID_T]).tobytes())
+    for k, (b, got) in enumerate(zip(DEMO_FIELD_GRID_T, _demo_2ppe_traces(2))):
+        tm = models.tm_from_gamma_eff(models.field_linewidth(FIELD_7MK, b, at_7mk))
+        want = synth_trace(SynthSpec(
+            model_id="mims",
+            true_params={"i0": float(demo_i0_of_field(b)), "tm_us": tm, "x": DEMO_MIMS_X},
+            grid=(0.25, 3.0 * tm, 50, "log"), noise=("multiplicative", 0.02),
+            seed=2000 + k, temperature_k=DEMO_TEMP_K, field_t=b))
+        assert got.time_ms.tobytes() == want.time_ms.tobytes()
+        assert got.intensity.tobytes() == want.intensity.tobytes()
+        assert (got.field_t, got.provenance) == (want.field_t, want.provenance)
+
+
+# The demo's 3PPE half runs in a forked worker process where the host
+# lets this process use two CPUs; elsewhere these cases have no worker.
+needs_worker = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+         and len(os.sched_getaffinity(0)) > 1),
+    reason="the demo worker needs fork and two usable CPUs")
+
+
+def _worker_pid():
+    return pipeline._DEMO_WORKER.submit(os.getpid).result(timeout=30)
+
+
+def _same_files(a, b):
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    _, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert not mismatch and not errors
+
+
+@needs_worker
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_3ppe_half_in_the_worker_equals_the_in_process_call(seed):
+    truth, tables, fits = _start_demo_3ppe(seed)()
+    assert pipeline._DEMO_WORKER is not None and _worker_pid() != os.getpid()
+    lone_truth, lone_tables, lone_fits = _demo_3ppe_half(seed)
+    assert truth == lone_truth
+    assert len(fits) == len(lone_fits) == 1
+    assert_same_fit(fits[0], lone_fits[0])
+    assert sorted(tables) == sorted(lone_tables) == sorted(
+        ["gamma0", "gamma_tls", "gamma_sd", "r_sd", "beta"])
+    for q, table in tables.items():
+        lone = lone_tables[q]
+        assert (table.condition_axis, table.quantity_id, table.flag) == (
+            lone.condition_axis, lone.quantity_id, lone.flag)
+        for column in ("condition", "value", "stderr"):
+            assert getattr(table, column).tobytes() == getattr(lone, column).tobytes()
+
+
+@needs_worker
+def test_demos_share_one_worker_that_ends_with_its_process(tmp_path):
+    run_demo(str(tmp_path / "one"), seed=1)
+    pid = _worker_pid()
+    run_demo(str(tmp_path / "two"), seed=2)
+    assert _worker_pid() == pid != os.getpid()
+
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    code = ("import os, sys\n"
+            "from echofit import pipeline\n"
+            "pipeline.run_demo(sys.argv[1], seed=1)\n"
+            "print(pipeline._DEMO_WORKER.submit(os.getpid).result())\n")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "three")],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stderr == ""
+    child_worker = int(done.stdout)
+    with pytest.raises(ProcessLookupError):
+        os.kill(child_worker, 0)
+    _same_files(tmp_path / "one", tmp_path / "three")
+
+
+@needs_worker
+def test_an_error_in_the_worker_reaches_the_caller(tmp_path, monkeypatch):
+    def no_traces(seed):
+        raise FitError(f"no traces for seed {seed}")
+
+    # A fresh worker, forked while the patch is in place, so that it runs it.
+    close_demo_worker()
+    monkeypatch.setattr(pipeline, "_demo_3ppe_traces", no_traces)
+    try:
+        with pytest.raises(FitError) as err:
+            run_demo(str(tmp_path / "demo"), seed=4)
+        assert _worker_pid() != os.getpid()
+    finally:
+        close_demo_worker()
+    assert type(err.value) is FitError and str(err.value) == "no traces for seed 4"
+    assert not (tmp_path / "demo").exists()
+
+
+@needs_worker
+def test_a_killed_worker_fails_the_pending_half_and_the_next_demo_forks_afresh(
+        tmp_path, monkeypatch):
+    close_demo_worker()
+    monkeypatch.setattr(pipeline, "_demo_3ppe_traces", lambda seed: time.sleep(60))
+    try:
+        collect = _start_demo_3ppe(1)
+        (worker,) = multiprocessing.active_children()
+        os.kill(worker.pid, signal.SIGKILL)
+        with pytest.raises(BrokenProcessPool):
+            collect(timeout=30)
+    finally:
+        monkeypatch.undo()
+    paths, checks = run_demo(str(tmp_path / "after"), seed=1)
+    assert all(ok for _, ok, _ in checks)
+    assert _worker_pid() not in (worker.pid, os.getpid())
+
+
+def test_on_one_cpu_the_demo_runs_in_process(tmp_path, monkeypatch):
+    run_demo(str(tmp_path / "usual"), seed=5)
+    close_demo_worker()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    run_demo(str(tmp_path / "one-cpu"), seed=5)
+    assert pipeline._DEMO_WORKER is None
+    assert multiprocessing.active_children() == []
+    _same_files(tmp_path / "usual", tmp_path / "one-cpu")
