@@ -201,8 +201,11 @@ def field_linewidth_minimum(params, b_max_t, fixed=None):
     _, alpha1, alpha2, g1, g2 = theta
     falling, rising = alpha1 * g1, alpha2 * g2
     if g1 > g2 and falling > rising > 0:
-        b_star = np.log(falling / rising) / ((g1 - g2) * c)
-        if b_star < b_max_t:
+        # with subnormal rates B* can overflow (or, from 0/0, be NaN):
+        # either way it is no interior point of [0, b_max_t]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            b_star = np.log(falling / rising) / ((g1 - g2) * c)
+        if 0.0 < b_star < b_max_t:
             return float(b_star), gamma(b_star), None
     g_low, g_high = gamma(0.0), gamma(b_max_t)
     if g_low <= g_high:

@@ -1073,13 +1073,15 @@ def _assert_within(params, expected, rtol):
 
 
 def _converged_fit(model_id, x, y, init, fixed):
-    """The fit of one start, or None when it fails or does not converge
-    (then there is no minimum to compare)."""
+    """The fit of one start, or None when it fails, does not converge or
+    flags a parameter the data leave unbounded (then there is no minimum to
+    compare: data seed 33693 of a field scan runs alpha2 -> inf, g2 -> 0)."""
     try:
         res = fit(model_id, x, y, init, fixed=fixed)
     except FitError:
         return None
-    return res if res.converged else None
+    unbounded = any(f.startswith("unbounded:") for f in res.flags)
+    return res if res.converged and not unbounded else None
 
 
 # Two fits of one problem stop where the SSE is flat to its rounding, so

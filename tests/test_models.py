@@ -7,7 +7,7 @@ in-test so a regression in the frozen constants would also be caught.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echofit import models
@@ -232,6 +232,7 @@ def test_field_minimum_without_an_interior_minimum_is_an_end_point(alpha1, g1, a
 
 @given(st.tuples(*[st.floats(0.0, 50.0)] * 3), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
        st.floats(0.005, 1.0), st.floats(0.01, 20.0))
+@example((0.0, 1.0, 1.0), 2.225073858507203e-309, 5e-324, 1.0, 1.0)  # B* overflows
 @settings(max_examples=200, deadline=None)
 def test_field_minimum_is_the_lowest_point_and_stationary(amplitudes, g1, g2, temp_k, b_max):
     p = dict(zip(("gamma0_khz", "alpha1_khz", "alpha2_khz"), amplitudes), g1=g1, g2=g2)
