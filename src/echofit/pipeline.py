@@ -5,9 +5,7 @@ kept, flagged, with NaN values, so table lengths always match the input
 and the remaining rows are bit-identical to a run without the bad trace.
 The demo and the CLI fit every linewidth table through ``fit_table``.
 
-:func:`run_demo` runs the demo's 3PPE half in a warm forked worker process
-beside its 2PPE half, with results bit-identical to an in-process run
-(its way without fork or on one usable CPU); its docstring says more.
+The demo runs its 3PPE half in a worker process; see :func:`run_demo`.
 """
 
 import atexit
@@ -377,8 +375,17 @@ def _demo_3ppe_half(seed):
     return truth3, tables3, fits3
 
 
-# The demo's 3PPE worker: a one-process pool, forked at first use.
-_DEMO_WORKER = None
+_DEMO_WORKER = None  # the demo's 3PPE worker: a one-process pool, forked at first use
+
+
+@atexit.register
+def _close_demo_worker():
+    """Shut the demo's worker down (at exit too: module teardown would
+    collect a live pool after multiprocessing is gone and print an error)."""
+    global _DEMO_WORKER
+    if _DEMO_WORKER is not None:
+        _DEMO_WORKER.shutdown()
+    _DEMO_WORKER = None
 
 
 def _start_demo_3ppe(seed):
@@ -386,17 +393,24 @@ def _start_demo_3ppe(seed):
     result.  A forked worker starts warm, with this process's imports; a
     fresh process per call was slower than the half itself."""
     global _DEMO_WORKER
+    in_process = lambda: _demo_3ppe_half(seed)
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1):
-        return lambda: _demo_3ppe_half(seed)
+        return in_process
     import multiprocessing  # here, as the import alone costs about 1 MB
-    from concurrent.futures import ProcessPoolExecutor
-    if _DEMO_WORKER is None or _DEMO_WORKER._broken:  # a dead process breaks it for good
-        _DEMO_WORKER = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
-        # Shut down before module teardown, which would collect a live
-        # pool after multiprocessing is gone and print an error.
-        atexit.register(_DEMO_WORKER.shutdown)
-    return _DEMO_WORKER.submit(_demo_3ppe_half, seed).result
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    if multiprocessing.current_process().daemon:  # it may start no child
+        return in_process
+    try:
+        _DEMO_WORKER = _DEMO_WORKER or ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("fork"))
+        return _DEMO_WORKER.submit(_demo_3ppe_half, seed).result
+    except BrokenProcessPool:  # its process died: fork a new one
+        _close_demo_worker()
+        return _start_demo_3ppe(seed)
+    except OSError:  # the fork failed
+        _close_demo_worker()
+        return in_process
 
 
 def run_demo(destination, seed=1):
@@ -404,15 +418,12 @@ def run_demo(destination, seed=1):
     emit the full report.
 
     ``seed`` (an int >= 0) is checked before any work starts.  The 3PPE
-    half (waiting-time synthesis and joint fit) runs in a worker process
-    while this one runs the 2PPE half (decay synthesis and fits, then the
-    field fit), and is collected before the checks and the report.  The
-    worker is forked at the first demo, reused by later ones and shut
-    down at interpreter exit.  It runs the same code on the same seeded
-    inputs, so every result and report byte is as in-process.  Where
-    ``fork`` is missing or the process may use only one CPU, the 3PPE half
-    runs in-process.  A fork keeps the code of the first demo: a function
-    patched after it does not reach the worker.
+    half runs in a worker process, forked at the first demo, reused by
+    later ones and shut down at interpreter exit, while this process runs
+    the 2PPE half; every result and report byte is as in-process.  It runs
+    in-process without ``fork``, on one usable CPU, in a daemonic process
+    or when the fork fails.  Code patched after the first demo does not
+    reach the worker.
 
     Returns ``(paths, checks)``; checks is a list of (name, passed,
     detail) for the embedded consistency checks.

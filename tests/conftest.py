@@ -3,9 +3,8 @@
 Acceptance tests register a one-line verdict via ``record_criterion``;
 the lines are replayed after the test summary so they stay visible even
 when pytest captures stdout.  ``assert_same_fit`` compares two fit
-results bit for bit.  ``close_demo_worker`` shuts the demo's worker
-process down; at the end of the session it runs, and then no child
-process may be left running.
+results bit for bit.  At the end of the session the demo's worker process
+is shut down, and then no child process may be left running.
 """
 
 from __future__ import annotations
@@ -33,17 +32,10 @@ def assert_same_fit(res, lone):
     assert res.residuals.tobytes() == lone.residuals.tobytes()
 
 
-def close_demo_worker():
-    """Shut the demo's worker process down; the next demo forks a new one."""
-    if pipeline._DEMO_WORKER is not None:
-        pipeline._DEMO_WORKER.shutdown()
-        pipeline._DEMO_WORKER = None
-
-
 @pytest.fixture(scope="session", autouse=True)
 def _no_process_left_running():
     yield
-    close_demo_worker()
+    pipeline._close_demo_worker()
     assert multiprocessing.active_children() == []
 
 

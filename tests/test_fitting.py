@@ -1073,15 +1073,13 @@ def _assert_within(params, expected, rtol):
 
 
 def _converged_fit(model_id, x, y, init, fixed):
-    """The fit of one start, or None when it fails, does not converge or
-    flags a parameter the data leave unbounded (then there is no minimum to
-    compare: data seed 33693 of a field scan runs alpha2 -> inf, g2 -> 0)."""
+    """The fit of one start, or None when it fails or does not converge
+    (then there is no minimum to compare)."""
     try:
         res = fit(model_id, x, y, init, fixed=fixed)
     except FitError:
         return None
-    unbounded = any(f.startswith("unbounded:") for f in res.flags)
-    return res if res.converged and not unbounded else None
+    return res if res.converged else None
 
 
 # Two fits of one problem stop where the SSE is flat to its rounding, so
@@ -1091,6 +1089,10 @@ def _converged_fit(model_id, x, y, init, fixed):
 _STOP_SPREAD = pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="FOUND: converged fits of one problem agree to ~1e-8, not 1e-9")
+
+
+def _unbounded(res):
+    return any(f.startswith("unbounded:") for f in res.flags)
 
 
 @pytest.mark.parametrize("rtol", [1e-7, pytest.param(1e-9, marks=_STOP_SPREAD)])
@@ -1104,8 +1106,30 @@ def test_point_order_does_not_move_the_fit(rtol, model_id, data_seed, order_seed
     assume(res is not None)
     order = np.random.default_rng(order_seed).permutation(x.size)
     shuffled = fit(model_id, x[order], y[order], init, fixed=fixed)
+    if _unbounded(res):
+        # A fit that flags a parameter the data leave unbounded has no
+        # minimum to agree on (the test below holds that as an expected
+        # failure); the reordered fit must flag the same valley.
+        assert _unbounded(shuffled)
+        return
     assert shuffled.converged
     _assert_within(shuffled.params, res.params, rtol)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="FOUND: _lm stops with converged=True while the SSE still "
+                          "falls along an unbounded alpha2/g2 valley")
+def test_point_order_does_not_move_an_unbounded_fit():
+    # Field data seed 33693 (35 of the field seeds 0-19999 flag unbounded):
+    # the fit runs alpha2 -> 1e8, the reordered one alpha2 -> 1e15, and
+    # gamma0 moves by 0.5%.
+    x, y, init, fixed = _invariant_problem("field", 33693)
+    res = fit("field", x, y, init, fixed=fixed)
+    order = np.random.default_rng(0).permutation(x.size)
+    shuffled = fit("field", x[order], y[order], init, fixed=fixed)
+    if not (res.converged and shuffled.converged and _unbounded(res)):
+        pytest.fail("seed 33693 no longer gives a converged, unbounded field fit")
+    _assert_within(shuffled.params, res.params, 1e-7)
 
 
 @pytest.mark.parametrize("rtol", [1e-7, pytest.param(1e-9, marks=_STOP_SPREAD)])

@@ -1,5 +1,6 @@
 """Batch fitting over condition scans, report emission and the demo."""
 
+import errno
 import filecmp
 import multiprocessing
 import os
@@ -22,6 +23,7 @@ from echofit.pipeline import (
     DEMO_FIELD_GRID_T,
     DEMO_MIMS_X,
     DEMO_TEMP_K,
+    _close_demo_worker,
     _demo_2ppe_traces,
     _demo_3ppe_half,
     _start_demo_3ppe,
@@ -42,7 +44,7 @@ from echofit.presets import (
 from echofit.synth import SynthSpec, synth_trace
 from echofit.trace import EchoTrace, ScanTable, load_table
 
-from conftest import assert_same_fit, close_demo_worker
+from conftest import assert_same_fit
 
 MIMS_TRUTH = {"i0": 1.0, "tm_us": 40.0, "x": 1.3}
 SD_TRUTH = dict(i0=1.0, beta=0.2, **SD_7MK_009T)
@@ -601,7 +603,7 @@ def test_demo_checks_pass(tmp_path):
     (True, "seed must be an int, got True"),
 ])
 def test_demo_seed_is_checked_before_any_work(tmp_path, seed, text):
-    close_demo_worker()
+    _close_demo_worker()
     with pytest.raises(ValueError) as err:
         run_demo(str(tmp_path / "demo"), seed=seed)
     assert str(err.value) == text
@@ -699,14 +701,14 @@ def test_an_error_in_the_worker_reaches_the_caller(tmp_path, monkeypatch):
         raise FitError(f"no traces for seed {seed}")
 
     # A fresh worker, forked while the patch is in place, so that it runs it.
-    close_demo_worker()
+    _close_demo_worker()
     monkeypatch.setattr(pipeline, "_demo_3ppe_traces", no_traces)
     try:
         with pytest.raises(FitError) as err:
             run_demo(str(tmp_path / "demo"), seed=4)
         assert _worker_pid() != os.getpid()
     finally:
-        close_demo_worker()
+        _close_demo_worker()
     assert type(err.value) is FitError and str(err.value) == "no traces for seed 4"
     assert not (tmp_path / "demo").exists()
 
@@ -714,7 +716,7 @@ def test_an_error_in_the_worker_reaches_the_caller(tmp_path, monkeypatch):
 @needs_worker
 def test_a_killed_worker_fails_the_pending_half_and_the_next_demo_forks_afresh(
         tmp_path, monkeypatch):
-    close_demo_worker()
+    _close_demo_worker()
     monkeypatch.setattr(pipeline, "_demo_3ppe_traces", lambda seed: time.sleep(60))
     try:
         collect = _start_demo_3ppe(1)
@@ -731,9 +733,41 @@ def test_a_killed_worker_fails_the_pending_half_and_the_next_demo_forks_afresh(
 
 def test_on_one_cpu_the_demo_runs_in_process(tmp_path, monkeypatch):
     run_demo(str(tmp_path / "usual"), seed=5)
-    close_demo_worker()
+    _close_demo_worker()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     run_demo(str(tmp_path / "one-cpu"), seed=5)
     assert pipeline._DEMO_WORKER is None
     assert multiprocessing.active_children() == []
     _same_files(tmp_path / "usual", tmp_path / "one-cpu")
+
+
+def _demo_in_a_daemon(destination):
+    assert multiprocessing.current_process().daemon
+    run_demo(destination, seed=5)
+    assert pipeline._DEMO_WORKER is None and multiprocessing.active_children() == []
+
+
+def test_in_a_daemonic_process_the_demo_runs_in_process(tmp_path):
+    # A daemonic process, such as a Pool worker, may start no child.
+    run_demo(str(tmp_path / "usual"), seed=5)
+    _close_demo_worker()
+    daemon = multiprocessing.get_context("fork").Process(
+        target=_demo_in_a_daemon, args=(str(tmp_path / "daemon"),), daemon=True)
+    daemon.start()
+    daemon.join(120)
+    assert daemon.exitcode == 0
+    _same_files(tmp_path / "usual", tmp_path / "daemon")
+
+
+@needs_worker
+def test_a_failed_fork_runs_the_demo_in_process(tmp_path, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    run_demo(str(tmp_path / "usual"), seed=5)
+    _close_demo_worker()
+    monkeypatch.setattr(os, "fork", no_fork)
+    run_demo(str(tmp_path / "no-fork"), seed=5)
+    assert pipeline._DEMO_WORKER is None
+    assert multiprocessing.active_children() == []
+    _same_files(tmp_path / "usual", tmp_path / "no-fork")
