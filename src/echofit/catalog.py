@@ -2,10 +2,11 @@
 Jacobians, parameter transforms, initial guesses and fit defaults.
 
 A model's spec is its one description: its ParamSpecs name its free
-parameters with their transforms and ranges, and ``fixed_names`` its
-fixed values.  Every mapping of a model's values (a fit's init, a law's
-or synth's parameters, a preset) is keyed by these names and read by the
-rule of :mod:`echofit.values`.
+parameters with their transforms and ranges, ``fixed_names`` its fixed
+values and ``x_domain`` its x columns with their domain.  Every mapping
+of a model's values (a fit's init, a preset) is keyed by these names and
+read by the rule of :mod:`echofit.values`; the laws and synth evaluate a
+model through :func:`evaluate`.
 
 The fitter works on flat parameter vectors in an unconstrained internal
 space; this module owns the mapping between that space and the natural,
@@ -45,7 +46,8 @@ from typing import Callable
 import numpy as np
 
 from . import guesses, models
-from .values import BETA_BOUNDS, EXPONENT_BOUNDS, X_BOUNDS, ParamSpec
+from .values import (BETA_BOUNDS, EXPONENT_BOUNDS, X_BOUNDS, ParamSpec, XColumn,
+                     _numbers, _parameters)
 
 # Margin used when clipping an initial value into an open interval before
 # applying a log/logit transform.  The transforms' scalar operands are 0-d
@@ -65,7 +67,7 @@ class ModelSpec:
     eval_fn: Callable  # (theta, terms) -> jac_fn's values alone
     jac_fn: Callable   # (theta, terms) -> (values, Jacobian): (n,) and
                        # (n, p), or (B, n) and (B, n, p) for a (B, p) theta
-    x_columns: int     # 1 for a single axis, 2 for (t12_us, t23_us) pairs
+    x_domain: tuple    # an XColumn per x column; two for (t12_us, t23_us) pairs
     guess: Callable    # (x, y, fixed) -> guesses.GuessResult
 
     @cached_property
@@ -121,13 +123,13 @@ def dnatural_dinternal(spec: ModelSpec, theta):
 # Model catalog
 # ---------------------------------------------------------------------------
 
-def _spec(model_id, space, params, fixed_names, x_columns, terms, kernel, guess):
+def _spec(model_id, space, params, fixed_names, x_domain, terms, kernel, guess):
     """A ModelSpec whose ``prepare`` calls ``terms(*fixed values in
     fixed_names order, *x columns)`` and whose jac_fn calls
     ``kernel(*theta, *terms)``; eval_fn keeps the kernel's values.  A
     (B, p) theta is passed as p columns of shape (B, 1)."""
     def prepare(x, fixed):
-        xs = (x,) if x_columns == 1 else np.moveaxis(x, -1, 0)
+        xs = (x,) if len(x_domain) == 1 else np.moveaxis(x, -1, 0)
         return terms(*[fixed[k] for k in fixed_names], *xs)
 
     def jac_fn(theta, prepared):
@@ -141,10 +143,13 @@ def _spec(model_id, space, params, fixed_names, x_columns, terms, kernel, guess)
 
     return ModelSpec(model_id=model_id, space=space, params=params,
                      fixed_names=fixed_names, prepare=prepare, eval_fn=eval_fn,
-                     jac_fn=jac_fn, x_columns=x_columns, guess=guess)
+                     jac_fn=jac_fn, x_domain=x_domain, guess=guess)
 
 
 _LOG = "log"
+
+# Gamma_eff's log term is defined from the reference time t0 on.
+_DELAYS = (XColumn("t12_us", 0), XColumn("t23_us", "t0_us"))
 
 _SD_PARAMS = (
     ParamSpec("gamma0_khz", _LOG),
@@ -167,7 +172,7 @@ CATALOG = {
             ParamSpec("x", "logit", *X_BOUNDS),
         ),
         fixed_names=(),
-        x_columns=1,
+        x_domain=(XColumn("t12_us", 0),),
         terms=models._mims_terms,
         kernel=models._mims_grad,
         guess=guesses.mims,
@@ -183,7 +188,7 @@ CATALOG = {
             ParamSpec("g2", _LOG),
         ),
         fixed_names=("temp_k",),
-        x_columns=1,
+        x_domain=(XColumn("b_t", 0),),
         terms=models._field_terms,
         kernel=models._field_grad,
         guess=guesses.field,
@@ -197,7 +202,7 @@ CATALOG = {
             ParamSpec("exponent_n", "logit", *EXPONENT_BOUNDS),
         ),
         fixed_names=(),
-        x_columns=1,
+        x_domain=(XColumn("temp_k", 0, strict=True),),
         terms=models._temp_terms,
         kernel=models._temp_grad,
         guess=guesses.temp,
@@ -210,7 +215,7 @@ CATALOG = {
             ParamSpec("g", _LOG),
         ),
         fixed_names=("temp_k",),
-        x_columns=1,
+        x_domain=(XColumn("b_t"),),     # even in the field: either sign
         terms=models._sech2_terms,
         kernel=models._sech2_grad,
         guess=guesses.sech2,
@@ -220,7 +225,7 @@ CATALOG = {
         space="linear",
         params=_SD_PARAMS,
         fixed_names=("t0_us",),
-        x_columns=2,
+        x_domain=_DELAYS,
         terms=models._sd_terms,
         kernel=models._sd_grad,
         guess=guesses.sd,
@@ -230,7 +235,7 @@ CATALOG = {
         space="log-intensity",
         params=_ECHO3_PARAMS,
         fixed_names=("t1_ms", "tz_s", "t0_us"),
-        x_columns=2,
+        x_domain=_DELAYS,
         terms=models._echo3_terms,
         kernel=models._echo3_grad,
         guess=guesses.echo3,
@@ -242,7 +247,7 @@ CATALOG = {
         space="log-intensity",
         params=_ECHO3_PARAMS + (ParamSpec("t1_ms", _LOG, positive=True),),
         fixed_names=("tz_s", "t0_us"),
-        x_columns=2,
+        x_domain=_DELAYS,
         terms=models._echo3_free_t1_terms,
         kernel=models._echo3_free_t1_grad,
         guess=guesses.echo3_free_t1,
@@ -256,6 +261,27 @@ def get_model(model_id):
     except KeyError:
         raise ValueError(f"unknown model id {model_id!r}; "
                          f"known: {', '.join(sorted(CATALOG))}") from None
+
+
+def read(model_id, params, fixed, kind="parameter"):
+    """Model ``model_id``'s spec, its ``kind`` values ``params`` as a vector
+    and its fixed values as a dict, read by the rule of :mod:`echofit.values`."""
+    spec = get_model(model_id)
+    theta = _parameters(model_id, kind, spec.params, params)
+    values = _numbers(model_id, "fixed", spec.fixed_names, fixed)
+    return spec, theta, dict(zip(spec.fixed_names, values.tolist()))
+
+
+def evaluate(model_id, params, xs, fixed, kind="parameter"):
+    """Model ``model_id`` at ``xs`` (one number or array per x column) after
+    :func:`read` and the x domain's check; a float when every x is scalar."""
+    spec, theta, fixed = read(model_id, params, fixed, kind)
+    columns = np.broadcast_arrays(*[np.asarray(x, dtype=float) for x in xs])
+    for domain, col in zip(spec.x_domain, columns):
+        domain.check(col, fixed)
+    x = columns[0] if len(columns) == 1 else np.stack(columns, axis=-1)
+    values = spec.eval_fn(theta, spec.prepare(x, fixed))
+    return float(values) if values.ndim == 0 else values
 
 
 # ---------------------------------------------------------------------------

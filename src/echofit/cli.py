@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from . import models
-from .catalog import CATALOG, gradient_check
+from .catalog import CATALOG, evaluate, gradient_check
 from .fitting import FitConfig
 from .pipeline import (
     DEFAULT_2PPE_WINDOW,
@@ -42,17 +42,15 @@ _FIT_KEYS = ("restarts", "seed", "max_iterations")
 # subcommand has it.
 _FIXED_FLAGS = {"temp_k": "T", "t1_ms": "t1_ms", "tz_s": "tz_s", "t0_us": "t0_us"}
 
-# What eval prints for each model: its law, the flags of the law's x
-# values with their defaults (None: the flag must be given), and the
-# quantity's name.
+# What eval prints for each model: the flags of its x values with their
+# defaults (None: the flag must be given), and the quantity's name.
 _EVAL = {
-    "mims": (models.mims_intensity, {"t12_us": None}, "intensity"),
-    "field": (models.field_linewidth, {"B": None}, "gamma_eff_khz"),
-    "temp": (models.temp_linewidth, {"T": None}, "gamma_eff_khz"),
-    "sech2": (models.sech2_sd_amplitude, {"B": None}, "gamma_sd_khz"),
-    "sd": (models.sd_linewidth, {"t12_us": 0.0, "t23_us": None}, "gamma_eff_khz"),
-    "echo3": (models.stimulated_echo_intensity, {"t12_us": None, "t23_us": None},
-              "intensity"),
+    "mims": ({"t12_us": None}, "intensity"),
+    "field": ({"B": None}, "gamma_eff_khz"),
+    "temp": ({"T": None}, "gamma_eff_khz"),
+    "sech2": ({"B": None}, "gamma_sd_khz"),
+    "sd": ({"t12_us": 0.0, "t23_us": None}, "gamma_eff_khz"),
+    "echo3": ({"t12_us": None, "t23_us": None}, "intensity"),
 }
 
 
@@ -173,10 +171,10 @@ def _x(args, name, default):
 
 
 def cmd_eval(args):
-    law, xs, quantity = _EVAL[args.model]
+    xs, quantity = _EVAL[args.model]
     params, fixed = _preset_params(args, args.model)
     x = [_x(args, name, default) for name, default in xs.items()]
-    print(f"{quantity} = {_fmt(law(params, *x, fixed))}")
+    print(f"{quantity} = {_fmt(evaluate(args.model, params, x, fixed))}")
     return 0
 
 

@@ -33,11 +33,12 @@ linear, relative (1 / |y|) without sigma.
 
 A problem fails once, with the FitError (or ValueError) of the first
 check it fails: a fixed value missing, not a finite number or not > 0;
-bad data or too few points (p + 1 at least); an init value missing or
-not a finite number (one rule, ``_numbers``, reads both; a bool is not
-one, nor an int beyond the float range); a model not finite at every
-start.  An init of None is the model's guess on the checked data, as
-``guesses.initial_guess`` gives it, flagged ``guess-degenerate`` when it is.
+bad data (x outside the model's domain included) or too few points
+(p + 1 at least); an init value missing or not a finite number (one
+rule, ``_numbers``, reads both; a bool is not one, nor an int beyond the
+float range); a model not finite at every start.  An init of None is the
+model's guess on the checked data, as ``guesses.initial_guess`` gives
+it, flagged ``guess-degenerate`` when it is.
 
 The engine computes each iteration only what changed.  The model's
 data-only terms are prepared once per batch (``ModelSpec.prepare``), and
@@ -137,12 +138,16 @@ class FitResult:
         return np.array([self.params[n] for n in self.param_names])
 
 
-def _problem(spec, x, y, sigma):
-    """The checked data ``(x, y, w)`` of one fit, w its residual weights;
-    raises FitError when it cannot be fitted."""
+def _problem(spec, x, y, sigma, fixed):
+    """The fixed values of one fit as a dict of floats and its checked data
+    ``(x, y, w)``, w its residual weights; raises FitError when it cannot
+    be fitted."""
+    values = _numbers(spec.model_id, "fixed", spec.fixed_names, fixed)
+    fixed = dict(zip(spec.fixed_names, values.tolist()))
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if spec.x_columns == 2:
+    pairs = len(spec.x_domain) == 2
+    if pairs:
         x = np.atleast_2d(x)
         if x.shape[1] != 2:
             raise FitError(f"model {spec.model_id!r} expects (t12_us, t23_us) pairs")
@@ -152,8 +157,8 @@ def _problem(spec, x, y, sigma):
         n = x.size
     if y.shape != (n,):
         raise FitError("x and y lengths disagree")
-    if not np.isfinite(x).all():
-        raise FitError("x values must be finite")
+    for domain, col in zip(spec.x_domain, x.T if pairs else (x,)):
+        domain.check(col, fixed)
     if not np.isfinite(y).all():
         raise FitError("y values must be finite")
     if sigma is not None:
@@ -176,7 +181,7 @@ def _problem(spec, x, y, sigma):
         w = 1.0 / np.maximum(np.abs(y), 1e-30)
     else:
         w = np.ones(y.shape)
-    return x, y, w
+    return fixed, x, y, w
 
 
 def _evaluate(spec, theta, terms, target, w):
@@ -515,11 +520,10 @@ def multi_start_batch(model_id, problems, *, cfg=None):
     out, groups = [], {}
     for x, y, init, sigma, fixed in problems:
         try:
-            values = _numbers(model_id, "fixed", spec.fixed_names, fixed)
-            x, y, w = _problem(spec, x, y, sigma)
+            named, x, y, w = _problem(spec, x, y, sigma, fixed)
             degenerate = False
             if init is None:
-                guess = spec.guess(x, y, dict(zip(spec.fixed_names, values.tolist())))
+                guess = spec.guess(x, y, named)
                 init, degenerate = guess.params, guess.degenerate
             init = _numbers(model_id, "init", spec.param_names, init)
         except ValueError as exc:
@@ -527,8 +531,8 @@ def multi_start_batch(model_id, problems, *, cfg=None):
             continue
         target = y if spec.space == "linear" else np.log(y)
         groups.setdefault(y.size, []).append(
-            (len(out), (x, target, w), _starts(spec, init, factors), values,
-             dict(fixed or {}), degenerate))
+            (len(out), (x, target, w), _starts(spec, init, factors),
+             tuple(named.values()), dict(fixed or {}), degenerate))
         out.append(None)
 
     r = cfg.restarts

@@ -16,7 +16,6 @@ import numpy as np
 
 from .constants import MU_B_OVER_K_B
 from .presets import THREE_LEVEL_7MK_009T_FIXED
-from .values import _numbers
 
 # sech^2(k) = 1/2 at k = ln(1 + sqrt(2)).
 _SECH2_HALF_ARG = float(np.log(1.0 + np.sqrt(2.0)))
@@ -97,16 +96,16 @@ def sech2(b_t, y, fixed):
 
 
 def _linewidth_vs_t23_guesses(t23_us, gamma, t0_us):
-    """Shared decomposition of an effective-linewidth-vs-waiting-time curve."""
+    """Shared decomposition of a linewidth-vs-waiting-time curve, t23 >= t0 > 0."""
     order = np.argsort(t23_us)
     t23 = t23_us[order]
     gam = gamma[order]
     gamma0 = _positive(gam[0], 1e-3)
     # Slope per decade over the late half of the waiting-time range.
     mid = len(t23) // 2
-    dec = np.log10(t23[-1] / t23[mid]) if t23[mid] > 0 else 1.0
+    dec = np.log10(t23[-1] / t23[mid])
     gamma_tls = _positive((gam[-1] - gam[mid]) / max(dec, 1e-6), 1.0)
-    tls_at_max = gamma_tls * np.log10(max(t23[-1] / t0_us, 1.0))
+    tls_at_max = gamma_tls * np.log10(t23[-1] / t0_us)
     gamma_sd = _positive(np.max(gam) - gamma0 - tls_at_max, 1.0)
     r_sd = 1.0 / max(np.median(t23) * 1e-3, 1e-9)
     return gamma0, gamma_sd, r_sd, gamma_tls
@@ -161,18 +160,17 @@ def initial_guess(model_id, x, y, fixed=None):
 
     The problem is checked first, by the fit engine's own rules: every
     fixed value the model names must be given, finite and > 0, and the
-    data must be fittable (shapes, finite values, positive y for a
-    log-space model, at least p + 1 points).  A problem the fit would
-    refuse raises the FitError (a ValueError) the fit would raise.  The
-    returned GuessResult carries a degenerate flag when the data cannot
-    constrain the model (constant decay traces, flat linewidth curves,
-    single-t12 stimulated-echo sets).
+    data must be fittable (shapes, finite values, x in the model's domain,
+    positive y for a log-space model, at least p + 1 points).  A problem
+    the fit would refuse raises the FitError (a ValueError) the fit would
+    raise.  The returned GuessResult carries a degenerate flag when the
+    data cannot constrain the model (constant decay traces, flat linewidth
+    curves, single-t12 stimulated-echo sets).
     """
     # Imported here because fitting imports the catalog, which imports
     # this module for its guesses.
     from .catalog import get_model
     from .fitting import _problem
     spec = get_model(model_id)
-    values = _numbers(model_id, "fixed", spec.fixed_names, fixed)
-    x, y, _ = _problem(spec, x, y, None)
-    return spec.guess(x, y, dict(zip(spec.fixed_names, values.tolist())))
+    fixed, x, y, _ = _problem(spec, x, y, None, fixed)
+    return spec.guess(x, y, fixed)

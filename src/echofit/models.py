@@ -2,11 +2,11 @@
 
 The public laws take a model's parameters, its x values and its fixed
 values, in that order; parameters and fixed values are mappings keyed by
-the names of the model's spec in :mod:`echofit.catalog`, read by the rule
-of :mod:`echofit.values` (numbers, known names, ranges).  Times are in the
-units their argument names state.  Internally every rate*time product is
-formed in kHz*ms so the exponents are dimensionless without hidden
-conversion factors.
+the names of the model's spec in :mod:`echofit.catalog`, and each law of
+a catalog model is one call of :func:`echofit.catalog.evaluate`.  Times
+are in the units their argument names state.  Internally every rate*time
+product is formed in kHz*ms so the exponents are dimensionless without
+hidden conversion factors.
 
 The underscore-prefixed functions operate on plain floats/arrays and are
 bound directly by the fitting catalog.  Each model has a ``_<model>_terms``
@@ -36,7 +36,7 @@ range where that zero is not an interior minimum.
 import numpy as np
 
 from .constants import EXP_CLAMP, MU_B_OVER_K_B
-from .values import _numbers, _parameters
+from .values import BETA_BOUNDS, ParamSpec, XColumn, _numbers, _parameters
 
 FOUR_PI = 4.0 * np.pi
 
@@ -62,36 +62,6 @@ def _cexp(a):
     of np.clip, equal to it bit for bit and NaN for NaN, but with less
     call overhead on small arrays)."""
     return np.exp(np.minimum(np.maximum(a, _EXP_LO), _EXP_HI))
-
-
-def _asarray(t, name, minimum=None):
-    arr = np.asarray(t, dtype=float)
-    if minimum is not None and np.any(arr < minimum):
-        raise ValueError(f"{name} must be >= {minimum}")
-    return arr
-
-
-def _maybe_scalar(out, like):
-    if np.isscalar(like) or getattr(like, "ndim", 1) == 0:
-        return float(out)
-    return out
-
-
-def _read(model_id, params, fixed, names=None, label=None):
-    """The parameters and the fixed values of a law of catalog model
-    ``model_id`` (only those in ``names`` when given), two lists of floats
-    in the spec's order, read by the rule of :mod:`echofit.values`; error
-    texts name the model ``label``, by default ``model_id``."""
-    # The catalog binds this module's kernels, so it is looked up here.
-    from .catalog import CATALOG
-    spec = CATALOG[model_id]
-    specs, fixed_names = spec.params, spec.fixed_names
-    if names is not None:
-        specs = [p for p in specs if p.name in names]
-        fixed_names = [n for n in fixed_names if n in names]
-    label = label or model_id
-    return (_parameters(label, "parameter", specs, params).tolist(),
-            _numbers(label, "fixed", fixed_names, fixed).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -122,25 +92,26 @@ def mims_intensity(params, t12_us, fixed=None):
     Returns ``i0 * exp(-2*(2*t12/tm)^x)``; equals ``i0`` at ``t12 = 0`` and
     is strictly decreasing in ``t12``.  The model has no fixed values.
     """
-    theta, _ = _read("mims", params, fixed)
-    t = _asarray(t12_us, "t12_us", minimum=0.0)
-    return _maybe_scalar(_mims_grad(*theta, *_mims_terms(t))[0], t12_us)
+    return catalog.evaluate("mims", params, (t12_us,), fixed)
+
+
+def _pi_reciprocal(value, name):
+    """1e3/(pi*value), which maps T_M in us to Gamma in kHz and back."""
+    v = np.asarray(value, dtype=float)
+    if np.any(v <= 0):
+        raise ValueError(f"{name} must be > 0")
+    out = 1e3 / (np.pi * v)
+    return float(out) if out.ndim == 0 else out
 
 
 def gamma_eff_from_tm(tm_us):
     """Effective homogeneous linewidth in kHz, 1/(pi*T_M)."""
-    tm = np.asarray(tm_us, dtype=float)
-    if np.any(tm <= 0):
-        raise ValueError("tm_us must be > 0")
-    return _maybe_scalar(1e3 / (np.pi * tm), tm_us)
+    return _pi_reciprocal(tm_us, "tm_us")
 
 
 def tm_from_gamma_eff(gamma_khz):
     """Inverse of :func:`gamma_eff_from_tm`; returns T_M in microseconds."""
-    g = np.asarray(gamma_khz, dtype=float)
-    if np.any(g <= 0):
-        raise ValueError("gamma_khz must be > 0")
-    return _maybe_scalar(1e3 / (np.pi * g), gamma_khz)
+    return _pi_reciprocal(gamma_khz, "gamma_khz")
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +144,7 @@ def field_linewidth(params, b_t, fixed=None):
     turns on with field (amplitude alpha2).  Exponent arguments are
     clamped at +-700 so the asymptotes are exact in floating point.
     """
-    theta, (temp_k,) = _read("field", params, fixed)
-    b = _asarray(b_t, "b_t", minimum=0.0)
-    return _maybe_scalar(_field_grad(*theta, *_field_terms(temp_k, b))[0], b_t)
+    return catalog.evaluate("field", params, (b_t,), fixed)
 
 
 def field_linewidth_minimum(params, b_max_t, fixed=None):
@@ -190,10 +159,11 @@ def field_linewidth_minimum(params, b_max_t, fixed=None):
     ``boundary`` is None for an interior minimum and "low"/"high" when
     the minimizer sits at 0 or b_max_t.
     """
-    theta, (temp_k,) = _read("field", params, fixed)
+    _, theta, fixed = catalog.read("field", params, fixed)
     if b_max_t <= 0:
         raise ValueError("b_max_t must be > 0")
-    c = MU_B_OVER_K_B / temp_k
+    theta = theta.tolist()   # Python floats: an overflow gives inf, no warning
+    c = MU_B_OVER_K_B / fixed["temp_k"]
 
     def gamma(b):
         return float(_field_grad(*theta, c, b)[0])
@@ -238,11 +208,7 @@ def temp_linewidth(params, temp_k, fixed=None):
     power law dominates at higher temperature; no piecewise crossover is
     introduced.  The model has no fixed values.
     """
-    theta, _ = _read("temp", params, fixed)
-    t = np.asarray(temp_k, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("temp_k must be > 0")
-    return _maybe_scalar(_temp_grad(*theta, *_temp_terms(t))[0], temp_k)
+    return catalog.evaluate("temp", params, (temp_k,), fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +257,7 @@ def sd_linewidth(params, t12_us, t23_us, fixed=None):
     log10(t23/t0), t0 being the fixed value ``t0_us``.  The log term is
     defined only for t23 >= t0.
     """
-    theta, (t0_us,) = _read("sd", params, fixed)
-    t23 = _asarray(t23_us, "t23_us")
-    if np.any(t23 < t0_us):
-        raise ValueError("t23_us must be >= t0_us")
-    t12 = _asarray(t12_us, "t12_us", minimum=0.0)
-    out = _sd(*theta, *_sd_terms(t0_us, t12, t23))
-    ref = t23_us if np.ndim(t23_us) >= np.ndim(t12_us) else t12_us
-    return _maybe_scalar(out, ref)
+    return catalog.evaluate("sd", params, (t12_us, t23_us), fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +290,27 @@ def _population(beta, ea, a, b):
     return ea + _HALF * beta * a * b
 
 
+# The population factor's parameter, echo3's beta, and its x domain.
+_POPULATION_PARAMS = (ParamSpec("beta", "logit", *BETA_BOUNDS),)
+_POPULATION_X = XColumn("t23_ms", 0)
+
+
 def three_level_population_factor(params, t23_ms, fixed=None):
     """Ground-state population recovery factor at waiting time ``t23_ms``.
 
     e^(-t/T1) + (beta/2) * Tz/(Tz - T1) * (e^(-t/Tz) - e^(-t/T1)); the
     removable singularity at Tz = T1 is evaluated by its analytic limit
     when the lifetimes agree to within 1e-9 relative.  ``params`` holds
-    echo3's beta, ``fixed`` its t1_ms and tz_s.
+    echo3's beta, ``fixed`` its t1_ms and tz_s, read by the rule of
+    :mod:`echofit.values`.
     """
-    (beta,), (t1_ms, tz_s) = _read("echo3", params, fixed, ("beta", "t1_ms", "tz_s"),
-                                   "population")
-    t = _asarray(t23_ms, "t23_ms", minimum=0.0)
+    (beta,) = _parameters("population", "parameter", _POPULATION_PARAMS, params).tolist()
+    t1_ms, tz_s = _numbers("population", "fixed", ("t1_ms", "tz_s"), fixed).tolist()
+    t = np.asarray(t23_ms, dtype=float)
+    _POPULATION_X.check(t, {})
     tz_ms = tz_s * 1e3
-    terms = _population_terms(t1_ms, tz_ms, t, _cexp(-t / tz_ms))
-    return _maybe_scalar(_population(beta, *terms), t23_ms)
+    out = _population(beta, *_population_terms(t1_ms, tz_ms, t, _cexp(-t / tz_ms)))
+    return float(out) if out.ndim == 0 else out
 
 
 def _echo3_delay_terms(t0_us, t12_us, t23_us):
@@ -436,14 +402,7 @@ def stimulated_echo_intensity(params, t12_us, t23_us, fixed=None):
     """Stimulated-echo intensity: population factor squared times the
     dephasing envelope exp(-4*pi*t12*Gamma_eff(t12, t23)).
     """
-    theta, (t1_ms, tz_s, t0_us) = _read("echo3", params, fixed)
-    t23 = _asarray(t23_us, "t23_us")
-    if np.any(t23 < t0_us):
-        raise ValueError("t23_us must be >= t0_us")
-    t12 = _asarray(t12_us, "t12_us", minimum=0.0)
-    out = _echo3_grad(*theta, *_echo3_terms(t1_ms, tz_s, t0_us, t12, t23))[0]
-    ref = t23_us if np.ndim(t23_us) >= np.ndim(t12_us) else t12_us
-    return _maybe_scalar(out, ref)
+    return catalog.evaluate("echo3", params, (t12_us, t23_us), fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +431,9 @@ def _sech2_grad(gamma_max, g, b, two_t, cb):
 def sech2_sd_amplitude(params, b_t, fixed=None):
     """Flip-flop diffusion amplitude gamma_max*sech^2(g*mu_B*B/(2*k_B*T)) at
     field ``b_t`` and the fixed temperature ``temp_k``."""
-    theta, (temp_k,) = _read("sech2", params, fixed)
-    b = _asarray(b_t, "b_t")
-    return _maybe_scalar(_sech2_grad(*theta, *_sech2_terms(temp_k, b))[0], b_t)
+    return catalog.evaluate("sech2", params, (b_t,), fixed)
+
+
+# The catalog binds this module's kernels, so it is imported after them;
+# the laws look ``catalog.evaluate`` up when they are called.
+from . import catalog  # noqa: E402

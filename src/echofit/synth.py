@@ -2,16 +2,16 @@
 
 Everything here is a pure function of (spec, seed): identical inputs give
 bit-identical output, which is what makes the round-trip fit tests and
-the demo report reproducible.
+the demo report reproducible.  The seed is checked first; the values come
+from :func:`echofit.catalog.evaluate`, so synth refuses what a law refuses.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .catalog import get_model
+from .catalog import evaluate, get_model
 from .trace import EchoTrace, ScanTable
-from .values import _numbers, _parameters
 
 NOISE_KINDS = ("none", "multiplicative", "additive")
 
@@ -49,8 +49,6 @@ class SynthSpec:
     with kind from NOISE_KINDS; multiplicative sigma is relative, additive
     sigma is in intensity units.  fixed carries the model's non-fitted
     values plus, for the two-delay models, the trace's fixed "t12_us".
-    The rule of :mod:`echofit.values` reads the true values (numbers,
-    known names, ranges) and the fixed values.
     """
 
     model_id: str
@@ -98,40 +96,36 @@ def _apply_noise(y, noise, rng):
     return y + sigma * draw
 
 
-def _fixed(model, fixed):
-    """The model's fixed values, read by the fit engine's number rule."""
-    values = _numbers(model.model_id, "fixed", model.fixed_names, fixed)
-    return dict(zip(model.fixed_names, values.tolist()))
+def _rng(seed):
+    """The noise generator of ``seed``, which must be >= 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def synth_trace(spec: SynthSpec) -> EchoTrace:
     """Evaluate spec.model_id on the grid, apply optional modulation and
     seeded noise, and wrap the result as an EchoTrace."""
+    rng = _rng(spec.seed)
     model = get_model(spec.model_id)
-    fixed = _fixed(model, spec.fixed)
-    theta = _parameters(spec.model_id, "true", model.params, spec.true_params)
     pts = build_grid(spec.grid)
 
-    if model.x_columns == 2:
+    if len(model.x_domain) == 2:
         if spec.modulation is not None:
             raise ValueError("modulation applies to 2ppe traces only")
         if "t12_us" not in spec.fixed:
             raise ValueError("two-delay models need fixed['t12_us'] for the trace")
-        x = np.column_stack([np.full(pts.shape, spec.fixed["t12_us"]), pts])
-        sequence = "3ppe-vs-t23"
         t12_fixed = float(spec.fixed["t12_us"])
+        xs, sequence = (t12_fixed, pts), "3ppe-vs-t23"
     else:
         if spec.model_id != "mims":
             raise ValueError(f"model {spec.model_id!r} produces scan tables, "
                              "not echo traces; use synth_scan")
-        x = pts
-        sequence = "2ppe"
-        t12_fixed = None
+        xs, sequence, t12_fixed = (pts,), "2ppe", None
 
-    y = np.asarray(model.eval_fn(theta, model.prepare(x, fixed)), dtype=float)
+    y = evaluate(spec.model_id, spec.true_params, xs, spec.fixed, kind="true")
     if spec.modulation is not None:
         y = y * spec.modulation.factor(pts)
-    rng = np.random.default_rng(spec.seed)
     y = _apply_noise(y, spec.noise, rng)
 
     items = ",".join(f"{k}={spec.true_params[k]:.17g}"
@@ -156,14 +150,11 @@ def synth_scan(model_id, true_params, condition_grid, noise=("none", 0.0),
                seed=0, fixed=None) -> ScanTable:
     """Synthetic linewidth-versus-condition table for the scan models; the
     true and fixed values are read as by :func:`synth_trace`."""
+    rng = _rng(seed)
     if model_id not in _SCAN_AXIS:
         raise ValueError(f"model {model_id!r} is not a condition-scan model")
-    model = get_model(model_id)
-    fixed = _fixed(model, fixed)
-    theta = _parameters(model_id, "true", model.params, true_params)
     pts = build_grid(condition_grid)
-    y = np.asarray(model.eval_fn(theta, model.prepare(pts, fixed)), dtype=float)
-    rng = np.random.default_rng(seed)
+    y = evaluate(model_id, true_params, (pts,), fixed, kind="true")
     noisy = _apply_noise(y, noise, rng)
     kind, sigma = noise
     if kind == "multiplicative":

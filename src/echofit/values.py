@@ -3,13 +3,13 @@
 A model's free parameters are described by its ParamSpecs in
 :mod:`echofit.catalog`: a name, the transform the fitter works in, and the
 range a value must lie in.  Its fixed values (a temperature, a lifetime, a
-reference time) are named by the spec's ``fixed_names``.  Whoever is handed
-such values (the fit engine, the guesses, synth, the public laws of
-:mod:`echofit.models`, the CLI) reads them here: ``_numbers`` takes each
-named value as a float, and ``_parameters`` adds the refusal of a name the
-model does not have and the range of each ParamSpec.  This module imports
-nothing of the package, so the laws can use it although the catalog
-imports them.
+reference time) are named by the spec's ``fixed_names``, its x columns by
+XColumns.  Whoever is handed such values (the fit engine, the guesses,
+``catalog.evaluate``, the CLI) reads them here: ``_numbers`` takes each
+named value as a float, ``_parameters`` adds the refusal of a name the
+model does not have and the range of each ParamSpec, and ``XColumn.check``
+refuses an x value outside its domain.  This module imports nothing of the
+package, so the laws can use it although the catalog imports them.
 """
 
 import math
@@ -49,6 +49,26 @@ class ParamSpec:
             raise FitError(f"{self.name} must be > 0")
         elif not value >= 0:
             raise FitError(f"{self.name} must be >= 0")
+
+
+@dataclass(frozen=True)
+class XColumn:
+    """One x column and its domain: every value finite and at least ``lo``
+    (above it when ``strict``), a number or the name of a fixed value."""
+
+    name: str
+    lo: object = -np.inf
+    strict: bool = False
+
+    def check(self, x, fixed):
+        """Refuse an entry of the array ``x`` outside this domain."""
+        if not np.isfinite(x).all():
+            raise FitError("x values must be finite")
+        lo = fixed[self.lo] if isinstance(self.lo, str) else self.lo
+        outside = x <= lo if self.strict else x < lo
+        if outside.any():
+            raise FitError(f"x value {self.name} must be {'>' if self.strict else '>='} "
+                           f"{self.lo}, got {float(x[outside].flat[0])!r}")
 
 
 def _finite(value):

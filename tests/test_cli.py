@@ -489,8 +489,10 @@ def test_eval_echo3_flag_wins_over_the_preset_value_by_value(capsys):
 
 @pytest.mark.parametrize("argv, why", [
     (["--grid", "0.25:30:5:log"], "model 'mims' needs true values for ['i0', 'tm_us', 'x']"),
+    # the true values are read before the fixed values, as a law reads them
     (["--model", "echo3", "--grid", "50:7500:5:log", "--t12-us", "0.33"],
-     "model 'echo3' needs fixed values for ['t1_ms', 'tz_s', 't0_us']"),
+     "model 'echo3' needs true values for ['i0', 'beta', 'gamma0_khz', 'gamma_sd_khz', "
+     "'r_sd_khz', 'gamma_tls_khz']"),
     (["--params", "i0=1,tm_us=40,x=nan", "--grid", "0.25:30:5:log"],
      "true value x must be a finite number, got nan"),
     (["--params", "i0=1,tm_us=40,x=1.3,tmm=2", "--grid", "0.25:30:5:log"],
@@ -509,6 +511,15 @@ def test_synth_names_the_values_it_needs(tmp_path, argv, why, capsys):
     assert main(["synth", *argv, "--out", str(tmp_path / "t.txt")]) == 1
     assert capsys.readouterr().err == f"error: {why}\n"
     assert not (tmp_path / "t.txt").exists()
+
+
+def test_synth_negative_seed_is_named_before_any_output(tmp_path, capsys):
+    # NumPy's own text, "expected non-negative integer", named no flag
+    out = tmp_path / "t.txt"
+    assert main(["synth", "--params", "i0=1,tm_us=40,x=1.3", "--grid", "0.25:30:5:log",
+                 "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_fit_3ppe_with_a_negative_t1_fails_every_row(tmp_path, capsys):

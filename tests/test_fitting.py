@@ -25,7 +25,8 @@ from echofit.fitting import (
     multi_start_fit,
 )
 from echofit.guesses import initial_guess
-from echofit.pipeline import DEMO_FIELD_GRID_T, _demo_3ppe_traces, batch_fit_3ppe, window_mask
+from echofit.pipeline import (DEMO_FIELD_GRID_T, _demo_3ppe_traces, batch_fit_3ppe,
+                               fit_table, window_mask)
 from echofit.presets import (
     FIELD_7MK,
     SD_7MK_009T,
@@ -36,6 +37,7 @@ from echofit.presets import (
     THREE_LEVEL_7MK_009T_FIXED,
 )
 from echofit.synth import SynthSpec, build_grid, synth_trace
+from echofit.trace import ScanTable
 
 from conftest import assert_same_fit
 
@@ -370,7 +372,7 @@ def _plain_lm(model_id, x, y, init, cfg, fixed):
     Returns (params, sse_trace, n_iterations, stop reason), the reason one
     of "grad", "step", "sse", "saturated" or "max-iterations"."""
     spec = CATALOG[model_id]
-    x, y, w = _problem(spec, x, y, None)
+    _, x, y, w = _problem(spec, x, y, None, fixed)
     space = spec.space
     terms = spec.prepare(x, fixed)
 
@@ -942,6 +944,36 @@ def test_bad_fixed_value_fails_only_its_problem():
     # a bool is not a number to the engine, as it is not an edge of a window
     with pytest.raises(FitError, match="fixed value temp_k must be a finite number, got True"):
         fit("field", x, y, init, fixed={"temp_k": True})
+
+
+def test_the_engine_refuses_x_outside_the_models_domain():
+    # the engine fitted a negative field, or an echo3 set with t23 < t0,
+    # outside the law it fits; now guess, fit, batch and table refuse it
+    # with the law's text, and the other problems of a batch are unchanged
+    x, y, init, fixed = _invariant_problem("field", 3)
+    bad = x.copy()
+    bad[0] = -0.5
+    why = "x value b_t must be >= 0, got -0.5"
+    cfg = FitConfig(restarts=3, seed=5)
+    refused, good = multi_start_batch("field", [(bad, y, init, None, fixed),
+                                                (x, y, init, None, fixed)], cfg=cfg)
+    assert isinstance(refused, FitError) and str(refused) == why
+    assert_same_fit(good, multi_start_fit("field", x, y, init, cfg=cfg, fixed=fixed))
+    for call in (lambda: fit("field", bad, y, init, fixed=fixed),
+                 lambda: initial_guess("field", bad, y, fixed),
+                 lambda: fit_table("field", ScanTable("field", "gamma_eff", bad, y,
+                                                      np.zeros(y.size), [""] * y.size),
+                                   cfg, fixed)):
+        with pytest.raises(FitError) as exc:
+            call()
+        assert str(exc.value) == why
+
+    _, x, y = _demo_3ppe_problem()
+    t0_us = float(x[:, 1].min())
+    fixed = {**THREE_LEVEL_7MK_009T_FIXED, "t0_us": t0_us + 1.0}
+    with pytest.raises(FitError) as exc:
+        multi_start_fit("echo3", x, y, None, fixed=fixed)
+    assert str(exc.value) == f"x value t23_us must be >= t0_us, got {t0_us!r}"
 
 
 def test_bad_init_fails_only_its_problem():

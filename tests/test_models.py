@@ -467,3 +467,49 @@ def test_a_law_reads_its_values_by_the_catalog_rule(call, why):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == why
+
+
+# ---------------------------------------------------------------------------
+# every law refuses an x value outside its model's domain
+# ---------------------------------------------------------------------------
+
+_MIMS = {"i0": 1.0, "tm_us": 40.0, "x": 1.3}
+_SECH2 = {"gamma_max_khz": 40.0, "g": 0.35}
+_TEMP = {"floor_khz": 7.5, "amp_khz": 45.0, "exponent_n": 1.34}
+
+
+@pytest.mark.parametrize("law", [
+    lambda x: models.mims_intensity(_MIMS, x),
+    lambda x: models.field_linewidth(FIELD_7MK, x, AT_7MK),
+    lambda x: models.temp_linewidth(_TEMP, x),
+    lambda x: models.sech2_sd_amplitude(_SECH2, x, AT_7MK),
+    lambda x: models.sd_linewidth(SD_7MK_009T, x, 300.0, SD_7MK_009T_FIXED),
+    lambda x: models.sd_linewidth(SD_7MK_009T, 0.3, x, SD_7MK_009T_FIXED),
+    lambda x: models.stimulated_echo_intensity(_ECHO3, x, 300.0, ECHO3_FIXED),
+    lambda x: models.stimulated_echo_intensity(_ECHO3, 0.3, x, ECHO3_FIXED),
+    lambda x: models.three_level_population_factor({"beta": 0.5}, x, LIFETIMES),
+], ids=["mims", "field", "temp", "sech2", "sd-t12", "sd-t23", "echo3-t12", "echo3-t23",
+        "population"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.array([0.5, np.nan, 1.0])],
+                         ids=["nan", "inf", "-inf", "one-nan"])
+def test_a_law_refuses_a_non_finite_x(law, bad):
+    # field_linewidth(params, nan) returned nan, as most laws did
+    with pytest.raises(ValueError) as exc:
+        law(bad)
+    assert str(exc.value) == "x values must be finite"
+
+
+@pytest.mark.parametrize("call, why", [
+    (lambda: models.mims_intensity(_MIMS, [1.0, -0.5]), "x value t12_us must be >= 0, got -0.5"),
+    (lambda: models.sd_linewidth(SD_7MK_009T, 0.3, 10.0, SD_7MK_009T_FIXED),
+     "x value t23_us must be >= t0_us, got 10.0"),
+    (lambda: models.stimulated_echo_intensity(_ECHO3, -0.3, 300.0, ECHO3_FIXED),
+     "x value t12_us must be >= 0, got -0.3"),
+    (lambda: models.three_level_population_factor({"beta": 0.5}, -1.0, LIFETIMES),
+     "x value t23_ms must be >= 0, got -1.0"),
+], ids=["mims", "sd", "echo3", "population"])
+def test_a_law_names_the_x_value_outside_its_domain(call, why):
+    # the field, temp, echo3 and mims cases of synth's test check the laws too
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == why

@@ -247,3 +247,71 @@ def test_synth_refuses_a_true_value_the_model_does_not_have(make, why):
     with pytest.raises(FitError) as exc:
         make()
     assert str(exc.value) == why
+
+
+# ---------------------------------------------------------------------------
+# synth evaluates a model as its law does: same x domain, same texts
+# ---------------------------------------------------------------------------
+
+_ECHO3_TRUTH = {**THREE_LEVEL_7MK_009T, **SD_7MK_009T}
+_ECHO3_FIXED = {"t1_ms": 9.0, "tz_s": 2.0, "t0_us": 50.0}
+_AT_7MK = {"temp_k": 0.007}
+
+
+def _echo3_trace(grid):
+    return synth_trace(SynthSpec("echo3", _ECHO3_TRUTH, grid,
+                                 fixed={**_ECHO3_FIXED, "t12_us": 0.33}))
+
+
+@pytest.mark.parametrize("make, law, why", [
+    (lambda: synth_scan("field", FIELD_7MK, [-0.5, 0.0, 0.5], fixed=_AT_7MK),
+     lambda: models.field_linewidth(FIELD_7MK, -0.5, _AT_7MK),
+     "x value b_t must be >= 0, got -0.5"),
+    (lambda: _echo3_trace((10.0, 7500.0, 5, "log")),
+     lambda: models.stimulated_echo_intensity(_ECHO3_TRUTH, 0.33, 10.0, _ECHO3_FIXED),
+     "x value t23_us must be >= t0_us, got 10.0"),
+    (lambda: _echo3_trace((0.0, 7500.0, 5, "linear")),
+     lambda: models.stimulated_echo_intensity(_ECHO3_TRUTH, 0.33, 0.0, _ECHO3_FIXED),
+     "x value t23_us must be >= t0_us, got 0.0"),
+    (lambda: synth_scan("temp", TEMP_009T, (0.0, 0.5, 5, "linear")),
+     lambda: models.temp_linewidth(TEMP_009T, 0.0),
+     "x value temp_k must be > 0, got 0.0"),
+    (lambda: synth_trace(SynthSpec("mims", MIMS_TRUTH, (-1.0, 30.0, 5, "linear"))),
+     lambda: models.mims_intensity(MIMS_TRUTH, -1.0),
+     "x value t12_us must be >= 0, got -1.0"),
+    (lambda: synth_scan("field", FIELD_7MK, [0.0, np.nan, 1.0], fixed=_AT_7MK),
+     lambda: models.field_linewidth(FIELD_7MK, np.nan, _AT_7MK),
+     "x values must be finite"),
+    (lambda: synth_trace(SynthSpec("mims", MIMS_TRUTH, [0.5, np.inf])),
+     lambda: models.mims_intensity(MIMS_TRUTH, np.inf),
+     "x values must be finite"),
+], ids=["field-negative", "echo3-t23-below-t0", "echo3-t23-from-0", "temp-from-0",
+        "mims-negative", "field-nan", "mims-inf"])
+def test_synth_refuses_the_x_values_the_laws_refuse(make, law, why):
+    # synth skipped the laws' x checks: the field scan gave 6.6e8 kHz at
+    # -0.5 T and a NaN row at NaN, the echo3 trace took t23 < t0, and a
+    # grid from 0 reached log(0)
+    for call in (make, law):
+        with pytest.raises(FitError) as exc:
+            call()
+        assert str(exc.value) == why
+
+
+def test_sech2_scan_takes_either_field_sign():
+    # sech2 is even in the field, so its domain has no lower edge
+    scan = synth_scan("sech2", {"gamma_max_khz": 40.0, "g": 0.35}, [-0.5, 0.0, 0.5],
+                      fixed=_AT_7MK)
+    assert scan.value[0] == pytest.approx(scan.value[2], rel=1e-15)
+    assert scan.value[1] == 40.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: synth_scan("field", FIELD_7MK, (0.0, 2.0, 5, "linear"), seed=-1, fixed=_AT_7MK),
+    # checked before the model id and the values
+    lambda: synth_scan("nope", {}, (0.0, 2.0, 5, "linear"), seed=-1),
+    lambda: synth_trace(SynthSpec("mims", {}, (0.25, 30.0, 5, "log"), seed=-1)),
+], ids=["scan", "scan-first", "trace"])
+def test_synth_refuses_a_negative_seed_before_any_work(make):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == "seed must be >= 0, got -1"
