@@ -48,9 +48,9 @@ _EVAL = {
     "mims": ({"t12_us": None}, "intensity"),
     "field": ({"B": None}, "gamma_eff_khz"),
     "temp": ({"T": None}, "gamma_eff_khz"),
-    "sech2": ({"B": None}, "gamma_sd_khz"),
     "sd": ({"t12_us": 0.0, "t23_us": None}, "gamma_eff_khz"),
     "echo3": ({"t12_us": None, "t23_us": None}, "intensity"),
+    "sech2": ({"B": None}, "gamma_sd_khz"),
 }
 
 
@@ -59,11 +59,9 @@ def _fmt(v):
 
 
 def _print_config(args):
-    skip = {"func"}
     for key in sorted(vars(args)):
-        if key in skip:
-            continue
-        print(f"# config {key} = {getattr(args, key)}")
+        if key != "func":
+            print(f"# config {key} = {getattr(args, key)}")
 
 
 @contextmanager
@@ -250,12 +248,8 @@ def cmd_fit_3ppe(args):
         if unknown:
             raise ValueError(f"unknown --config keys {unknown}; "
                              f"known: {', '.join(_FIXED_KEYS + _FIT_KEYS)}")
-        for key in _FIXED_KEYS:
-            if key in conf:
-                fixed[key] = conf[key]
-        for key in _FIT_KEYS:
-            if key in conf:
-                cfg_kwargs[key] = conf[key]
+        fixed.update((key, conf[key]) for key in _FIXED_KEYS if key in conf)
+        cfg_kwargs.update((key, conf[key]) for key in _FIT_KEYS if key in conf)
         # the config file overrides flag values, so re-print what is
         # actually in effect
         for key in sorted(conf):
@@ -316,11 +310,9 @@ def cmd_demo(args):
     paths, checks = run_demo(args.out, seed=args.seed)
     for p in paths:
         print(f"wrote {p}")
-    failed = 0
     for name, ok, detail in checks:
         print(f"check {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-        failed += 0 if ok else 1
-    return 1 if failed else 0
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +327,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate one model at a point")
-    p.add_argument("model", choices=["mims", "field", "temp", "sd", "echo3", "sech2"])
+    p.add_argument("model", choices=list(_EVAL))
     p.add_argument("--preset", default=None)
     p.add_argument("--params", default=None, help="comma-separated key=value")
     p.add_argument("--B", type=float, default=0.0, help="field in tesla")

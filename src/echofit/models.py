@@ -36,7 +36,7 @@ range where that zero is not an interior minimum.
 import numpy as np
 
 from .constants import EXP_CLAMP, MU_B_OVER_K_B
-from .values import BETA_BOUNDS, ParamSpec, XColumn, _numbers, _parameters
+from .values import XColumn, _numbers, _parameters
 
 FOUR_PI = 4.0 * np.pi
 
@@ -290,11 +290,6 @@ def _population(beta, ea, a, b):
     return ea + _HALF * beta * a * b
 
 
-# The population factor's parameter, echo3's beta, and its x domain.
-_POPULATION_PARAMS = (ParamSpec("beta", "logit", *BETA_BOUNDS),)
-_POPULATION_X = XColumn("t23_ms", 0)
-
-
 def three_level_population_factor(params, t23_ms, fixed=None):
     """Ground-state population recovery factor at waiting time ``t23_ms``.
 
@@ -304,10 +299,11 @@ def three_level_population_factor(params, t23_ms, fixed=None):
     echo3's beta, ``fixed`` its t1_ms and tz_s, read by the rule of
     :mod:`echofit.values`.
     """
-    (beta,) = _parameters("population", "parameter", _POPULATION_PARAMS, params).tolist()
+    beta_spec = [p for p in catalog.CATALOG["echo3"].params if p.name == "beta"]
+    (beta,) = _parameters("population", "parameter", beta_spec, params).tolist()
     t1_ms, tz_s = _numbers("population", "fixed", ("t1_ms", "tz_s"), fixed).tolist()
     t = np.asarray(t23_ms, dtype=float)
-    _POPULATION_X.check(t, {})
+    XColumn("t23_ms", 0).check(t, {})
     tz_ms = tz_s * 1e3
     out = _population(beta, *_population_terms(t1_ms, tz_ms, t, _cexp(-t / tz_ms)))
     return float(out) if out.ndim == 0 else out

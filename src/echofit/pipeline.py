@@ -1,5 +1,7 @@
 """Batch fitting across measurement conditions, table fits and reports.
 
+A batch takes a non-empty list of its model's traces (by the rule of
+:mod:`synth`) whose temperature or field varies, never both: its axis.
 The batch runners never abort on a single bad trace: the failing row is
 kept, flagged, with NaN values, so table lengths always match the input
 and the remaining rows are bit-identical to a run without the bad trace.
@@ -19,7 +21,7 @@ from . import models
 from .fitting import FitConfig, multi_start_batch, multi_start_fit
 from .presets import (FIELD_7MK, PRESETS, SD_7MK_009T_SIGMA, T12_SET_US,
                       THREE_LEVEL_7MK_009T_FIXED)
-from .synth import SynthSpec, synth_trace
+from .synth import SynthSpec, scan_table, synth_trace, trace_sequence
 from .trace import ScanTable, write_table
 from .values import FitError, _finite, _numbers
 
@@ -37,17 +39,24 @@ ASSUMED_TZ_S = 1.0
 _DEMO_3PPE = PRESETS["3ppe-7mK-0.09T"]
 
 
-def _condition_axis(traces):
+def _batch_traces(runner, model_id, traces):
+    """The list of ``traces`` that ``runner`` fits with ``model_id``, checked,
+    its condition axis and the function giving a trace's condition."""
+    traces = list(traces)
+    if not traces:
+        raise ValueError("no traces given")
+    sequence = trace_sequence(model_id)
+    bad = [tr.sequence for tr in traces if tr.sequence != sequence]
+    if bad:
+        raise ValueError(f"{runner} expects {sequence} traces, got {bad[0]!r}")
     fields = {tr.field_t for tr in traces}
     temps = {tr.temperature_k for tr in traces}
     if len(fields) > 1 and len(temps) > 1:
         raise ValueError("traces vary in both field and temperature; "
                          "split the batch by one of them")
-    return "temperature" if len(temps) > 1 else "field"
-
-
-def _condition_value(trace, axis):
-    return trace.temperature_k if axis == "temperature" else trace.field_t
+    if len(temps) > 1:
+        return traces, "temperature", lambda tr: tr.temperature_k
+    return traces, "field", lambda tr: tr.field_t
 
 
 def _fit_scan(model_id, axis, rows, readout, cfg):
@@ -58,9 +67,9 @@ def _fit_scan(model_id, axis, rows, readout, cfg):
     flags)`` or the error that stopped its preparation; x and y hold only
     the samples the fit sees.  Each result equals ``multi_start_fit`` with
     init None (the model's guess) on its problem alone, and a row's flags
-    are the fit's, then the problem's.  ``readout``
-    maps each quantity to a function giving a FitResult's ``(value,
-    stderr)``.  A failed row keeps its place, NaN and ``failed:``-flagged.
+    are the fit's, then the problem's.  ``readout`` maps each quantity to
+    a function giving a FitResult's ``(value, stderr)``.  A failed row
+    keeps its place, NaN and ``failed:``-flagged.
     """
     ready = [problem for _, problem in rows if not isinstance(problem, Exception)]
     outcomes = iter(multi_start_batch(
@@ -134,14 +143,8 @@ def batch_fit_2ppe(traces, cfg=None, window=DEFAULT_2PPE_WINDOW, normalize=False
         lo, hi = window
         if hi is not None and lo is not None and hi <= lo:
             raise ValueError("window upper edge must exceed lower edge")
-    traces = list(traces)
-    if not traces:
-        raise ValueError("no traces given")
-    bad = [tr.sequence for tr in traces if tr.sequence != "2ppe"]
-    if bad:
-        raise ValueError(f"batch_fit_2ppe expects 2ppe traces, got {bad[0]!r}")
+    traces, axis, condition_of = _batch_traces("batch_fit_2ppe", "mims", traces)
     cfg = cfg or FitConfig(restarts=4)
-    axis = _condition_axis(traces)
 
     rows = []
     for tr in traces:
@@ -151,7 +154,7 @@ def batch_fit_2ppe(traces, cfg=None, window=DEFAULT_2PPE_WINDOW, normalize=False
             problem = FitError("no positive in-window intensity to normalize by")
         else:
             problem = (x, y / np.max(y) if normalize else y, {}, ())
-        rows.append((_condition_value(tr, axis), problem))
+        rows.append((condition_of(tr), problem))
     readout = {"gamma_eff": _gamma_eff, "i0": _param("i0"), "x": _param("x")}
     return _fit_scan("mims", axis, rows, readout, cfg)
 
@@ -187,12 +190,7 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
     Returns ``(tables, fits)`` with one table per fitted quantity
     (gamma0, gamma_tls, gamma_sd, r_sd, beta), one row per condition.
     """
-    traces = list(traces)
-    if not traces:
-        raise ValueError("no traces given")
-    bad = [tr.sequence for tr in traces if tr.sequence != "3ppe-vs-t23"]
-    if bad:
-        raise ValueError(f"batch_fit_3ppe expects 3ppe-vs-t23 traces, got {bad[0]!r}")
+    traces, axis, condition_of = _batch_traces("batch_fit_3ppe", "echo3", traces)
     cfg = cfg or FitConfig(restarts=4)
     fixed = {"t1_ms": THREE_LEVEL_7MK_009T_FIXED["t1_ms"], **(fixed or {})}
     table = fixed.get("tz_table", [])
@@ -203,7 +201,6 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
     free_t1 = fixed.get("free_t1", False)
     if not isinstance(free_t1, bool):
         raise ValueError(f"free_t1 must be true or false, got {free_t1!r}")
-    axis = _condition_axis(traces)
     model_id = "echo3-free-t1" if free_t1 else "echo3"
 
     groups = {}
@@ -213,7 +210,7 @@ def batch_fit_3ppe(traces, cfg=None, fixed=None):
     rows = []
     for (temp_k, field_t) in sorted(groups):
         members = groups[(temp_k, field_t)]
-        condition = _condition_value(members[0], axis)
+        condition = condition_of(members[0])
         try:
             x = np.concatenate([
                 np.column_stack([np.full(tr.n_points, tr.t12_us), tr.time_us])
@@ -241,7 +238,11 @@ def fit_table(model_id, table, cfg, fixed=None):
     residuals).  The other rows, such as a batch's ``failed:`` rows, are
     left out.  After the fit's own flags (``guess-degenerate`` among
     them, as on a batch row) comes ``rows-dropped:<k>`` when rows were
-    left out."""
+    left out.  A table over another condition axis than the law's is refused."""
+    axis = scan_table(model_id)[0]
+    if table.condition_axis != axis:
+        raise ValueError(f"model {model_id!r} fits a table over {axis}, "
+                         f"got one over {table.condition_axis}")
     keep = np.isfinite(table.value)
     x, y, stderr = table.condition[keep], table.value[keep], table.stderr[keep]
     sigma = stderr if np.all(stderr > 0) else None
@@ -293,8 +294,8 @@ def emit_report(tables, fits, destination, extra_lines=()):
             lines.append(f"    flags: {';'.join(res.flags)}")
 
     # Field-model fits get their minimum reported alongside.
-    gamma_tables = [t for _, t in items if t.quantity_id == "gamma_eff"
-                    and t.condition_axis == "field"]
+    gamma_tables = [t for _, t in items
+                    if (t.condition_axis, t.quantity_id) == scan_table("field")]
     for res in fits:
         if res is not None and res.model_id == "field":
             b_max = float(gamma_tables[0].condition.max()) if gamma_tables else 2.0

@@ -4,13 +4,18 @@ Everything here is a pure function of (spec, seed): identical inputs give
 bit-identical output, which is what makes the round-trip fit tests and
 the demo report reproducible.  The seed is checked first; the values come
 from :func:`echofit.catalog.evaluate`, so synth refuses what a law refuses.
+
+Which data a model makes is decided here once.  By :func:`trace_sequence`
+a log-intensity model makes traces, ``2ppe`` with one x column and
+``3ppe-vs-t23`` with two; by :func:`scan_table` a law makes tables over
+one condition axis; the rest (sd) make neither.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .catalog import evaluate, get_model
+from .catalog import CATALOG, evaluate, get_model
 from .trace import EchoTrace, ScanTable
 
 NOISE_KINDS = ("none", "multiplicative", "additive")
@@ -103,25 +108,31 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
+def trace_sequence(model_id):
+    """The sequence of the traces ``model_id`` makes; one that makes none is refused."""
+    spec = get_model(model_id)
+    if spec.space != "log-intensity":
+        makers = ", ".join(m for m, s in CATALOG.items() if s.space == "log-intensity")
+        raise ValueError(f"model {model_id!r} makes no echo traces; {makers} do")
+    return "2ppe" if len(spec.x_domain) == 1 else "3ppe-vs-t23"
+
+
 def synth_trace(spec: SynthSpec) -> EchoTrace:
     """Evaluate spec.model_id on the grid, apply optional modulation and
     seeded noise, and wrap the result as an EchoTrace."""
     rng = _rng(spec.seed)
-    model = get_model(spec.model_id)
+    sequence = trace_sequence(spec.model_id)
     pts = build_grid(spec.grid)
 
-    if len(model.x_domain) == 2:
+    if len(get_model(spec.model_id).x_domain) == 2:
         if spec.modulation is not None:
             raise ValueError("modulation applies to 2ppe traces only")
         if "t12_us" not in spec.fixed:
             raise ValueError("two-delay models need fixed['t12_us'] for the trace")
         t12_fixed = float(spec.fixed["t12_us"])
-        xs, sequence = (t12_fixed, pts), "3ppe-vs-t23"
+        xs = (t12_fixed, pts)
     else:
-        if spec.model_id != "mims":
-            raise ValueError(f"model {spec.model_id!r} produces scan tables, "
-                             "not echo traces; use synth_scan")
-        xs, sequence, t12_fixed = (pts,), "2ppe", None
+        xs, t12_fixed = (pts,), None
 
     y = evaluate(spec.model_id, spec.true_params, xs, spec.fixed, kind="true")
     if spec.modulation is not None:
@@ -142,8 +153,14 @@ def synth_trace(spec: SynthSpec) -> EchoTrace:
     )
 
 
-_SCAN_AXIS = {"field": "field", "temp": "temperature", "sech2": "field"}
-_SCAN_QUANTITY = {"field": "gamma_eff", "temp": "gamma_eff", "sech2": "gamma_sd"}
+def scan_table(model_id):
+    """``(condition axis, quantity)`` of the law ``model_id``'s tables; a
+    model that makes none is refused."""
+    tables = {"field": ("field", "gamma_eff"), "temp": ("temperature", "gamma_eff"),
+              "sech2": ("field", "gamma_sd")}
+    if model_id not in tables:
+        raise ValueError(f"model {model_id!r} is not a condition-scan model")
+    return tables[model_id]
 
 
 def synth_scan(model_id, true_params, condition_grid, noise=("none", 0.0),
@@ -151,8 +168,7 @@ def synth_scan(model_id, true_params, condition_grid, noise=("none", 0.0),
     """Synthetic linewidth-versus-condition table for the scan models; the
     true and fixed values are read as by :func:`synth_trace`."""
     rng = _rng(seed)
-    if model_id not in _SCAN_AXIS:
-        raise ValueError(f"model {model_id!r} is not a condition-scan model")
+    axis, quantity = scan_table(model_id)
     pts = build_grid(condition_grid)
     y = evaluate(model_id, true_params, (pts,), fixed, kind="true")
     noisy = _apply_noise(y, noise, rng)
@@ -164,8 +180,8 @@ def synth_scan(model_id, true_params, condition_grid, noise=("none", 0.0),
     else:
         stderr = np.zeros(y.shape)
     return ScanTable(
-        condition_axis=_SCAN_AXIS[model_id],
-        quantity_id=_SCAN_QUANTITY[model_id],
+        condition_axis=axis,
+        quantity_id=quantity,
         condition=pts,
         value=noisy,
         stderr=stderr,

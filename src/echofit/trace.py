@@ -1,9 +1,9 @@
 """Echo-trace and scan-table containers plus their text serialization.
 
-Trace files are self-describing delimited text: header lines of the form
-``# key: value`` declaring the time unit, sequence type and measurement
-condition, followed by two numeric columns (time, intensity).  A missing
-time-unit header is a hard error; units are never guessed.
+Trace and table files open with ``# key: value`` headers, read by one
+reader up to the first data row.  A trace declares its time unit (never
+guessed), sequence and condition, then two numeric columns (time,
+intensity); a table its condition axis and quantity, then csv rows.
 """
 
 import csv
@@ -90,22 +90,40 @@ def write_trace(trace: EchoTrace, path, unit_time="us"):
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_headers(path, fh, required):
+    """``(headers, lines, n)``: the ``# key: value`` lines of ``fh`` before
+    its first data row, and the lines from that row (line n + 1) on.
+    A header without a colon and a missing ``required`` key are refused."""
+    headers, n, row = {}, 0, ""
+    for line in fh:
+        text = line.strip()
+        if text and not text.startswith("#"):
+            row = line
+            break
+        n += 1
+        if text:
+            key, colon, val = text[1:].strip().partition(":")
+            if not colon:
+                raise ValueError(f"{path}:{n}: malformed header {text!r}")
+            headers[key.strip()] = val.strip()
+    for req in required:
+        if req not in headers:
+            raise ValueError(f"{path}: missing required '# {req}:' header")
+    return headers, itertools.chain([row], fh), n
+
+
 def load_trace(path):
     """Parse a trace file; see :func:`write_trace` for the format."""
-    headers = {}
     rows = []
     with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
+        headers, lines, n = _read_headers(
+            path, fh, ("unit-time", "sequence", "temperature_K", "field_T"))
+        for ln, raw in enumerate(lines, start=n + 1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" not in body:
-                    raise ValueError(f"{path}:{ln}: malformed header {line!r}")
-                key, _, val = body.partition(":")
-                headers[key.strip()] = val.strip()
-                continue
+                raise ValueError(f"{path}:{ln}: header {line!r} after the first data row")
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{ln}: expected two columns, got {len(parts)}")
@@ -117,14 +135,9 @@ def load_trace(path):
             except (ValueError, InvalidOperation):
                 raise ValueError(f"{path}:{ln}: non-numeric data {line!r}") from None
 
-    if "unit-time" not in headers:
-        raise ValueError(f"{path}: missing required '# unit-time:' header")
     unit = headers["unit-time"]
     if unit not in _UNIT_EXPONENT:
         raise ValueError(f"{path}: unknown time unit {unit!r}")
-    for req in ("sequence", "temperature_K", "field_T"):
-        if req not in headers:
-            raise ValueError(f"{path}: missing required '# {req}:' header")
     shift = _UNIT_EXPONENT[unit]
     return EchoTrace(
         sequence=headers["sequence"],
@@ -205,25 +218,13 @@ def write_table(table: ScanTable, path, fmt="%.17g"):
 def load_table(path):
     """Read a table written by :func:`write_table`.
 
-    The ``# key: value`` header lines come first.  Every row after them is
-    read by one csv reader, so a quoted flag may hold commas, quotes and
-    newlines.
+    Every row after the header block is read by one csv reader, so a
+    quoted flag may hold commas, quotes and newlines.
     """
-    headers = {}
     rows = []
     with open(path, newline="") as fh:
-        n_head = 0
-        first = ""
-        for line in fh:
-            text = line.strip()
-            if text and not text.startswith("#"):
-                first = line
-                break
-            n_head += 1
-            if text:
-                key, _, val = text[1:].strip().partition(":")
-                headers[key.strip()] = val.strip()
-        reader = csv.reader(itertools.chain([first], fh))
+        headers, lines, n_head = _read_headers(path, fh, ("condition-axis", "quantity"))
+        reader = csv.reader(lines)
         for parts in reader:
             if len(parts) < 2 and not "".join(parts).strip():
                 continue  # blank line
@@ -235,12 +236,5 @@ def load_table(path):
             except ValueError:
                 raise ValueError(f"{path}:{ln}: non-numeric data "
                                  f"{','.join(parts[:3])!r}") from None
-    for req in ("condition-axis", "quantity"):
-        if req not in headers:
-            raise ValueError(f"{path}: missing required '# {req}:' header")
-    cond = np.array([r[0] for r in rows])
-    val = np.array([r[1] for r in rows])
-    err = np.array([r[2] for r in rows])
-    flags = [r[3] for r in rows]
-    return ScanTable(headers["condition-axis"], headers["quantity"],
-                     cond, val, err, flags)
+    columns = [list(c) for c in zip(*rows)] if rows else [[], [], [], []]
+    return ScanTable(headers["condition-axis"], headers["quantity"], *columns)

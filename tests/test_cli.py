@@ -13,8 +13,9 @@ from echofit.cli import main
 from echofit.fitting import FitConfig, multi_start_fit
 from echofit.guesses import initial_guess
 from echofit.pipeline import fit_table
-from echofit.presets import PRESETS, SD_7MK_009T, TEMP_009T
-from echofit.trace import ScanTable, load_table, load_trace
+from echofit.presets import FIELD_7MK, PRESETS, SD_7MK_009T, TEMP_009T
+from echofit.synth import synth_scan
+from echofit.trace import ScanTable, load_table, load_trace, write_table
 
 
 def test_eval_field_preset_zero_field(capsys):
@@ -325,6 +326,21 @@ def test_scan_field_table_leaves_out_a_failed_row(tmp_path, capsys):
     end = start + 1 + len(res.param_names)
     assert out[start + 1:end] == _fit_lines(res)
     assert out[end] == f"  flags: {';'.join(res.flags + ('rows-dropped:1',))}"
+
+
+def test_scan_temp_table_refuses_a_field_table(tmp_path, capsys):
+    # it used to fit the temperature law to fields in tesla and exit 0
+    # with converged=True and no flag
+    path = tmp_path / "gamma_eff_vs_field.txt"
+    write_table(synth_scan("field", FIELD_7MK, (0.05, 2.0, 20, "linear"),
+                           fixed={"temp_k": 0.007}), path)
+    capsys.readouterr()
+    rc = main(["scan-temp", "--table", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "converged" not in captured.out
+    assert captured.err == ("error: model 'temp' fits a table over temperature, "
+                            "got one over field\n")
 
 
 def test_scan_temp_table_fits_a_scan_temp_table_unweighted(tmp_path, capsys):

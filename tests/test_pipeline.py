@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +41,9 @@ from echofit.presets import (
     SD_7MK_009T,
     SD_7MK_009T_SIGMA,
     T12_SET_US,
+    TEMP_009T,
 )
-from echofit.synth import SynthSpec, synth_trace
+from echofit.synth import SynthSpec, synth_scan, synth_trace
 from echofit.trace import EchoTrace, ScanTable, load_table
 
 from conftest import assert_same_fit
@@ -271,10 +273,26 @@ def test_batch_rejects_mixed_condition_axes():
 
 def test_batch_rejects_wrong_sequence():
     tr = _3ppe_traces(seed=1)[0]
-    with pytest.raises(ValueError, match="2ppe"):
+    with pytest.raises(ValueError, match="^batch_fit_2ppe expects 2ppe traces, "
+                                         "got '3ppe-vs-t23'$"):
         batch_fit_2ppe([tr])
-    with pytest.raises(ValueError, match="3ppe"):
+    with pytest.raises(ValueError, match="^batch_fit_3ppe expects 3ppe-vs-t23 traces, "
+                                         "got '2ppe'$"):
         batch_fit_3ppe([_mims_trace(0.0, seed=1)])
+
+
+@pytest.mark.parametrize("run", [batch_fit_2ppe, batch_fit_3ppe])
+def test_batch_refuses_an_empty_list(run):
+    with pytest.raises(ValueError, match="^no traces given$"):
+        run(iter(()))
+
+
+def test_3ppe_batch_names_mixed_axes_before_its_fixed_values():
+    # the batch's traces are checked first, then tz_table and free_t1
+    traces = _3ppe_traces(seed=412, n=40) + [
+        replace(tr, temperature_k=0.1, field_t=0.9) for tr in _3ppe_traces(seed=413, n=40)]
+    with pytest.raises(ValueError, match="^traces vary in both field and temperature"):
+        batch_fit_3ppe(traces, fixed={"tz_table": "tz.yaml", "free_t1": "no"})
 
 
 def test_normalize_rescales_i0_to_one():
@@ -522,6 +540,26 @@ def test_fit_table_flags_a_degenerate_guess_before_the_dropped_rows():
     alone = multi_start_fit("field", x, y, guess.params, cfg=cfg, fixed=fixed)
     assert res.params == alone.params
     assert res.flags == alone.flags + ("guess-degenerate", "rows-dropped:1")
+
+
+@pytest.mark.parametrize("model_id, table, law_axis, table_axis", [
+    ("temp", synth_scan("field", FIELD_7MK, (0.05, 2.0, 20, "linear"),
+                        fixed={"temp_k": 0.007}), "temperature", "field"),
+    ("field", synth_scan("temp", TEMP_009T, (0.007, 0.55, 20, "log")), "field",
+     "temperature"),
+], ids=["temp-on-field", "field-on-temperature"])
+def test_fit_table_refuses_a_table_over_the_other_axis(model_id, table, law_axis,
+                                                       table_axis):
+    # the temperature law used to fit fields in tesla and report converged=True
+    with pytest.raises(ValueError) as exc:
+        fit_table(model_id, table, FitConfig(), {"temp_k": 0.007})
+    assert str(exc.value) == (f"model {model_id!r} fits a table over {law_axis}, "
+                              f"got one over {table_axis}")
+
+
+def test_fit_table_refuses_a_model_that_fits_no_table():
+    with pytest.raises(ValueError, match="^model 'mims' is not a condition-scan model$"):
+        fit_table("mims", _field_table(np.arange(1.0, 15.0)), FitConfig())
 
 
 def test_fit_table_refuses_a_temperature_not_above_zero():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from echofit import models
+from echofit.catalog import CATALOG
 from echofit.fitting import fit
 from echofit.presets import FIELD_7MK, SD_7MK_009T, TEMP_009T, THREE_LEVEL_7MK_009T
-from echofit.synth import Modulation, SynthSpec, build_grid, synth_scan, synth_trace
+from echofit.synth import (Modulation, SynthSpec, build_grid, scan_table, synth_scan,
+                           synth_trace, trace_sequence)
 from echofit.values import FitError
 
 MIMS_TRUTH = {"i0": 1.0, "tm_us": 40.0, "x": 1.3}
@@ -315,3 +317,65 @@ def test_synth_refuses_a_negative_seed_before_any_work(make):
     with pytest.raises(ValueError) as exc:
         make()
     assert str(exc.value) == "seed must be >= 0, got -1"
+
+
+# ---------------------------------------------------------------------------
+# which data each model makes
+# ---------------------------------------------------------------------------
+
+_NO_DATA = {"sd"}   # models that make neither traces nor tables
+
+
+def _holds(rule, model_id):
+    try:
+        rule(model_id)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("model_id", sorted(CATALOG))
+def test_each_model_falls_under_exactly_one_data_rule(model_id):
+    # a new model must make traces, be a law with a table axis, or be
+    # listed in _NO_DATA
+    rules = [_holds(trace_sequence, model_id), _holds(scan_table, model_id),
+             model_id in _NO_DATA]
+    assert rules.count(True) == 1, rules
+
+
+@pytest.mark.parametrize("model_id", ["sd", "field", "temp", "sech2"])
+def test_synth_trace_refuses_a_model_that_makes_no_traces(model_id):
+    # sd used to give a 3ppe-vs-t23 trace of linewidths in kHz
+    spec = SynthSpec(model_id, SD_7MK_009T, (50.0, 7500.0, 4, "log"),
+                     fixed={"t0_us": 50.0, "t12_us": 0.33})
+    with pytest.raises(ValueError) as exc:
+        synth_trace(spec)
+    assert str(exc.value) == (f"model {model_id!r} makes no echo traces; "
+                              "mims, echo3, echo3-free-t1 do")
+
+
+def test_echo3_free_t1_makes_a_waiting_time_trace():
+    truth = dict(THREE_LEVEL_7MK_009T, t1_ms=9.0, **SD_7MK_009T)
+    tr = synth_trace(SynthSpec("echo3-free-t1", truth, (50.0, 7500.0, 30, "log"),
+                               fixed={"tz_s": 2.0, "t0_us": 50.0, "t12_us": 0.33}))
+    assert (tr.sequence, tr.t12_us) == ("3ppe-vs-t23", 0.33)
+    want = models.stimulated_echo_intensity(
+        dict(THREE_LEVEL_7MK_009T, **SD_7MK_009T), 0.33, tr.time_us,
+        {"t1_ms": 9.0, "tz_s": 2.0, "t0_us": 50.0})
+    np.testing.assert_allclose(tr.intensity, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("model_id", ["mims", "sd"])
+def test_synth_scan_refuses_a_model_that_makes_no_tables(model_id):
+    with pytest.raises(ValueError) as exc:
+        synth_scan(model_id, {}, (0.0, 2.0, 5, "linear"))
+    assert str(exc.value) == f"model {model_id!r} is not a condition-scan model"
+
+
+def test_each_scan_table_states_its_law_axis_and_quantity():
+    for model_id, truth, fixed in (("field", FIELD_7MK, _AT_7MK), ("temp", TEMP_009T, None),
+                                   ("sech2", {"gamma_max_khz": 40.0, "g": 0.35}, _AT_7MK)):
+        scan = synth_scan(model_id, truth, (0.01, 0.5, 4, "linear"), fixed=fixed)
+        assert (scan.condition_axis, scan.quantity_id) == scan_table(model_id)
+    assert [scan_table(m) for m in ("field", "temp", "sech2")] == [
+        ("field", "gamma_eff"), ("temperature", "gamma_eff"), ("field", "gamma_sd")]

@@ -144,6 +144,42 @@ def test_table_non_numeric_cell_reports_file_and_line(tmp_path):
         load_table(p)
 
 
+@pytest.mark.parametrize("late", ["# field_T: 0", "# a comment", "#"])
+def test_trace_header_after_the_first_row_is_refused(tmp_path, late):
+    # a header after the rows used to be read as one, overriding an earlier value
+    p = tmp_path / "late.txt"
+    p.write_text("# unit-time: us\n# sequence: 2ppe\n"
+                 "# temperature_K: 0.007\n# field_T: 0.5\n\n"
+                 f"0.25 0.9\n1.0 0.5\n{late}\n5.0 0.1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:8: header "
+                                         f"{re.escape(repr(late))} after the first data row$"):
+        load_trace(p)
+
+
+@pytest.mark.parametrize("load, head", [
+    (load_table, "# condition-axis: field\n# quantity: gamma_eff\n"),
+    (load_trace, "# unit-time: us\n# sequence: 2ppe\n# temperature_K: 0.007\n"
+                 "# field_T: 0\n"),
+], ids=["table", "trace"])
+def test_header_without_a_colon_is_refused(tmp_path, load, head):
+    # a table used to skip such a line
+    p = tmp_path / "bad.txt"
+    p.write_text(head + "\n# no colon here\n0.25,0.9,0.1,\n")
+    line = head.count("\n") + 2
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{line}: malformed header "
+                                         "'# no colon here'$"):
+        load(p)
+
+
+def test_table_header_block_ends_at_the_first_row(tmp_path):
+    # a required header after the first row is no header
+    p = tmp_path / "late.csv"
+    p.write_text("# quantity: gamma_eff\n0.0,1.0,0.1,\n# condition-axis: field\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: missing required "
+                                         "'# condition-axis:' header$"):
+        load_table(p)
+
+
 def test_non_monotone_times_rejected(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("# unit-time: us\n# sequence: 2ppe\n"
