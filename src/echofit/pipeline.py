@@ -12,7 +12,10 @@ The demo runs its 3PPE half in a worker process; see :func:`run_demo`.
 
 import atexit
 import os
+import signal
+import threading
 from collections.abc import Mapping
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 
 import numpy as np
@@ -376,42 +379,93 @@ def _demo_3ppe_half(seed):
     return truth3, tables3, fits3
 
 
-_DEMO_WORKER = None  # the demo's 3PPE worker: a one-process pool, forked at first use
+_DEMO_WORKER = None  # (pid that forked it, its pid, this end of its pipe)
+_DEMO_LOCK = threading.Lock()  # held by the one demo whose half the worker runs
+
+
+def _fork_demo_worker():
+    """Fork the demo's 3PPE worker, which sends back ``(True, result)`` or
+    ``(False, error)`` for each seed it receives, until its pipe closes."""
+    from multiprocessing.connection import Pipe  # here: the import costs about 1 MB
+    ours, theirs = Pipe()
+    with theirs:
+        try:
+            pid = os.fork()
+        except OSError:
+            ours.close()
+            raise
+        if pid == 0:  # the worker: whatever it raises, it never returns from here
+            try:
+                ours.close()
+                while True:
+                    seed = theirs.recv()
+                    try:
+                        reply = True, _demo_3ppe_half(seed)
+                    except Exception as err:
+                        reply = False, err
+                    theirs.send(reply)
+            finally:
+                os._exit(0)
+    return os.getpid(), pid, ours
 
 
 @atexit.register
 def _close_demo_worker():
-    """Shut the demo's worker down (at exit too: module teardown would
-    collect a live pool after multiprocessing is gone and print an error)."""
+    """Kill this process's demo worker, whatever it is doing, and reap it."""
     global _DEMO_WORKER
     if _DEMO_WORKER is not None:
-        _DEMO_WORKER.shutdown()
-    _DEMO_WORKER = None
+        owner, pid, conn = _DEMO_WORKER
+        _DEMO_WORKER = None
+        conn.close()
+        if owner == os.getpid():  # not one inherited from the process that forked this one
+            with suppress(ProcessLookupError, ChildProcessError):  # reaped already
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
+@contextmanager
 def _start_demo_3ppe(seed):
-    """Start the demo's 3PPE half; returns the function that waits for its
-    result.  A forked worker starts warm, with this process's imports; a
-    fresh process per call was slower than the half itself."""
+    """Start the demo's 3PPE half beside the with block, which it gives the
+    function that waits for the half's ``(truth, tables, fits)``.  The warm
+    forked worker serves one demo at a time, and is killed if the block
+    ends with its reply unread, so that no later demo reads it as its own."""
     global _DEMO_WORKER
-    in_process = lambda: _demo_3ppe_half(seed)
+    half = lambda: _demo_3ppe_half(seed)
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1):
-        return in_process
-    import multiprocessing  # here, as the import alone costs about 1 MB
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    if multiprocessing.current_process().daemon:  # it may start no child
-        return in_process
+            and len(os.sched_getaffinity(0)) > 1
+            and _DEMO_LOCK.acquire(blocking=False)):  # not held by another thread's demo
+        yield half
+        return
+    pending = False
+
+    def collect():
+        nonlocal pending
+        try:
+            ok, value = conn.recv()
+        except (EOFError, ConnectionError):  # it died, with or without our seed read
+            raise RuntimeError("the demo's 3PPE worker died") from None
+        pending = False
+        if not ok:
+            raise value
+        return value
+
     try:
-        _DEMO_WORKER = _DEMO_WORKER or ProcessPoolExecutor(
-            1, mp_context=multiprocessing.get_context("fork"))
-        return _DEMO_WORKER.submit(_demo_3ppe_half, seed).result
-    except BrokenProcessPool:  # its process died: fork a new one
-        _close_demo_worker()
-        return _start_demo_3ppe(seed)
-    except OSError:  # the fork failed
-        _close_demo_worker()
-        return in_process
+        try:
+            if (_DEMO_WORKER is None or _DEMO_WORKER[0] != os.getpid()
+                    or _DEMO_WORKER[2].poll()):  # an idle worker's pipe reads only its EOF
+                _close_demo_worker()
+                _DEMO_WORKER = _fork_demo_worker()
+            conn = _DEMO_WORKER[2]
+            conn.send(seed)
+            pending = True
+        except OSError:  # the fork failed, or the worker died since the poll
+            _close_demo_worker()
+            collect = half
+        yield collect
+    finally:
+        if pending:
+            _close_demo_worker()
+        _DEMO_LOCK.release()
 
 
 def run_demo(destination, seed=1):
@@ -419,12 +473,14 @@ def run_demo(destination, seed=1):
     emit the full report.
 
     ``seed`` (an int >= 0) is checked before any work starts.  The 3PPE
-    half runs in a worker process, forked at the first demo, reused by
-    later ones and shut down at interpreter exit, while this process runs
-    the 2PPE half; every result and report byte is as in-process.  It runs
-    in-process without ``fork``, on one usable CPU, in a daemonic process
-    or when the fork fails.  Code patched after the first demo does not
-    reach the worker.
+    half runs in a worker process, reached over one pipe, while this
+    process runs the 2PPE half; every result and report byte is as
+    in-process.  The worker is forked at the first demo and reused by later
+    ones; a dead one fails its pending half and the next demo forks afresh,
+    and at interpreter exit it is killed and reaped.  The half runs
+    in-process without ``fork``, on one usable CPU, when the fork fails and
+    for a demo of one thread while another thread's demo holds the worker.
+    Code patched after the first demo does not reach the worker.
 
     Returns ``(paths, checks)``; checks is a list of (name, passed,
     detail) for the embedded consistency checks.
@@ -432,31 +488,30 @@ def run_demo(destination, seed=1):
     cfg2 = FitConfig(restarts=4, seed=seed)  # refuses a seed that is not an int
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    collect_3ppe = _start_demo_3ppe(seed)
     checks = []
+    with _start_demo_3ppe(seed) as collect_3ppe:
+        # Field scan: per-field decay fits, then the linewidth model on top.
+        tables2, fits2 = batch_fit_2ppe(_demo_2ppe_traces(seed), cfg=cfg2,
+                                        window=DEFAULT_2PPE_WINDOW)
 
-    # Field scan: per-field decay fits, then the linewidth model on top.
-    tables2, fits2 = batch_fit_2ppe(_demo_2ppe_traces(seed), cfg=cfg2,
-                                    window=DEFAULT_2PPE_WINDOW)
+        gamma_tab = tables2["gamma_eff"]
+        fit_field = fit_table("field", gamma_tab, FitConfig(restarts=8, seed=seed + 1),
+                              {"temp_k": DEMO_TEMP_K})
 
-    gamma_tab = tables2["gamma_eff"]
-    fit_field = fit_table("field", gamma_tab, FitConfig(restarts=8, seed=seed + 1),
-                          {"temp_k": DEMO_TEMP_K})
+        zero_field = models.field_linewidth(FIELD_7MK, 0.0, {"temp_k": DEMO_TEMP_K})
+        checks.append(("zero-field-linewidth",
+                       abs(zero_field - 40.02) < 1e-9,
+                       f"reference evaluation at B=0 gives {REPORT_FMT % zero_field} kHz"))
 
-    zero_field = models.field_linewidth(FIELD_7MK, 0.0, {"temp_k": DEMO_TEMP_K})
-    checks.append(("zero-field-linewidth",
-                   abs(zero_field - 40.02) < 1e-9,
-                   f"reference evaluation at B=0 gives {REPORT_FMT % zero_field} kHz"))
+        nearest = int(np.argmin(np.abs(gamma_tab.condition - 0.14)))
+        argmin_fit = int(np.nanargmin(gamma_tab.value))
+        checks.append(("scan-minimum-position",
+                       argmin_fit == nearest,
+                       "fitted linewidth minimum at B = "
+                       f"{REPORT_FMT % gamma_tab.condition[argmin_fit]} T"))
 
-    nearest = int(np.argmin(np.abs(gamma_tab.condition - 0.14)))
-    argmin_fit = int(np.nanargmin(gamma_tab.value))
-    checks.append(("scan-minimum-position",
-                   argmin_fit == nearest,
-                   "fitted linewidth minimum at B = "
-                   f"{REPORT_FMT % gamma_tab.condition[argmin_fit]} T"))
-
-    # Waiting-time scans at one condition, fitted jointly across t12.
-    truth3, tables3, fits3 = collect_3ppe()
+        # Waiting-time scans at one condition, fitted jointly across t12.
+        truth3, tables3, fits3 = collect_3ppe()
 
     recovery_lines = ["recovery at 7 mK / 0.09 T (3 t12 traces, 3% noise):"]
     res3 = fits3[0]

@@ -23,6 +23,19 @@ _UNIT_EXPONENT = {"ns": -6, "us": -3, "ms": 0, "s": 3}
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
+def _header_text(text):
+    """Whether ``text`` is a header value that reads back as itself: one line
+    with no surrounding whitespace, which the reader strips, and no lone
+    surrogate, which UTF-8 cannot encode."""
+    if not isinstance(text, str) or "\n" in text or "\r" in text or text != text.strip():
+        return False
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @dataclass
 class EchoTrace:
     """One echo-intensity series.
@@ -61,6 +74,9 @@ class EchoTrace:
             raise ValueError("field_t must be >= 0")
         if self.sequence == "3ppe-vs-t23" and self.t12_us is None:
             raise ValueError("3ppe-vs-t23 traces need the fixed t12_us")
+        if not _header_text(self.provenance):
+            raise ValueError("provenance must be one line of UTF-8 text without "
+                             f"surrounding whitespace, got {self.provenance!r}")
 
     @property
     def time_us(self):
@@ -86,7 +102,7 @@ def write_trace(trace: EchoTrace, path, unit_time="us"):
         lines.append(f"# provenance: {trace.provenance}")
     for t, v in zip(trace.time_ms.tolist(), trace.intensity):
         lines.append(f"{Decimal(repr(t)).scaleb(shift, _EXACT):g} {v:.17g}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -115,7 +131,7 @@ def _read_headers(path, fh, required):
 def load_trace(path):
     """Parse a trace file; see :func:`write_trace` for the format."""
     rows = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         headers, lines, n = _read_headers(
             path, fh, ("unit-time", "sequence", "temperature_K", "field_T"))
         for ln, raw in enumerate(lines, start=n + 1):

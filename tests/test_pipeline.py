@@ -8,8 +8,8 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -682,7 +682,15 @@ needs_worker = pytest.mark.skipif(
 
 
 def _worker_pid():
-    return pipeline._DEMO_WORKER.submit(os.getpid).result(timeout=30)
+    """The pid of this process's demo worker, a live child of it."""
+    owner, pid, _ = pipeline._DEMO_WORKER
+    assert owner == os.getpid() != pid and os.waitpid(pid, os.WNOHANG) == (0, 0)
+    return pid
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _same_files(a, b):
@@ -692,11 +700,18 @@ def _same_files(a, b):
     assert not mismatch and not errors
 
 
+def _in_process_demo(destination, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        run_demo(destination, seed=seed)
+
+
 @needs_worker
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_the_3ppe_half_in_the_worker_equals_the_in_process_call(seed):
-    truth, tables, fits = _start_demo_3ppe(seed)()
-    assert pipeline._DEMO_WORKER is not None and _worker_pid() != os.getpid()
+    with _start_demo_3ppe(seed) as collect:
+        truth, tables, fits = collect()
+    _worker_pid()
     lone_truth, lone_tables, lone_fits = _demo_3ppe_half(seed)
     assert truth == lone_truth
     assert len(fits) == len(lone_fits) == 1
@@ -716,13 +731,16 @@ def test_demos_share_one_worker_that_ends_with_its_process(tmp_path):
     run_demo(str(tmp_path / "one"), seed=1)
     pid = _worker_pid()
     run_demo(str(tmp_path / "two"), seed=2)
-    assert _worker_pid() == pid != os.getpid()
+    assert _worker_pid() == pid
+    _close_demo_worker()
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
 
     src = str(Path(pipeline.__file__).resolve().parent.parent)
-    code = ("import os, sys\n"
+    code = ("import sys\n"
             "from echofit import pipeline\n"
             "pipeline.run_demo(sys.argv[1], seed=1)\n"
-            "print(pipeline._DEMO_WORKER.submit(os.getpid).result())\n")
+            "print(pipeline._DEMO_WORKER[1])\n")
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "three")],
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                           text=True, timeout=120, check=True)
@@ -731,6 +749,13 @@ def test_demos_share_one_worker_that_ends_with_its_process(tmp_path):
     with pytest.raises(ProcessLookupError):
         os.kill(child_worker, 0)
     _same_files(tmp_path / "one", tmp_path / "three")
+
+
+@needs_worker
+def test_after_a_demo_the_caller_runs_one_thread(tmp_path):
+    run_demo(str(tmp_path / "demo"), seed=1)
+    assert threading.active_count() == 1
+    _worker_pid()
 
 
 @needs_worker
@@ -744,11 +769,43 @@ def test_an_error_in_the_worker_reaches_the_caller(tmp_path, monkeypatch):
     try:
         with pytest.raises(FitError) as err:
             run_demo(str(tmp_path / "demo"), seed=4)
-        assert _worker_pid() != os.getpid()
+        _worker_pid()  # it outlives the error
     finally:
         _close_demo_worker()
     assert type(err.value) is FitError and str(err.value) == "no traces for seed 4"
     assert not (tmp_path / "demo").exists()
+
+
+def _interrupted(seed):
+    raise KeyboardInterrupt
+
+
+def _exits(seed):
+    raise SystemExit(3)
+
+
+def _unsendable(seed):
+    return lambda: seed  # the worker's send of it fails
+
+
+@needs_worker
+@pytest.mark.parametrize("half", [_interrupted, _exits, _unsendable])
+def test_the_worker_ends_on_any_error_and_never_returns_into_the_caller(
+        tmp_path, monkeypatch, half):
+    monkeypatch.setattr(pipeline, "_demo_3ppe_half", half)
+    caller = os.getpid()
+    try:
+        _, worker, conn = pipeline._fork_demo_worker()
+    finally:
+        if os.getpid() != caller:  # the worker got out into this code: note it, end
+            (tmp_path / "escaped").touch()
+            os._exit(1)
+    with conn:
+        conn.send(1)
+        with pytest.raises(EOFError):
+            conn.recv()
+    assert os.waitpid(worker, 0) == (worker, 0)
+    assert not (tmp_path / "escaped").exists()
 
 
 @needs_worker
@@ -757,16 +814,87 @@ def test_a_killed_worker_fails_the_pending_half_and_the_next_demo_forks_afresh(
     _close_demo_worker()
     monkeypatch.setattr(pipeline, "_demo_3ppe_traces", lambda seed: time.sleep(60))
     try:
-        collect = _start_demo_3ppe(1)
-        (worker,) = multiprocessing.active_children()
-        os.kill(worker.pid, signal.SIGKILL)
-        with pytest.raises(BrokenProcessPool):
-            collect(timeout=30)
+        with _start_demo_3ppe(1) as collect:
+            worker = _worker_pid()
+            os.kill(worker, signal.SIGKILL)
+            with pytest.raises(RuntimeError, match="^the demo's 3PPE worker died$"):
+                collect()
     finally:
         monkeypatch.undo()
+    _no_child_left()
     paths, checks = run_demo(str(tmp_path / "after"), seed=1)
     assert all(ok for _, ok, _ in checks)
-    assert _worker_pid() not in (worker.pid, os.getpid())
+    assert _worker_pid() != worker
+
+
+@needs_worker
+def test_a_worker_killed_between_demos_is_replaced(tmp_path):
+    run_demo(str(tmp_path / "one"), seed=1)
+    worker = _worker_pid()
+    os.kill(worker, signal.SIGKILL)
+    os.waitpid(worker, 0)
+    run_demo(str(tmp_path / "two"), seed=1)
+    assert _worker_pid() != worker
+    _same_files(tmp_path / "one", tmp_path / "two")
+
+
+@needs_worker
+def test_closing_the_worker_does_not_wait_for_its_half(monkeypatch):
+    _close_demo_worker()
+    monkeypatch.setattr(pipeline, "_demo_3ppe_traces", lambda seed: time.sleep(60))
+    with _start_demo_3ppe(1):
+        worker = _worker_pid()
+        start = time.monotonic()
+        _close_demo_worker()
+        assert time.monotonic() - start < 5
+    with pytest.raises(ProcessLookupError):
+        os.kill(worker, 0)
+
+
+@needs_worker
+def test_a_demo_that_fails_beside_its_half_leaves_no_reply_for_the_next(
+        tmp_path, monkeypatch):
+    def fails_once(*args, **kwargs):
+        monkeypatch.setattr(pipeline, "batch_fit_2ppe", batch_fit_2ppe)
+        raise FitError("the 2ppe half failed")
+
+    run_demo(str(tmp_path / "first"), seed=1)
+    monkeypatch.setattr(pipeline, "batch_fit_2ppe", fails_once)
+    with pytest.raises(FitError, match="the 2ppe half failed"):
+        run_demo(str(tmp_path / "failed"), seed=2)
+    run_demo(str(tmp_path / "next"), seed=3)
+    _worker_pid()
+    _in_process_demo(str(tmp_path / "lone"), 3)
+    _same_files(tmp_path / "next", tmp_path / "lone")
+
+
+@needs_worker
+def test_demos_in_three_threads_each_get_their_own_half(tmp_path):
+    run_demo(str(tmp_path / "first"), seed=1)  # forks before any thread starts
+    errors = []
+
+    def demo(seed):
+        try:
+            run_demo(str(tmp_path / f"thread{seed}"), seed=seed)
+        except BaseException as err:
+            errors.append(err)
+            raise
+
+    seeds = (6, 7, 8)
+    threads = [threading.Thread(target=demo, args=(seed,)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(thread.is_alive() for thread in threads)
+    for seed in seeds:
+        _in_process_demo(str(tmp_path / f"lone{seed}"), seed)
+        _same_files(tmp_path / f"thread{seed}", tmp_path / f"lone{seed}")
 
 
 def test_on_one_cpu_the_demo_runs_in_process(tmp_path, monkeypatch):
@@ -775,18 +903,16 @@ def test_on_one_cpu_the_demo_runs_in_process(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     run_demo(str(tmp_path / "one-cpu"), seed=5)
     assert pipeline._DEMO_WORKER is None
-    assert multiprocessing.active_children() == []
+    _no_child_left()
     _same_files(tmp_path / "usual", tmp_path / "one-cpu")
 
 
 def _demo_in_a_daemon(destination):
     assert multiprocessing.current_process().daemon
     run_demo(destination, seed=5)
-    assert pipeline._DEMO_WORKER is None and multiprocessing.active_children() == []
 
 
-def test_in_a_daemonic_process_the_demo_runs_in_process(tmp_path):
-    # A daemonic process, such as a Pool worker, may start no child.
+def test_in_a_daemonic_process_the_demo_writes_the_same_reports(tmp_path):
     run_demo(str(tmp_path / "usual"), seed=5)
     _close_demo_worker()
     daemon = multiprocessing.get_context("fork").Process(
@@ -795,6 +921,28 @@ def test_in_a_daemonic_process_the_demo_runs_in_process(tmp_path):
     daemon.join(120)
     assert daemon.exitcode == 0
     _same_files(tmp_path / "usual", tmp_path / "daemon")
+
+
+def _demo_in_a_forked_process(destination, parent_worker):
+    run_demo(destination, seed=5)
+    owner, worker, _ = pipeline._DEMO_WORKER
+    assert owner == os.getpid() and worker != parent_worker
+    _close_demo_worker()
+
+
+@needs_worker
+def test_a_process_forked_after_a_demo_forks_its_own_worker(tmp_path):
+    run_demo(str(tmp_path / "usual"), seed=5)
+    worker = _worker_pid()
+    child = multiprocessing.get_context("fork").Process(
+        target=_demo_in_a_forked_process, args=(str(tmp_path / "forked"), worker))
+    child.start()
+    child.join(120)
+    assert child.exitcode == 0
+    run_demo(str(tmp_path / "after"), seed=5)
+    assert _worker_pid() == worker
+    _same_files(tmp_path / "usual", tmp_path / "forked")
+    _same_files(tmp_path / "usual", tmp_path / "after")
 
 
 @needs_worker
@@ -807,5 +955,5 @@ def test_a_failed_fork_runs_the_demo_in_process(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     run_demo(str(tmp_path / "no-fork"), seed=5)
     assert pipeline._DEMO_WORKER is None
-    assert multiprocessing.active_children() == []
+    _no_child_left()
     _same_files(tmp_path / "usual", tmp_path / "no-fork")

@@ -209,6 +209,18 @@ def test_trace_validation_direct():
         _trace(time_ms=np.array([0.00025, np.nan, 0.005, 0.02]))
 
 
+@pytest.mark.parametrize("provenance", [
+    "run 7\nby hand", "run 7\rby hand", "run 7\r\n", "  run 7 ", "run 7\t", None,
+    "run \ud800"])
+def test_a_provenance_the_format_cannot_hold_is_refused(provenance):
+    # Written as given, the first two made files that failed to load, the next
+    # four read back as "run 7" or "", and the last failed to write.
+    with pytest.raises(ValueError) as err:
+        _trace(provenance=provenance)
+    assert str(err.value) == ("provenance must be one line of UTF-8 text without "
+                              f"surrounding whitespace, got {provenance!r}")
+
+
 # ---------------------------------------------------------------------------
 # scan tables
 # ---------------------------------------------------------------------------
@@ -404,15 +416,18 @@ def _increasing(draw, finite):
 @pytest.mark.parametrize("unit", ["ns", "us", "ms", "s"])
 @settings(max_examples=100, deadline=None)
 @given(times=_increasing(st.floats(-1e290, 1e290)),
-       intensity=st.floats(allow_nan=False, allow_infinity=False))
-@example(times=np.array([7.94831875850697]), intensity=1.0)   # was one ulp off in all three
-def test_trace_round_trip_property(tmp_path_factory, unit, times, intensity):
+       intensity=st.floats(allow_nan=False, allow_infinity=False),
+       provenance=st.text(st.characters(exclude_characters="\n\r",
+                                        exclude_categories=["Cs"])).map(str.strip))
+@example(times=np.array([7.94831875850697]), intensity=1.0,   # was one ulp off in all three
+         provenance="")
+def test_trace_round_trip_property(tmp_path_factory, unit, times, intensity, provenance):
     tr = _trace(time_ms=times, intensity=np.full(times.size, intensity),
-                sequence="3ppe-vs-t23", t12_us=0.33)
+                sequence="3ppe-vs-t23", t12_us=0.33, provenance=provenance)
     p = tmp_path_factory.getbasetemp() / "trace.txt"
     write_trace(tr, p, unit_time=unit)
     back = load_trace(p)
     assert back.time_ms.tobytes() == tr.time_ms.tobytes()
     assert back.intensity.tobytes() == tr.intensity.tobytes()
-    assert (back.sequence, back.t12_us, back.temperature_k, back.field_t) == \
-        (tr.sequence, tr.t12_us, tr.temperature_k, tr.field_t)
+    assert (back.sequence, back.t12_us, back.temperature_k, back.field_t, back.provenance) \
+        == (tr.sequence, tr.t12_us, tr.temperature_k, tr.field_t, tr.provenance)
