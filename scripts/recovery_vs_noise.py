@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
-from echofit import models
 from echofit.fitting import FitConfig, multi_start_fit
 from echofit.presets import FIELD_7MK, FIELD_7MK_SIGMA
+from echofit.synth import synth_scan
 
 
 def make_grid(n):
@@ -29,14 +29,13 @@ def make_grid(n):
 
 def recovery_rate(grid, sigma, trials, base_seed):
     truth = FIELD_7MK
-    clean = models.field_linewidth(truth, grid, {"temp_k": 0.007})
     names = list(FIELD_7MK_SIGMA)
     per = {n: 0 for n in names}
     joint = 0
     for k in range(trials):
-        rng = np.random.default_rng(base_seed + k)
-        y = clean * (1.0 + sigma * rng.standard_normal(grid.size))
-        res = multi_start_fit("field", grid, y, None,
+        scan = synth_scan("field", truth, grid, noise=("multiplicative", sigma),
+                          seed=base_seed + k, fixed={"temp_k": 0.007})
+        res = multi_start_fit("field", scan.condition, scan.value, None,
                               cfg=FitConfig(restarts=4, seed=k),
                               fixed={"temp_k": 0.007})
         oks = {n: abs(res.params[n] - truth[n]) <= 3 * FIELD_7MK_SIGMA[n]

@@ -5,20 +5,29 @@ bit-identical output, which is what makes the round-trip fit tests and
 the demo report reproducible.  The seed is checked first; the values come
 from :func:`echofit.catalog.evaluate`, so synth refuses what a law refuses.
 
+Each design (model, checked true and fixed values, grid, fixed t12) is
+evaluated once per process and kept read-only, like each tuple grid's
+points, in a cache of ``_CACHE_SIZE`` entries.  A call refuses what it
+would with an empty cache, draws its own noise and returns no cached array.
+
 Which data a model makes is decided here once.  By :func:`trace_sequence`
 a log-intensity model makes traces, ``2ppe`` with one x column and
 ``3ppe-vs-t23`` with two; by :func:`scan_table` a law makes tables over
 one condition axis; the rest (sd) make neither.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .catalog import CATALOG, evaluate, get_model
+from .catalog import CATALOG, evaluate, get_model, read
 from .trace import EchoTrace, ScanTable
+from .values import FitError
 
 NOISE_KINDS = ("none", "multiplicative", "additive")
+_CACHE_SIZE = 64
+_CACHE = OrderedDict()      # a grid's or a design's key -> its read-only array
 
 
 @dataclass(frozen=True)
@@ -68,23 +77,57 @@ class SynthSpec:
 
 
 def build_grid(grid):
+    """The points of ``grid``, new for a tuple; explicit ones not finite get the laws' text."""
     if isinstance(grid, tuple) and len(grid) == 4:
         lo, hi, count, spacing = grid
-        if spacing == "linear":
-            pts = np.linspace(lo, hi, int(count))
-        elif spacing == "log":
-            if lo <= 0:
-                raise ValueError("log spacing needs a positive lower edge")
-            pts = np.geomspace(lo, hi, int(count))
-        else:
+        if spacing not in ("linear", "log"):
             raise ValueError(f"unknown grid spacing {spacing!r}")
+        if spacing == "log" and lo <= 0:
+            raise ValueError("log spacing needs a positive lower edge")
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"grid count must be an int >= 1, got {count!r}")
+        if not np.isfinite((lo, hi)).all():
+            raise ValueError(f"grid edges must be finite, got {lo!r} and {hi!r}")
+        pts = (np.linspace if spacing == "linear" else np.geomspace)(lo, hi, int(count))
     else:
         pts = np.asarray(grid, dtype=float)
     if pts.ndim != 1 or pts.size < 1:
         raise ValueError("grid must be a 1-D set of points")
+    if not np.isfinite(pts).all():
+        raise FitError("x values must be finite")
     if np.any(np.diff(pts) <= 0):
         raise ValueError("grid points must be strictly increasing")
     return pts
+
+
+def _kept(key, make):
+    """The cached array under ``key``, else ``make()``'s, kept read-only."""
+    arr = _CACHE.get(key)
+    if arr is None:
+        arr = make()
+        arr.flags.writeable = False
+        _CACHE[key] = arr
+        while len(_CACHE) > _CACHE_SIZE:    # atomic steps, safe across threads
+            _CACHE.popitem(last=False)
+    return arr
+
+
+def _design_grid(grid):
+    """``(key, points)``: a tuple keyed by its items' reprs (apart: -0.0 and 0.0,
+    float32 and float), explicit points checked each call and keyed by bytes."""
+    if isinstance(grid, tuple) and len(grid) == 4:
+        key = ("grid", tuple(map(repr, grid)))
+        return key, _kept(key, lambda: build_grid(grid))
+    pts = build_grid(grid)
+    return pts.tobytes(), pts
+
+
+def _noiseless(model_id, params, fixed, grid_key, pts, t12=None):
+    """The model's values on ``pts`` (at ``t12``), keyed once :func:`read` checks them."""
+    _, theta, checked = read(model_id, params, fixed, kind="true")
+    key = (model_id, theta.tobytes(), tuple(checked.values()), grid_key, repr(t12))
+    xs = (pts,) if t12 is None else (t12, pts)
+    return _kept(key, lambda: evaluate(model_id, params, xs, fixed, kind="true"))
 
 
 def _apply_noise(y, noise, rng):
@@ -122,19 +165,17 @@ def synth_trace(spec: SynthSpec) -> EchoTrace:
     seeded noise, and wrap the result as an EchoTrace."""
     rng = _rng(spec.seed)
     sequence = trace_sequence(spec.model_id)
-    pts = build_grid(spec.grid)
+    grid_key, pts = _design_grid(spec.grid)
 
+    t12_fixed = None
     if len(get_model(spec.model_id).x_domain) == 2:
         if spec.modulation is not None:
             raise ValueError("modulation applies to 2ppe traces only")
         if "t12_us" not in spec.fixed:
             raise ValueError("two-delay models need fixed['t12_us'] for the trace")
         t12_fixed = float(spec.fixed["t12_us"])
-        xs = (t12_fixed, pts)
-    else:
-        xs, t12_fixed = (pts,), None
 
-    y = evaluate(spec.model_id, spec.true_params, xs, spec.fixed, kind="true")
+    y = _noiseless(spec.model_id, spec.true_params, spec.fixed, grid_key, pts, t12_fixed)
     if spec.modulation is not None:
         y = y * spec.modulation.factor(pts)
     y = _apply_noise(y, spec.noise, rng)
@@ -169,8 +210,8 @@ def synth_scan(model_id, true_params, condition_grid, noise=("none", 0.0),
     true and fixed values are read as by :func:`synth_trace`."""
     rng = _rng(seed)
     axis, quantity = scan_table(model_id)
-    pts = build_grid(condition_grid)
-    y = evaluate(model_id, true_params, (pts,), fixed, kind="true")
+    grid_key, pts = _design_grid(condition_grid)
+    y = _noiseless(model_id, true_params, fixed, grid_key, pts)
     noisy = _apply_noise(y, noise, rng)
     kind, sigma = noise
     if kind == "multiplicative":

@@ -202,10 +202,9 @@ class ScanTable:
         self.condition = self.condition[order]
         self.value = self.value[order]
         self.stderr = self.stderr[order]
-        self.flag = [self.flag[k] for k in order]
-        clean = np.array([f == "" for f in self.flag], dtype=bool)
-        bad = clean & ~(np.isnan(self.stderr) | (self.stderr >= 0))
-        if np.any(bad):
+        self.flag = [self.flag[k] for k in order.tolist()]
+        negative = self.stderr < 0      # NaN is not negative
+        if negative.any() and any(f == "" for f, n in zip(self.flag, negative.tolist()) if n):
             raise ValueError("stderr must be >= 0 on clean rows")
 
     @property

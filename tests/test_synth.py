@@ -2,10 +2,14 @@
 modulation rules and catalog round trips.
 """
 
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from echofit import models
+from echofit import models, synth
 from echofit.catalog import CATALOG
 from echofit.fitting import fit
 from echofit.presets import FIELD_7MK, SD_7MK_009T, TEMP_009T, THREE_LEVEL_7MK_009T
@@ -33,6 +37,30 @@ def test_build_grid_linear_and_log():
 def test_build_grid_explicit_passthrough():
     g = build_grid([0.1, 0.5, 2.0, 7.0])
     np.testing.assert_array_equal(g, [0.1, 0.5, 2.0, 7.0])
+
+
+@pytest.mark.parametrize("grid, error, why", [
+    ((0.25, 30.0, 2.7, "log"), ValueError, "grid count must be an int >= 1, got 2.7"),
+    ((0.25, 30.0, True, "log"), ValueError, "grid count must be an int >= 1, got True"),
+    ((0.25, 30.0, "5", "log"), ValueError, "grid count must be an int >= 1, got '5'"),
+    ((0.0, 1.0, 0, "linear"), ValueError, "grid count must be an int >= 1, got 0"),
+    ((0.0, np.nan, 4, "linear"), ValueError, "grid edges must be finite, got 0.0 and nan"),
+    ((np.inf, 30.0, 4, "log"), ValueError, "grid edges must be finite, got inf and 30.0"),
+    ([0.5, np.nan, 2.0], FitError, "x values must be finite"),
+    ([-np.inf, 0.0], FitError, "x values must be finite"),
+], ids=["count-float", "count-bool", "count-str", "count-zero", "edge-nan", "edge-inf",
+        "points-nan", "points-inf"])
+def test_build_grid_refuses_a_count_or_values_it_cannot_build(grid, error, why):
+    # 2.7 gave 2 points, True 1 point, "5" 5 points, a NaN edge an all-NaN
+    # grid with two RuntimeWarnings; explicit points reached the model
+    with pytest.raises(error) as exc:
+        build_grid(grid)
+    assert str(exc.value) == why
+
+
+def test_build_grid_accepts_a_numpy_count():
+    np.testing.assert_array_equal(build_grid((0.0, 1.0, np.int64(3), "linear")),
+                                  [0.0, 0.5, 1.0])
 
 
 def test_build_grid_rejects_non_increasing():
@@ -379,3 +407,196 @@ def test_each_scan_table_states_its_law_axis_and_quantity():
         assert (scan.condition_axis, scan.quantity_id) == scan_table(model_id)
     assert [scan_table(m) for m in ("field", "temp", "sech2")] == [
         ("field", "gamma_eff"), ("temperature", "gamma_eff"), ("field", "gamma_sd")]
+
+
+# ---------------------------------------------------------------------------
+# each design is synthesized once: the cache changes no byte and no refusal
+# ---------------------------------------------------------------------------
+
+_FIELD_GRID = np.concatenate([[0.0], np.geomspace(0.01, 2.0, 13)])
+# Digests of the output of the synthesis that evaluated the model on every
+# call, before designs were cached.
+_DESIGNS = {
+    "mims": ("3ce0b2a93704b53e", lambda: synth_trace(SynthSpec(
+        "mims", MIMS_TRUTH, (0.25, 30.0, 50, "log"), ("multiplicative", 0.02), seed=7))),
+    "mims-modulated": ("0a191c103598e8db", lambda: synth_trace(SynthSpec(
+        "mims", MIMS_TRUTH, (0.25, 30.0, 60, "linear"), ("additive", 0.01), seed=8,
+        modulation=Modulation(0.2, 0.5, 10.0)))),
+    "mims-none": ("670672dcf5da759c", lambda: synth_trace(SynthSpec(
+        "mims", MIMS_TRUTH, [0.3, 1.0, 2.5, 9.0]))),
+    "echo3": ("15cc13811f10e97b", lambda: synth_trace(SynthSpec(
+        "echo3", _ECHO3_TRUTH, (50.0, 7500.0, 40, "log"), ("multiplicative", 0.03),
+        seed=11, temperature_k=0.007, field_t=0.09, fixed={**_ECHO3_FIXED, "t12_us": 0.33}))),
+    "echo3-free-t1": ("7c2e8e041ff35cd2", lambda: synth_trace(SynthSpec(
+        "echo3-free-t1", dict(_ECHO3_TRUTH, t1_ms=9.0), (50.0, 7500.0, 30, "log"),
+        ("multiplicative", 0.03), seed=12,
+        fixed={"tz_s": 2.0, "t0_us": 50.0, "t12_us": 0.5}))),
+    "field": ("c659f705fb35305a", lambda: synth_scan(
+        "field", FIELD_7MK, _FIELD_GRID, ("multiplicative", 0.03), seed=13, fixed=_AT_7MK)),
+    "temp": ("d04c489f889565eb", lambda: synth_scan(
+        "temp", TEMP_009T, (0.007, 0.55, 20, "log"), ("additive", 0.5), seed=14)),
+    "sech2": ("3dc4b5a7d6229aec", lambda: synth_scan(
+        "sech2", {"gamma_max_khz": 40.0, "g": 0.35}, [-0.5, -0.1, 0.0, 0.5], fixed=_AT_7MK)),
+}
+
+
+def _arrays(out):
+    if hasattr(out, "intensity"):
+        return (out.time_ms, out.intensity)
+    return (out.condition, out.value, out.stderr)
+
+
+def _digest(out):
+    h = hashlib.sha256()
+    for a in _arrays(out):
+        h.update(a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes())
+    if hasattr(out, "intensity"):
+        meta = (out.sequence, out.temperature_k, out.field_t, out.t12_us, out.provenance)
+    else:
+        meta = (out.condition_axis, out.quantity_id, out.flag)
+    h.update(repr(meta).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(_DESIGNS))
+def test_cold_and_warm_designs_give_the_bytes_of_a_fresh_evaluation(name):
+    want, make = _DESIGNS[name]
+    synth._CACHE.clear()
+    assert [_digest(make()), _digest(make())] == [want, want]
+
+
+def test_a_design_is_evaluated_once_across_seeds(monkeypatch):
+    calls = []
+    evaluate = synth.evaluate
+    monkeypatch.setattr(synth, "evaluate", lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+    synth._CACHE.clear()
+    scans = [synth_scan("field", FIELD_7MK, _FIELD_GRID, ("multiplicative", 0.03), seed=s,
+                        fixed=_AT_7MK) for s in range(5)]
+    traces = [synth_trace(SynthSpec("mims", MIMS_TRUTH, (0.25, 30.0, 50, "log"),
+                                    ("multiplicative", 0.02), seed=s)) for s in range(5)]
+    assert [a[0] for a in calls] == ["field", "mims"]
+    assert len({s.value.tobytes() for s in scans}) == len({t.intensity.tobytes()
+                                                          for t in traces}) == 5
+
+
+def _sech2(grid):
+    return synth_scan("sech2", {"gamma_max_khz": 40.0, "g": 0.35}, grid, fixed=_AT_7MK)
+
+
+def _echo3(t12, **truth):
+    return synth_trace(SynthSpec("echo3", {**_ECHO3_TRUTH, **truth}, (50.0, 7500.0, 5, "log"),
+                                 fixed={**_ECHO3_FIXED, "t12_us": t12}))
+
+
+def test_designs_that_differ_in_one_part_are_kept_apart():
+    # -0.0 == 0.0, yet a grid that ends at -0.0 builds a different last point
+    makes = [lambda: _sech2((-1.0, 0.0, 3, "linear")), lambda: _sech2((-1.0, -0.0, 3, "linear")),
+             lambda: _sech2([-1.0, 0.0]), lambda: _sech2([-1.0, -0.0]),
+             lambda: _echo3(0.0), lambda: _echo3(-0.0), lambda: _echo3(0.5),
+             lambda: _echo3(0.5, beta=0.3),
+             lambda: synth_scan("field", FIELD_7MK, _FIELD_GRID, fixed={"temp_k": 0.01})]
+    cold = []
+    for make in makes:
+        synth._CACHE.clear()
+        cold.append(_digest(make()))
+    synth._CACHE.clear()
+    _DESIGNS["field"][1]()
+    assert [_digest(make()) for make in makes] == cold
+    assert len(set(cold)) == len(cold)
+
+
+_WARM_GRID = (0.25, 30.0, 20, "log")
+
+
+@pytest.mark.parametrize("make, error, why", [
+    (lambda: synth_trace(SynthSpec("mims", {**MIMS_TRUTH, "i0": True}, _WARM_GRID)),
+     FitError, "true value i0 must be a finite number, got True"),
+    (lambda: synth_scan("field", FIELD_7MK, _FIELD_GRID, fixed={"temp_k": True}),
+     FitError, "fixed value temp_k must be a finite number, got True"),
+    (lambda: synth_trace(SynthSpec("mims", MIMS_TRUTH, _WARM_GRID, seed=-1)),
+     ValueError, "seed must be >= 0, got -1"),
+    (lambda: synth_trace(SynthSpec("mims", MIMS_TRUTH, (30.0, 0.25, 20, "log"))),
+     ValueError, "grid points must be strictly increasing"),
+    (lambda: synth_trace(SynthSpec("mims", MIMS_TRUTH, (0.25, 30.0, 20.0, "log"))),
+     ValueError, "grid count must be an int >= 1, got 20.0"),
+    (lambda: synth_trace(SynthSpec("mims", MIMS_TRUTH, (-1.0, 30.0, 20, "linear"))),
+     FitError, "x value t12_us must be >= 0, got -1.0"),
+    (lambda: synth_trace(SynthSpec("echo3", _ECHO3_TRUTH, _WARM_GRID,
+                                   fixed={**_ECHO3_FIXED, "t12_us": -0.5})),
+     FitError, "x value t12_us must be >= 0, got -0.5"),
+], ids=["true-bool", "fixed-bool", "seed", "grid-order", "grid-count", "x-domain",
+        "t12-domain"])
+def test_a_warm_cache_refuses_what_a_cold_one_does(make, error, why):
+    synth._CACHE.clear()
+    synth_trace(SynthSpec("mims", {**MIMS_TRUTH, "i0": 1.0}, _WARM_GRID))
+    synth_scan("field", FIELD_7MK, _FIELD_GRID, fixed={"temp_k": 1.0})
+    synth_trace(SynthSpec("echo3", _ECHO3_TRUTH, (50.0, 7500.0, 20, "log"),
+                          fixed={**_ECHO3_FIXED, "t12_us": 0.5}))
+    kept = set(synth._CACHE)
+    for _ in range(2):
+        with pytest.raises(error) as exc:
+            make()
+        assert str(exc.value) == why
+    # a refused design is not kept (a valid grid may be)
+    assert {k[0] for k in set(synth._CACHE) - kept} <= {"grid"}
+
+
+@pytest.mark.parametrize("name", ["mims-none", "mims-modulated", "echo3", "field", "sech2"])
+def test_writing_into_a_returned_array_leaves_the_next_synthesis_unchanged(name):
+    want, make = _DESIGNS[name]
+    for a in _arrays(make()):
+        a[...] = -1.0
+    assert _digest(make()) == want
+
+
+def test_the_cached_arrays_are_read_only_and_no_caller_array_is_kept():
+    synth._CACHE.clear()
+    grid = _FIELD_GRID.copy()
+    synth_scan("field", FIELD_7MK, grid, ("multiplicative", 0.03), fixed=_AT_7MK)
+    synth_trace(SynthSpec("mims", MIMS_TRUTH, _WARM_GRID))
+    assert grid.flags.writeable
+    assert all(not a.flags.writeable and a is not grid for a in synth._CACHE.values())
+    built = build_grid(_WARM_GRID)      # still a new, writable array
+    assert built.flags.writeable and not any(built is a for a in synth._CACHE.values())
+
+
+def test_the_cache_never_holds_more_entries_than_its_bound():
+    synth._CACHE.clear()
+    for n in range(2, synth._CACHE_SIZE + 12):
+        scan = synth_scan("temp", TEMP_009T, (0.007, 0.55, n, "log"), ("additive", 0.1),
+                          seed=n)
+        assert len(synth._CACHE) <= synth._CACHE_SIZE
+    again = synth_scan("temp", TEMP_009T, (0.007, 0.55, n, "log"), ("additive", 0.1), seed=n)
+    assert _digest(again) == _digest(scan)
+
+
+def test_threads_sharing_a_small_cache_each_get_their_own_designs(monkeypatch):
+    # more threads than cores, a short switch interval and a cache that
+    # evicts on nearly every call
+    monkeypatch.setattr(synth, "_CACHE_SIZE", 3)
+    synth._CACHE.clear()
+    names = sorted(_DESIGNS)
+    done, errors = [], []
+
+    def work(offset):
+        try:
+            for k in range(48):
+                want, make = _DESIGNS[names[(k + offset) % len(names)]]
+                assert _digest(make()) == want
+            done.append(offset)
+        except Exception as exc:    # reported by the asserts below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and sorted(done) == [0, 1, 2, 3]
+    assert len(synth._CACHE) <= 3

@@ -431,3 +431,19 @@ def test_trace_round_trip_property(tmp_path_factory, unit, times, intensity, pro
     assert back.intensity.tobytes() == tr.intensity.tobytes()
     assert (back.sequence, back.t12_us, back.temperature_k, back.field_t, back.provenance) \
         == (tr.sequence, tr.t12_us, tr.temperature_k, tr.field_t, tr.provenance)
+
+
+def test_table_refuses_a_negative_stderr_only_on_a_clean_row_after_sorting():
+    # each row keeps its own flag and stderr through the sort
+    kept = ScanTable(condition_axis="field", quantity_id="x",
+                     condition=np.array([1.0, 0.0, 0.5]),
+                     value=np.array([np.nan, 1.0, 1.1]),
+                     stderr=np.array([-0.5, 0.1, np.nan]),
+                     flag=["failed: no decay visible", "", ""])
+    assert kept.flag == ["", "", "failed: no decay visible"]
+    np.testing.assert_array_equal(kept.stderr, [0.1, np.nan, -0.5])
+    with pytest.raises(ValueError) as exc:
+        ScanTable(condition_axis="field", quantity_id="x",
+                  condition=np.array([1.0, 0.0]), value=np.array([1.0, 1.1]),
+                  stderr=np.array([0.1, -0.5]), flag=["failed: no decay visible", ""])
+    assert str(exc.value) == "stderr must be >= 0 on clean rows"
