@@ -5,10 +5,12 @@ bit-identical output, which is what makes the round-trip fit tests and
 the demo report reproducible.  The seed is checked first; the values come
 from :func:`echofit.catalog.evaluate`, so synth refuses what a law refuses.
 
-Each design (model, checked true and fixed values, grid, fixed t12) is
-evaluated once per process and kept read-only, like each tuple grid's
-points, in a cache of ``_CACHE_SIZE`` entries.  A call refuses what it
-would with an empty cache, draws its own noise and returns no cached array.
+Each grid is built and checked once per process, a tuple keyed by its
+items and explicit points by their shape and bytes; each design (model,
+checked true and fixed values, grid, fixed t12) is evaluated once.  Both
+are kept read-only in a cache of ``_CACHE_SIZE`` entries.  A call refuses
+what it would with an empty cache, draws its own noise and returns no
+cached array.
 
 Which data a model makes is decided here once.  By :func:`trace_sequence`
 a log-intensity model makes traces, ``2ppe`` with one x column and
@@ -23,7 +25,7 @@ import numpy as np
 
 from .catalog import CATALOG, evaluate, get_model, read
 from .trace import EchoTrace, ScanTable
-from .values import FitError
+from .values import FitError, _finite
 
 NOISE_KINDS = ("none", "multiplicative", "additive")
 _CACHE_SIZE = 64
@@ -35,7 +37,8 @@ class Modulation:
     """Phenomenological echo-amplitude modulation envelope.
 
     Applies (1 + depth*cos(2*pi*freq*2*t12)*exp(-2*t12/decay)) to 2ppe
-    traces; freq in MHz against t12 in microseconds.
+    traces; freq in MHz against t12 in microseconds.  An infinite decay
+    leaves the modulation undamped.
     """
 
     depth: float
@@ -45,8 +48,11 @@ class Modulation:
     def __post_init__(self):
         if not 0.0 <= self.depth <= 1.0:
             raise ValueError("modulation depth must lie in [0, 1]")
-        if self.freq_mhz <= 0 or self.decay_us <= 0:
-            raise ValueError("modulation frequency and decay must be > 0")
+        if not (_finite(self.freq_mhz) and self.freq_mhz > 0):
+            raise ValueError("modulation frequency must be a finite number > 0, "
+                             f"got {self.freq_mhz!r}")
+        if not self.decay_us > 0:
+            raise ValueError(f"modulation decay must be > 0, got {self.decay_us!r}")
 
     def factor(self, t12_us):
         t = np.asarray(t12_us, dtype=float)
@@ -113,13 +119,15 @@ def _kept(key, make):
 
 
 def _design_grid(grid):
-    """``(key, points)``: a tuple keyed by its items' reprs (apart: -0.0 and 0.0,
-    float32 and float), explicit points checked each call and keyed by bytes."""
+    """``(key, points)``, built and checked once: a tuple keyed by its items' reprs
+    (apart: -0.0 and 0.0, float32 and float), explicit points by their shape and
+    bytes as floats, taken from a copy that the cache may keep."""
     if isinstance(grid, tuple) and len(grid) == 4:
         key = ("grid", tuple(map(repr, grid)))
         return key, _kept(key, lambda: build_grid(grid))
-    pts = build_grid(grid)
-    return pts.tobytes(), pts
+    pts = np.array(grid, dtype=float)
+    key = ("grid", pts.shape, pts.tobytes())
+    return key, _kept(key, lambda: build_grid(pts))
 
 
 def _noiseless(model_id, params, fixed, grid_key, pts, t12=None):
@@ -134,8 +142,8 @@ def _apply_noise(y, noise, rng):
     kind, sigma = noise
     if kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}")
-    if sigma < 0:
-        raise ValueError("noise sigma must be >= 0")
+    if not (_finite(sigma) and sigma >= 0):
+        raise ValueError(f"noise sigma must be a finite number >= 0, got {sigma!r}")
     if kind == "none" or sigma == 0.0:
         return y.copy()
     draw = rng.standard_normal(y.shape)

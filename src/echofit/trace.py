@@ -13,6 +13,8 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOpera
 
 import numpy as np
 
+from .values import _finite
+
 SEQUENCES = ("2ppe", "3ppe-vs-t23")
 
 # A time in each unit is its value in ms times 10 ** exponent.  Times change
@@ -43,7 +45,8 @@ class EchoTrace:
     Times are stored in milliseconds regardless of the unit a file
     declared; ``time_us`` gives the microsecond view the models use.  For
     2ppe the time axis is the pulse separation t12, for 3ppe-vs-t23 it is
-    the waiting time (with the fixed t12 in ``t12_us``).
+    the waiting time (with the fixed t12 in ``t12_us``).  Each condition
+    given is a finite number, by the rule of :mod:`echofit.values`.
     """
 
     sequence: str
@@ -68,6 +71,10 @@ class EchoTrace:
             raise ValueError("times must be strictly increasing")
         if not np.all(np.isfinite(self.intensity)):
             raise ValueError("intensities must be finite")
+        for name in ("temperature_k", "field_t", "t12_us"):
+            value = getattr(self, name)
+            if not (_finite(value) or (name == "t12_us" and value is None)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not (self.temperature_k > 0):
             raise ValueError("temperature_k must be > 0")
         if self.field_t < 0:

@@ -538,6 +538,15 @@ def test_synth_negative_seed_is_named_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_names_a_noise_sigma_that_is_no_number(tmp_path, capsys):
+    # it printed "intensities must be finite", which names no flag value
+    out = tmp_path / "t.txt"
+    assert main(["synth", "--params", "i0=1,tm_us=40,x=1.3", "--grid", "0.25:30:5:log",
+                 "--noise", "mult:nan", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: noise sigma must be a finite number >= 0, got nan\n"
+    assert not out.exists()
+
+
 def test_fit_3ppe_with_a_negative_t1_fails_every_row(tmp_path, capsys):
     # T1 = -9 ms used to print converged=True with no flag and exit 0
     traces = [_synth(tmp_path, f"t12_{j}.txt", "--model", "echo3", *_3PPE, "--grid",

@@ -13,8 +13,8 @@ from echofit import models, synth
 from echofit.catalog import CATALOG
 from echofit.fitting import fit
 from echofit.presets import FIELD_7MK, SD_7MK_009T, TEMP_009T, THREE_LEVEL_7MK_009T
-from echofit.synth import (Modulation, SynthSpec, build_grid, scan_table, synth_scan,
-                           synth_trace, trace_sequence)
+from echofit.synth import (NOISE_KINDS, Modulation, SynthSpec, build_grid, scan_table,
+                           synth_scan, synth_trace, trace_sequence)
 from echofit.values import FitError
 
 MIMS_TRUTH = {"i0": 1.0, "tm_us": 40.0, "x": 1.3}
@@ -130,6 +130,18 @@ def test_unknown_noise_kind_rejected():
                               ("poisson", 0.02)))
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, True, -0.5])
+def test_a_noise_sigma_that_is_no_finite_number_is_refused(sigma):
+    # NaN gave an all-NaN table, inf an infinite one, and True was drawn as 1.0
+    why = f"noise sigma must be a finite number >= 0, got {sigma!r}"
+    for kind in NOISE_KINDS:
+        with pytest.raises(ValueError) as scan:
+            synth_scan("field", FIELD_7MK, _FIELD_GRID, (kind, sigma), fixed=_AT_7MK)
+        with pytest.raises(ValueError) as trace:
+            synth_trace(SynthSpec("mims", MIMS_TRUTH, (0.25, 30.0, 10, "log"), (kind, sigma)))
+        assert str(scan.value) == str(trace.value) == why
+
+
 def test_trace_metadata_round_trip():
     spec = SynthSpec("mims", MIMS_TRUTH, (0.25, 30.0, 20, "log"),
                      ("multiplicative", 0.02), seed=3,
@@ -182,6 +194,27 @@ def test_modulation_validation():
         Modulation(depth=1.5, freq_mhz=0.5, decay_us=10.0)
     with pytest.raises(ValueError):
         Modulation(depth=0.2, freq_mhz=-1.0, decay_us=10.0)
+
+
+@pytest.mark.parametrize("freq, decay, why", [
+    (np.nan, 10.0, "modulation frequency must be a finite number > 0, got nan"),
+    (np.inf, 10.0, "modulation frequency must be a finite number > 0, got inf"),
+    (True, 10.0, "modulation frequency must be a finite number > 0, got True"),
+    (0.5, np.nan, "modulation decay must be > 0, got nan"),
+    (0.5, -np.inf, "modulation decay must be > 0, got -inf"),
+], ids=["freq-nan", "freq-inf", "freq-bool", "decay-nan", "decay-minus-inf"])
+def test_modulation_refuses_a_frequency_or_decay_it_cannot_use(freq, decay, why):
+    # NaN and inf were accepted, and the trace then failed with
+    # "intensities must be finite", which names the wrong input
+    with pytest.raises(ValueError) as err:
+        Modulation(depth=0.2, freq_mhz=freq, decay_us=decay)
+    assert str(err.value) == why
+
+
+def test_an_infinite_decay_leaves_the_modulation_undamped():
+    t = np.array([0.0, 0.3, 1.0, 7.5])
+    factor = Modulation(depth=0.2, freq_mhz=0.5, decay_us=np.inf).factor(t)
+    np.testing.assert_array_equal(factor, 1 + 0.2 * np.cos(2 * np.pi * 0.5 * 2 * t))
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +512,35 @@ def test_a_design_is_evaluated_once_across_seeds(monkeypatch):
                                                           for t in traces}) == 5
 
 
+def test_an_explicit_grid_is_built_and_checked_once_across_seeds(monkeypatch):
+    calls = []
+    build = synth.build_grid
+    monkeypatch.setattr(synth, "build_grid", lambda g: calls.append(g) or build(g))
+    synth._CACHE.clear()
+    for s in range(5):
+        synth_scan("field", FIELD_7MK, _FIELD_GRID, ("multiplicative", 0.03), seed=s,
+                   fixed=_AT_7MK)
+        synth_scan("field", FIELD_7MK, list(_FIELD_GRID), ("additive", 0.5), seed=s,
+                   fixed={"temp_k": 0.01})
+        synth_trace(SynthSpec("mims", MIMS_TRUTH, [0.3, 1.0, 2.5, 9.0], seed=s))
+    assert len(calls) == 2
+
+
+def test_explicit_points_as_a_list_or_an_int_or_float_array_give_the_same_scan():
+    synth._CACHE.clear()
+    grids = [np.arange(4.0), np.arange(4), [0, 1, 2, 3]]
+    scans = [_digest(synth_scan("field", FIELD_7MK, g, ("multiplicative", 0.03), seed=3,
+                                fixed=_AT_7MK)) for g in grids]
+    assert scans == [scans[0]] * 3
+    assert sum(k[0] == "grid" for k in synth._CACHE) == 1
+    for g in grids[:2]:
+        assert g.flags.writeable
+        assert not any(np.shares_memory(a, g) for a in synth._CACHE.values())
+    grids[0][0] = -1.0      # the cache keeps a copy, not the caller's points
+    assert _digest(synth_scan("field", FIELD_7MK, np.arange(4.0), ("multiplicative", 0.03),
+                              seed=3, fixed=_AT_7MK)) == scans[0]
+
+
 def _sech2(grid):
     return synth_scan("sech2", {"gamma_max_khz": 40.0, "g": 0.35}, grid, fixed=_AT_7MK)
 
@@ -524,8 +586,17 @@ _WARM_GRID = (0.25, 30.0, 20, "log")
     (lambda: synth_trace(SynthSpec("echo3", _ECHO3_TRUTH, _WARM_GRID,
                                    fixed={**_ECHO3_FIXED, "t12_us": -0.5})),
      FitError, "x value t12_us must be >= 0, got -0.5"),
+    (lambda: synth_scan("field", FIELD_7MK, np.append(_FIELD_GRID, np.nan), fixed=_AT_7MK),
+     FitError, "x values must be finite"),
+    (lambda: synth_scan("field", FIELD_7MK, _FIELD_GRID[::-1], fixed=_AT_7MK),
+     ValueError, "grid points must be strictly increasing"),
+    (lambda: synth_scan("field", FIELD_7MK, [], fixed=_AT_7MK),
+     ValueError, "grid must be a 1-D set of points"),
+    # the bytes of the warm grid, in another shape
+    (lambda: synth_scan("field", FIELD_7MK, _FIELD_GRID.reshape(2, 7), fixed={"temp_k": 1.0}),
+     ValueError, "grid must be a 1-D set of points"),
 ], ids=["true-bool", "fixed-bool", "seed", "grid-order", "grid-count", "x-domain",
-        "t12-domain"])
+        "t12-domain", "points-finite", "points-order", "points-empty", "points-shape"])
 def test_a_warm_cache_refuses_what_a_cold_one_does(make, error, why):
     synth._CACHE.clear()
     synth_trace(SynthSpec("mims", {**MIMS_TRUTH, "i0": 1.0}, _WARM_GRID))

@@ -209,6 +209,28 @@ def test_trace_validation_direct():
         _trace(time_ms=np.array([0.00025, np.nan, 0.005, 0.02]))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("temperature_k", np.inf), ("temperature_k", np.nan), ("temperature_k", True),
+    ("field_t", np.nan), ("field_t", np.inf), ("t12_us", np.nan), ("t12_us", np.inf)])
+def test_a_condition_that_is_no_finite_number_is_refused(tmp_path, name, value):
+    # each but a NaN temperature was accepted; two traces at field NaN made a
+    # batch table whose conditions were [nan, nan] with clean flags
+    why = f"{name} must be a finite number, got {value!r}"
+    with pytest.raises(ValueError) as err:
+        _trace(**{name: value})
+    assert str(err.value) == why
+    if value is True:
+        return
+    header = {"temperature_k": "temperature_K", "field_t": "field_T"}.get(name, name)
+    heads = {"temperature_K": "0.007", "field_T": "0.09", "t12_us": "0.33", header: value}
+    p = tmp_path / "c.txt"
+    p.write_text("# unit-time: us\n# sequence: 3ppe-vs-t23\n"
+                 + "".join(f"# {k}: {v}\n" for k, v in heads.items()) + "50 1.0\n90 0.5\n")
+    with pytest.raises(ValueError) as err:
+        load_trace(p)
+    assert str(err.value) == why
+
+
 @pytest.mark.parametrize("provenance", [
     "run 7\nby hand", "run 7\rby hand", "run 7\r\n", "  run 7 ", "run 7\t", None,
     "run \ud800"])
