@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from echofit.fitting import FitConfig, multi_start_fit
+from echofit.fitting import fit_trials
 from echofit.presets import FIELD_7MK, FIELD_7MK_SIGMA
 from echofit.synth import synth_scan
 
@@ -28,22 +28,15 @@ def make_grid(n):
 
 
 def recovery_rate(grid, sigma, trials, base_seed):
-    truth = FIELD_7MK
-    names = list(FIELD_7MK_SIGMA)
-    per = {n: 0 for n in names}
-    joint = 0
-    for k in range(trials):
-        scan = synth_scan("field", truth, grid, noise=("multiplicative", sigma),
-                          seed=base_seed + k, fixed={"temp_k": 0.007})
-        res = multi_start_fit("field", scan.condition, scan.value, None,
-                              cfg=FitConfig(restarts=4, seed=k),
-                              fixed={"temp_k": 0.007})
-        oks = {n: abs(res.params[n] - truth[n]) <= 3 * FIELD_7MK_SIGMA[n]
-               for n in names}
-        for n in names:
-            per[n] += oks[n]
-        joint += all(oks.values())
-    return joint / trials, {n: per[n] / trials for n in names}
+    scans = [synth_scan("field", FIELD_7MK, grid, noise=("multiplicative", sigma),
+                        seed=base_seed + k, fixed={"temp_k": 0.007})
+             for k in range(trials)]
+    fits = fit_trials("field", [(s.condition, s.value) for s in scans], restarts=4,
+                      fixed={"temp_k": 0.007})
+    oks = [{n: abs(res.params[n] - FIELD_7MK[n]) <= 3 * band
+            for n, band in FIELD_7MK_SIGMA.items()} for res in fits]
+    per = {n: sum(ok[n] for ok in oks) / trials for n in FIELD_7MK_SIGMA}
+    return sum(all(ok.values()) for ok in oks) / trials, per
 
 
 def main(argv=None):

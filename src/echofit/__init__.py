@@ -15,7 +15,7 @@ from .models import (
     tm_from_gamma_eff,
 )
 from .catalog import CATALOG, get_model, gradient_check
-from .fitting import FitConfig, FitError, FitResult, fit, multi_start_fit
+from .fitting import FitConfig, FitError, FitResult, fit, fit_trials, multi_start_fit
 from .guesses import GuessResult, initial_guess
 from .synth import Modulation, SynthSpec, synth_scan, synth_trace
 from .trace import EchoTrace, ScanTable, load_table, load_trace, write_table, write_trace

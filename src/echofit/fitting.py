@@ -15,10 +15,11 @@ Every fit goes through ``multi_start_batch`` (used by both ``pipeline``
 batch runners), which groups the problems by point count and fits each
 group as one batch: every problem is checked, started (from its init,
 or its model's guess) and prepared once, and its starts are a block of
-consecutive rows, with its fixed
-values (T1, T_Z, t0, temperature) repeated down (B, 1) columns, so
-problems at different conditions share a batch.  ``multi_start_fit``
-is one problem, and ``fit`` is ``multi_start_fit`` with one start.
+consecutive rows, with its fixed values (T1, T_Z, t0, temperature)
+repeated down (B, 1) columns, so problems at different conditions share
+a batch.  ``multi_start_fit`` is one problem, ``fit`` is
+``multi_start_fit`` with one start, and ``fit_trials`` runs the trials of
+a Monte-Carlo study as one such call, trial k from its guess and seed k.
 Rows of different point counts are never padded into one batch: padding
 changes how BLAS accumulates the sums, and so the last bits of the
 results.
@@ -61,6 +62,7 @@ checks they do not need.
 """
 
 from dataclasses import dataclass, field as dc_field, replace
+from itertools import count, repeat
 from numbers import Integral
 
 import numpy as np
@@ -514,24 +516,27 @@ def multi_start_batch(model_id, problems, *, cfg=None):
     unchanged.  An unknown model id and a negative seed with restarts > 1
     raise a ValueError before any fit.
     """
-    spec = get_model(model_id)
-    cfg = cfg or FitConfig()
-    factors = _jitter_factors(spec, cfg)
+    spec, cfg = get_model(model_id), cfg or FitConfig()
+    return _multi_start(spec, problems, cfg, repeat(_jitter_factors(spec, cfg)))
+
+
+def _multi_start(spec, problems, cfg, factors):
+    """:func:`multi_start_batch`, problem k's starts jittered by item k of ``factors``."""
     out, groups = [], {}
-    for x, y, init, sigma, fixed in problems:
+    for (x, y, init, sigma, fixed), jitter in zip(problems, factors):
         try:
             named, x, y, w = _problem(spec, x, y, sigma, fixed)
             degenerate = False
             if init is None:
                 guess = spec.guess(x, y, named)
                 init, degenerate = guess.params, guess.degenerate
-            init = _numbers(model_id, "init", spec.param_names, init)
+            init = _numbers(spec.model_id, "init", spec.param_names, init)
         except ValueError as exc:
             out.append(exc)
             continue
         target = y if spec.space == "linear" else np.log(y)
         groups.setdefault(y.size, []).append(
-            (len(out), (x, target, w), _starts(spec, init, factors),
+            (len(out), (x, target, w), _starts(spec, init, jitter),
              tuple(named.values()), dict(fixed or {}), degenerate))
         out.append(None)
 
@@ -571,3 +576,15 @@ def multi_start_fit(model_id, x, y, init, *, sigma=None, cfg=None, fixed=None):
     if isinstance(res, Exception):
         raise res
     return res
+
+
+def fit_trials(model_id, data, *, restarts, fixed=None):
+    """:func:`multi_start_fit` of each ``(x, y)`` trial k from its guess with
+    ``FitConfig(restarts, seed=k)``, in one batch; the first failure raises."""
+    spec, cfg = get_model(model_id), FitConfig(restarts=restarts)
+    out = _multi_start(spec, ((x, y, None, None, fixed) for x, y in data), cfg,
+                       (_jitter_factors(spec, replace(cfg, seed=k)) for k in count()))
+    for res in out:
+        if isinstance(res, Exception):
+            raise res
+    return out

@@ -46,12 +46,12 @@ class Modulation:
     decay_us: float
 
     def __post_init__(self):
-        if not 0.0 <= self.depth <= 1.0:
-            raise ValueError("modulation depth must lie in [0, 1]")
+        if not (_finite(self.depth) and 0.0 <= self.depth <= 1.0):
+            raise ValueError(f"modulation depth must be a number in [0, 1], got {self.depth!r}")
         if not (_finite(self.freq_mhz) and self.freq_mhz > 0):
             raise ValueError("modulation frequency must be a finite number > 0, "
                              f"got {self.freq_mhz!r}")
-        if not self.decay_us > 0:
+        if not ((_finite(self.decay_us) or self.decay_us == np.inf) and self.decay_us > 0):
             raise ValueError(f"modulation decay must be > 0, got {self.decay_us!r}")
 
     def factor(self, t12_us):
@@ -181,7 +181,10 @@ def synth_trace(spec: SynthSpec) -> EchoTrace:
             raise ValueError("modulation applies to 2ppe traces only")
         if "t12_us" not in spec.fixed:
             raise ValueError("two-delay models need fixed['t12_us'] for the trace")
-        t12_fixed = float(spec.fixed["t12_us"])
+        t12_fixed = spec.fixed["t12_us"]
+        if not _finite(t12_fixed):
+            raise FitError(f"fixed value t12_us must be a finite number, got {t12_fixed!r}")
+        t12_fixed = float(t12_fixed)
 
     y = _noiseless(spec.model_id, spec.true_params, spec.fixed, grid_key, pts, t12_fixed)
     if spec.modulation is not None:

@@ -8,6 +8,7 @@ thresholds come from the component contract, not from tuning.
 """
 
 import filecmp
+import functools
 import os
 import time
 
@@ -16,8 +17,7 @@ import numpy as np
 from echofit import models
 from echofit.catalog import CATALOG, gradient_check
 from echofit.constants import MU_B_OVER_K_B
-from echofit.fitting import FitConfig, fit, multi_start_fit
-from echofit.guesses import initial_guess
+from echofit.fitting import FitConfig, fit, fit_trials
 from echofit.pipeline import DEMO_FIELD_GRID_T, batch_fit_3ppe, run_demo, window_mask
 from echofit.presets import (
     FIELD_7MK,
@@ -26,7 +26,7 @@ from echofit.presets import (
     SD_7MK_009T_SIGMA,
     T12_SET_US,
 )
-from echofit.synth import SynthSpec, synth_trace
+from echofit.synth import SynthSpec, synth_scan, synth_trace
 
 from conftest import record_criterion
 
@@ -98,17 +98,13 @@ def _in_window(tr):
     return tr.time_us[keep], tr.intensity[keep]
 
 
+@functools.cache
 def _mims_fits(n_trials=200, sigma=0.02):
-    results = []
-    for k in range(n_trials):
-        tr = synth_trace(SynthSpec(
-            "mims", MIMS_TRUTH, (0.25, 30.0, 50, "log"),
-            ("multiplicative", sigma), seed=1000 + k))
-        guess = initial_guess("mims", tr.time_us, tr.intensity)
-        res = multi_start_fit("mims", *_in_window(tr), guess.params,
-                              cfg=FitConfig(restarts=2, seed=k))
-        results.append(res)
-    return results
+    """The 200 noisy decays that criteria 6 and 10 share, fitted once."""
+    traces = [synth_trace(SynthSpec("mims", MIMS_TRUTH, (0.25, 30.0, 50, "log"),
+                                    ("multiplicative", sigma), seed=1000 + k))
+              for k in range(n_trials)]
+    return tuple(fit_trials("mims", [_in_window(tr) for tr in traces], restarts=2))
 
 
 def test_criterion_06_mims_round_trip():
@@ -118,8 +114,7 @@ def test_criterion_06_mims_round_trip():
     x_err = np.median([abs(r.params["x"] - 1.3) for r in fits])
 
     clean = synth_trace(SynthSpec("mims", MIMS_TRUTH, (0.25, 30.0, 50, "log")))
-    g = initial_guess("mims", clean.time_us, clean.intensity)
-    exact = fit("mims", *_in_window(clean), g.params)
+    exact = fit("mims", *_in_window(clean), None)
     rel = max(abs(exact.params[k] - v) / v for k, v in MIMS_TRUTH.items())
     elapsed = time.time() - t0
     ok = tm_err < 0.02 and x_err < 0.05 and rel <= 1e-6 and elapsed < 30.0
@@ -141,15 +136,11 @@ def test_criterion_07_field_model_round_trip():
     t0 = time.time()
     grid = np.array(DEMO_FIELD_GRID_T)
     truth = dict(FIELD_7MK)
-    clean = models.field_linewidth(FIELD_7MK, grid, {"temp_k": 0.007})
+    scans = [synth_scan("field", truth, grid, ("multiplicative", 0.03), seed=4000 + k,
+                        fixed={"temp_k": 0.007}) for k in range(50)]
     wins = 0
-    for k in range(50):
-        rng = np.random.default_rng(4000 + k)
-        y = clean * (1.0 + 0.03 * rng.standard_normal(grid.size))
-        guess = initial_guess("field", grid, y, {"temp_k": 0.007})
-        res = multi_start_fit("field", grid, y, guess.params,
-                              cfg=FitConfig(restarts=4, seed=k),
-                              fixed={"temp_k": 0.007})
+    for res in fit_trials("field", [(s.condition, s.value) for s in scans], restarts=4,
+                          fixed={"temp_k": 0.007}):
         wins += all(abs(res.params[n] - truth[n]) <= 3 * FIELD_7MK_SIGMA[n]
                     for n in FIELD_7MK_SIGMA)
     rate = wins / 50.0

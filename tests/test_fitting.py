@@ -21,6 +21,7 @@ from echofit.fitting import (
     _problem,
     _starts,
     fit,
+    fit_trials,
     multi_start_batch,
     multi_start_fit,
 )
@@ -886,14 +887,14 @@ def _cut(problem, window):
     return x[keep], y[keep], init, None if sigma is None else sigma[keep], fixed
 
 
-def _batch_case(model_id):
-    """A model, its problems' specs and a window to cut them to.  Field
-    grids have 14 or 20 points, so problems at different temperatures
-    share a lockstep group."""
+def _batch_case(model_id, kinds=("ok", "ok", "ok", "short", "negative")):
+    """A model, its problems' specs, each of a kind drawn from ``kinds``,
+    and a window to cut them to.  Field grids have 14 or 20 points, so
+    problems at different temperatures share a lockstep group."""
     sizes = {"mims": [12, 20, 35], "field": [14, 20]}[model_id]
     windows = {"mims": [None, (0.5, 25.0), (2.0, None)],
                "field": [None, (0.01, None), (None, 1.5)]}[model_id]
-    spec = st.tuples(st.sampled_from(["ok", "ok", "ok", "short", "negative"]),
+    spec = st.tuples(st.sampled_from(kinds),
                      st.sampled_from(sizes), st.integers(0, 2**16), st.booleans(),
                      st.sampled_from([0.005, 0.007, 0.02, 0.1]))
     return st.tuples(st.just(model_id), st.lists(spec, min_size=1, max_size=6),
@@ -922,6 +923,43 @@ def test_batch_entries_equal_their_lone_fits(case, restarts, seed):
         assert (res.params, res.sse, res.n_iterations, res.sse_trace, res.flags,
                 res.fixed) == (lone.params, lone.sse, lone.n_iterations, lone.sse_trace,
                                lone.flags, lone.fixed)
+
+
+@given(st.sampled_from(["mims", "field"]).flatmap(
+    lambda model_id: _batch_case(model_id, ("ok",) * 8 + ("short", "negative"))),
+    st.integers(1, 5))
+@example(("field", [("ok", 20, 4, False, 0.007), ("ok", 14, 5, True, 0.02),
+                    ("ok", 20, 6, False, 0.007)], None), 3)
+@settings(max_examples=25, deadline=None)
+def test_fit_trials_equal_the_loop_of_seeded_fits(case, restarts):
+    # trial k of a study is fitted from its model's guess, its starts
+    # jittered from seed k, whichever lockstep group its point count puts
+    # it in; the study raises the first error that the loop would raise
+    model_id, specs, window = case
+    problems = [_cut(_batch_problem(model_id, *s), window) for s in specs]
+    data, fixed = [(x, y) for x, y, *_ in problems], problems[0][4]
+    try:
+        lone = [multi_start_fit(model_id, x, y, None, cfg=FitConfig(restarts=restarts, seed=k),
+                                fixed=fixed) for k, (x, y) in enumerate(data)]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            fit_trials(model_id, data, restarts=restarts, fixed=fixed)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    results = fit_trials(model_id, data, restarts=restarts, fixed=fixed)
+    assert len(results) == len(lone)
+    for res, one in zip(results, lone):
+        assert_same_fit(res, one)
+
+
+def test_fit_trials_raises_the_first_trials_error():
+    good, negative, short = (_batch_problem("mims", kind, 20, 3, False, None)[:2]
+                             for kind in ("ok", "negative", "short"))
+    with pytest.raises(FitError, match="fits log intensities"):
+        fit_trials("mims", [good, negative, short], restarts=3)
+    with pytest.raises(FitError, match="need at least 4 points, got 3"):
+        fit_trials("mims", [good, short, negative], restarts=3)
+    assert fit_trials("mims", [], restarts=3) == []
 
 
 def test_bad_fixed_value_fails_only_its_problem():

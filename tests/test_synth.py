@@ -211,6 +211,21 @@ def test_modulation_refuses_a_frequency_or_decay_it_cannot_use(freq, decay, why)
     assert str(err.value) == why
 
 
+@pytest.mark.parametrize("depth, decay, why", [
+    (True, 10.0, "modulation depth must be a number in [0, 1], got True"),
+    ("0.5", 10.0, "modulation depth must be a number in [0, 1], got '0.5'"),
+    (np.nan, 10.0, "modulation depth must be a number in [0, 1], got nan"),
+    (0.2, True, "modulation decay must be > 0, got True"),
+    (0.2, "10", "modulation decay must be > 0, got '10'"),
+], ids=["depth-bool", "depth-str", "depth-nan", "decay-bool", "decay-str"])
+def test_modulation_refuses_a_depth_or_decay_that_is_no_number(depth, decay, why):
+    # Modulation(True, 0.5, True) was made, with depth 1 and a 1 us decay;
+    # a string raised TypeError from the comparison
+    with pytest.raises(ValueError) as err:
+        Modulation(depth=depth, freq_mhz=0.5, decay_us=decay)
+    assert str(err.value) == why
+
+
 def test_an_infinite_decay_leaves_the_modulation_undamped():
     t = np.array([0.0, 0.3, 1.0, 7.5])
     factor = Modulation(depth=0.2, freq_mhz=0.5, decay_us=np.inf).factor(t)
@@ -321,9 +336,25 @@ _ECHO3_FIXED = {"t1_ms": 9.0, "tz_s": 2.0, "t0_us": 50.0}
 _AT_7MK = {"temp_k": 0.007}
 
 
-def _echo3_trace(grid):
+def _echo3_trace(grid, t12_us=0.33):
     return synth_trace(SynthSpec("echo3", _ECHO3_TRUTH, grid,
-                                 fixed={**_ECHO3_FIXED, "t12_us": 0.33}))
+                                 fixed={**_ECHO3_FIXED, "t12_us": t12_us}))
+
+
+@pytest.mark.parametrize("t12", [True, "0.5", np.nan, None], ids=repr)
+def test_a_fixed_t12_that_is_no_finite_number_is_refused(t12):
+    # t12_us was read with float(): True made a trace at 1.0 us and "0.5"
+    # one at 0.5 us, where every other fixed value is refused
+    with pytest.raises(FitError) as exc:
+        _echo3_trace((50.0, 7500.0, 5, "log"), t12)
+    assert str(exc.value) == f"fixed value t12_us must be a finite number, got {t12!r}"
+
+
+def test_a_fixed_t12_of_zero_makes_a_trace():
+    # t12 lies in [0, inf), so the "> 0" rule of the other fixed values is not its rule
+    trace = _echo3_trace((50.0, 7500.0, 5, "log"), 0)
+    assert trace.t12_us == 0.0 and type(trace.t12_us) is float
+    assert np.isfinite(trace.intensity).all()
 
 
 @pytest.mark.parametrize("make, law, why", [
